@@ -48,37 +48,36 @@ func requireCancelErr(t *testing.T, err error, wantProgress string) {
 // TestSolveContextCancelsWithinOneIteration: the power loop polls ctx at the
 // top of every iteration, so an Err() that flips on poll k aborts the solve
 // with exactly k-1 completed iterations — within one iteration of the
-// cancellation, for both the sequential and parallel sweep paths.
+// cancellation, for both the sequential and parallel sweep paths and for a
+// factored and a per-arc (β-blended) transition. After the cancelled solves
+// the engine must still solve: their pooled buffers were returned, not
+// leaked mid-solve.
 func TestSolveContextCancelsWithinOneIteration(t *testing.T) {
 	g := powerLawGraph(t, 500, 5, 7)
-	tr := DegreeDecoupled(g, 1)
-	for _, workers := range []int{1, 4} {
-		for _, flipAt := range []int64{1, 4} {
-			t.Run(fmt.Sprintf("workers=%d flip=%d", workers, flipAt), func(t *testing.T) {
-				ctx := errAfter(flipAt)
-				res, err := SolveContext(ctx, tr, Options{MaxIter: 50, Tol: 1e-300, Workers: workers})
-				requireCancelErr(t, err, fmt.Sprintf("after %d/50 iterations", flipAt-1))
-				if res != nil {
-					t.Fatalf("cancelled solve returned a result: %+v", res)
-				}
-			})
-		}
+	blended, err := Blended(g, 1.2, 0.3)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestSweepSolverContextCancel: the sweep path shares the power core, so the
-// same one-iteration abort contract holds through SweepSolver.SolveContext.
-func TestSweepSolverContextCancel(t *testing.T) {
-	g := powerLawGraph(t, 500, 5, 8)
-	s := NewSweepSolver(g)
-	ctx := errAfter(3)
-	_, err := s.SolveContext(ctx, 1.2, 0.3, Options{MaxIter: 40, Tol: 1e-300})
-	requireCancelErr(t, err, "after 2/40 iterations")
-
-	// The solver must stay usable after a cancelled configuration: pooled
-	// buffers were returned, not leaked mid-solve.
-	if _, err := s.Solve(1.2, 0.3, Options{MaxIter: 40}); err != nil {
-		t.Fatalf("solve after cancellation: %v", err)
+	for _, c := range []struct {
+		name string // subtest name prefix
+		tr   *Transition
+	}{{"", DegreeDecoupled(g, 1)}, {"blended ", blended}} {
+		tr := c.tr
+		for _, workers := range []int{1, 4} {
+			for _, flipAt := range []int64{1, 4} {
+				t.Run(fmt.Sprintf("%sworkers=%d flip=%d", c.name, workers, flipAt), func(t *testing.T) {
+					ctx := errAfter(flipAt)
+					res, err := SolveContext(ctx, tr, Options{MaxIter: 50, Tol: 1e-300, Workers: workers})
+					requireCancelErr(t, err, fmt.Sprintf("after %d/50 iterations", flipAt-1))
+					if res != nil {
+						t.Fatalf("cancelled solve returned a result: %+v", res)
+					}
+				})
+			}
+		}
+		if _, err := Solve(tr, Options{MaxIter: 50}); err != nil {
+			t.Fatalf("%ssolve after cancellation: %v", c.name, err)
+		}
 	}
 }
 

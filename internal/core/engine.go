@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,8 +11,8 @@ import (
 )
 
 // Engine is the per-graph solver substrate, built once per graph and shared
-// by every solver (power iteration, Gauss–Seidel, the sweep batcher, and the
-// PPR push path). It is organized around memory locality:
+// by every solver (power iteration, Gauss–Seidel, and the PPR push path). It
+// is organized around memory locality:
 //
 //   - Pull CSR: arcs into each destination are contiguous (pullOffsets +
 //     pullSources), so a sweep is a streaming pass over destinations with
@@ -93,11 +92,6 @@ type Engine struct {
 	// pprbuf recycles *pprScratch (residuals, queue, membership bits) across
 	// SolvePPR calls; see push.go.
 	pprbuf sync.Pool
-
-	// parts caches the static arc-balanced partition per worker count —
-	// topology is immutable, so it never needs recomputing per solve.
-	partMu sync.Mutex
-	parts  map[int][]int32
 
 	// Flow-probability memoization: repeat solves of the same *Transition
 	// skip the O(m) scatter entirely. A transition is only promoted into the
@@ -301,9 +295,10 @@ func (e *Engine) Connection() *Transition {
 }
 
 // engineCacheCap bounds the process-wide engine cache. Serving deployments
-// keep engines alive through registry snapshots anyway; the global cache
-// covers library callers (Solve, SolveGaussSeidel, NewSweepSolver) without
-// pinning every graph a test run ever builds.
+// own their engines through registry snapshots (built with NewEngine, so an
+// engine dies with its snapshot); the global cache covers library callers
+// (Solve, SolveGaussSeidel) without pinning every graph a test run ever
+// builds.
 const engineCacheCap = 16
 
 var (
@@ -314,8 +309,9 @@ var (
 // EngineFor returns the cached engine for g, building one on first use.
 // Identity is pointer identity on the graph — graphs are immutable, so one
 // *graph.Graph has one topology. The cache keeps the engineCacheCap
-// most-recently-used engines; long-lived callers that must never rebuild
-// should hold the returned *Engine (the registry's snapshots do).
+// most-recently-used engines, and with them their graphs; long-lived callers
+// that must never rebuild, or whose graphs must be freed with them, own an
+// engine from NewEngine instead (the registry's snapshots do).
 func EngineFor(g *graph.Graph) *Engine {
 	engineMu.Lock()
 	for i, e := range engineCache {
@@ -378,7 +374,7 @@ func (e *Engine) SolveContext(ctx context.Context, t *Transition, opts Options) 
 		return nil, err
 	}
 	f, done := e.flowOf(t)
-	res, err := e.power(ctx, f, opts, schedBlocked)
+	res, err := e.power(ctx, f, opts)
 	if done != nil {
 		done()
 	}
@@ -470,10 +466,10 @@ func (e *Engine) flowSeenLocked(t *Transition) bool {
 // return (nil, nil): the solver runs off the cached 1/outdeg table. For
 // explicit transitions the scatter result is memoized per *Transition —
 // but only once a transition has been seen before, so long-lived transitions
-// (benchmark loops, sweep solvers, the engine's own Connection) amortize the
-// scatter to zero while per-request one-shot transitions stay on pooled
-// buffers. When the second return is non-nil the caller owns the buffer and
-// must putM it after the solve.
+// (benchmark loops, the engine's own Connection) amortize the scatter to
+// zero while per-request one-shot transitions stay on pooled buffers. When
+// the second return is non-nil the caller owns the buffer and must putM it
+// after the solve.
 func (e *Engine) flowProbs(t *Transition) ([]float64, *[]float64) {
 	if t.uniform {
 		return nil, nil
@@ -554,24 +550,13 @@ func (e *Engine) getM32() *[]float32 {
 
 func (e *Engine) putM32(p *[]float32) { e.mbuf32.Put(p) }
 
-// schedule selects the parallel sweep's work-distribution strategy. Blocked
-// is the default; the static splits are kept as benchmark baselines (and the
-// arc-balanced one as the partition-quality metric in BENCH_core.json).
-type schedule int
-
-const (
-	schedBlocked schedule = iota
-	schedArcStatic
-	schedNodeStatic
-)
-
 // power runs the power-iteration core over a flow representation,
 // dispatching to the tier selected by opts.Float32. opts must already have
 // defaults applied. The factored tables stay float64 in both tiers — they
 // are per-node, so narrowing them would save nothing that matters.
-func (e *Engine) power(ctx context.Context, f flow, opts Options, sched schedule) (*Result, error) {
+func (e *Engine) power(ctx context.Context, f flow, opts Options) (*Result, error) {
 	if !opts.Float32 {
-		return powerSolve[float64](ctx, e, f.probs, f.rowFactor, f.srcScale, opts, sched)
+		return powerSolve[float64](ctx, e, f.probs, f.rowFactor, f.srcScale, opts)
 	}
 	var p32 []float32
 	var pp32 *[]float32
@@ -582,18 +567,12 @@ func (e *Engine) power(ctx context.Context, f flow, opts Options, sched schedule
 			p32[i] = float32(v)
 		}
 	}
-	res, err := powerSolve[float32](ctx, e, p32, f.rowFactor, f.srcScale, opts, sched)
+	res, err := powerSolve[float32](ctx, e, p32, f.rowFactor, f.srcScale, opts)
 	if pp32 != nil {
 		e.putM32(pp32)
 	}
 	return res, err
 }
-
-// hybridFrontierDiv sets the adaptive-hybrid switch point: once fewer than
-// n/hybridFrontierDiv nodes are still moving by more than their share of the
-// L1 tolerance, the convergence tail leaves Jacobi power iteration for
-// Gauss–Seidel sweeps (see Options.Hybrid).
-const hybridFrontierDiv = 8
 
 // powerSolve is the tier-generic power-iteration core. probs holds the
 // transition in pull order; with probs nil the transition is per-node:
@@ -605,7 +584,7 @@ const hybridFrontierDiv = 8
 // no worker is ever abandoned mid-block. The check is one atomic-free
 // ctx.Err() call against an iteration that sweeps every arc; its cost on the
 // warm path is measured by BenchmarkCoreSolveCancelOverhead (<1%).
-func powerSolve[T float32or64](ctx context.Context, e *Engine, probs []T, rowFactor, srcScale []float64, opts Options, sched schedule) (*Result, error) {
+func powerSolve[T float32or64](ctx context.Context, e *Engine, probs []T, rowFactor, srcScale []float64, opts Options) (*Result, error) {
 	n := e.n
 	telep := getNT[T](e)
 	tele := *telep
@@ -634,40 +613,23 @@ func powerSolve[T float32or64](ctx context.Context, e *Engine, probs []T, rowFac
 		}
 	}
 
-	workers := opts.Workers
-	if workers > n {
-		workers = n
-	}
-	// Segment bounds double as the residual-reduction grouping: per-segment
-	// partials are reduced in segment order, so the residual is deterministic
-	// for a given schedule. The serial path walks the same blocks as the
-	// parallel blocked schedule, making serial and parallel solves
-	// bit-identical end to end.
-	var bounds []int32
-	dynamic := false
-	switch {
-	case sched == schedArcStatic && workers > 1:
-		bounds = e.partitionArcs(workers)
-	case sched == schedNodeStatic && workers > 1:
-		bounds = partitionNodes(n, workers)
-	default:
-		bounds, dynamic = e.blocks, true
-	}
-	accs := make([]blockAcc, len(bounds)-1)
-	activeTol := opts.Tol / float64(n)
+	// Block bounds double as the residual-reduction grouping: per-block
+	// partials are reduced in block order, so the residual is deterministic.
+	// The serial path walks the same blocks the parallel workers grab, making
+	// serial and parallel solves bit-identical end to end.
+	bounds := e.blocks
+	diffs := make([]float64, len(bounds)-1)
 	var st *sweepState[T]
-	if workers > 1 {
+	if workers := min(opts.Workers, len(diffs)); workers > 1 {
 		st = &sweepState[T]{
 			e: e, probs: probs, tele: tele, rowFactor: rowFactor, srcScale: srcScale,
-			alpha: opts.Alpha, activeTol: activeTol,
-			bounds: bounds, dynamic: dynamic, workers: workers, accs: accs,
+			alpha: opts.Alpha, workers: workers, diffs: diffs,
 		}
 	}
 
 	res := &Result{}
 	solveStart := time.Now()
 	var cancelErr error
-	hybridAt := 0
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		if err := ctx.Err(); err != nil {
 			cancelErr = fmt.Errorf("core: solve aborted after %d/%d iterations: %w", res.Iterations, opts.MaxIter, err)
@@ -687,17 +649,14 @@ func powerSolve[T float32or64](ctx context.Context, e *Engine, probs []T, rowFac
 			st.base = base
 			st.run()
 		} else {
-			for s := range accs {
-				d, a := sweepRows(e.pullOffsets, e.pullSources, probs, cur, scaled, next, nextScaled, tele,
-					rowFactor, srcScale, opts.Alpha, base, activeTol, int(bounds[s]), int(bounds[s+1]))
-				accs[s] = blockAcc{diff: d, active: a}
+			for b := range diffs {
+				diffs[b] = sweepRows(e.pullOffsets, e.pullSources, probs, cur, scaled, next, nextScaled, tele,
+					rowFactor, srcScale, opts.Alpha, base, int(bounds[b]), int(bounds[b+1]))
 			}
 		}
 		var diff float64
-		var active int
-		for _, a := range accs {
-			diff += a.diff
-			active += a.active
+		for _, d := range diffs {
+			diff += d
 		}
 
 		cur, next = next, cur
@@ -708,18 +667,6 @@ func powerSolve[T float32or64](ctx context.Context, e *Engine, probs []T, rowFac
 			res.Converged = true
 			break
 		}
-		// Adaptive hybrid: once the active frontier is small, the dense
-		// Jacobi sweep wastes most of its work re-deriving settled nodes —
-		// hand the tail to Gauss–Seidel, which propagates fresh values
-		// within a sweep and converges it in far fewer passes.
-		if opts.Hybrid && active*hybridFrontierDiv < n && iter < opts.MaxIter {
-			hybridAt = iter
-			break
-		}
-	}
-	if cancelErr == nil && hybridAt > 0 && !res.Converged {
-		res.HybridSwitch = hybridAt
-		cancelErr = gsLoop(ctx, e, probs, cur, scaled, tele, rowFactor, srcScale, opts, res, hybridAt+1)
 	}
 	res.Elapsed = time.Since(solveStart)
 	if cancelErr == nil {
@@ -746,154 +693,69 @@ func powerSolve[T float32or64](ctx context.Context, e *Engine, probs []T, rowFac
 	return res, nil
 }
 
-// partitionNodes splits [0, n) into ~equal node-count segments — the seed
-// strategy, kept as the benchmark baseline for the arc-balanced split.
-func partitionNodes(n, workers int) []int32 {
-	bounds := make([]int32, workers+1)
-	chunk := (n + workers - 1) / workers
-	for w := 1; w < workers; w++ {
-		b := w * chunk
-		if b > n {
-			b = n
-		}
-		bounds[w] = int32(b)
-	}
-	bounds[workers] = int32(n)
-	return bounds
-}
-
-// partitionArcs returns the destination split where every segment owns
-// roughly the same number of in-arcs (each node also counts 1, so arc-free
-// stretches still spread). On hub-heavy power-law graphs this is what keeps
-// one worker from drawing all the hub rows and becoming the straggler.
-// Segments may be empty when a single node owns more than a worker's share
-// of arcs. The split is cached per worker count — topology is immutable, so
-// it is computed at most once per (engine, workers).
-func (e *Engine) partitionArcs(workers int) []int32 {
-	e.partMu.Lock()
-	defer e.partMu.Unlock()
-	if b, ok := e.parts[workers]; ok {
-		return b
-	}
-	bounds := make([]int32, workers+1)
-	bounds[workers] = int32(e.n)
-	total := e.pullOffsets[e.n] + int64(e.n)
-	for w := 1; w < workers; w++ {
-		target := total * int64(w) / int64(workers)
-		v := sort.Search(e.n, func(v int) bool {
-			return e.pullOffsets[v]+int64(v) >= target
-		})
-		bounds[w] = int32(v)
-	}
-	if e.parts == nil {
-		e.parts = make(map[int][]int32)
-	}
-	e.parts[workers] = bounds
-	return bounds
-}
-
-// blockAcc is one segment's residual contribution; partials are reduced in
-// segment order after the sweep barrier, so the residual is deterministic
-// regardless of which worker computed which segment.
-type blockAcc struct {
-	diff   float64
-	active int
-}
-
 // sweepState carries one parallel sweep's inputs to the worker pool. One
 // sweepState lives for a whole solve; only the buffer pairs and the dangling
-// base change between iterations.
+// base change between iterations. Workers grab whole destination blocks
+// (e.blocks) work-stealing style, one atomic per block, and each block's
+// residual partial lands in diffs at the block's own index, so the reduction
+// order is independent of which worker computed which block.
 type sweepState[T float32or64] struct {
 	e                                   *Engine
 	probs                               []T
 	cur, next, scaled, nextScaled, tele []T
 	rowFactor, srcScale                 []float64
-	alpha, base, activeTol              float64
-	// bounds are destination boundaries: block boundaries consumed work-
-	// stealing style when dynamic, otherwise one static segment per worker.
-	bounds  []int32
-	dynamic bool
-	workers int
-	accs    []blockAcc
-	cursor  atomic.Int64
-	wg      sync.WaitGroup
+	alpha, base                         float64
+	workers                             int
+	diffs                               []float64
+	cursor                              atomic.Int64
+	wg                                  sync.WaitGroup
 }
 
 // run executes one sweep. The calling goroutine always works too (one fewer
 // handoff, and it would only block in Wait anyway); extra workers come from
 // the persistent pool. Every destination row is computed by exactly one
 // worker and rows are reduced independently, so results are identical across
-// schedules and worker counts.
+// worker counts.
 func (st *sweepState[T]) run() {
-	if st.dynamic {
-		st.cursor.Store(0)
-		workers := st.workers
-		if nb := len(st.bounds) - 1; workers > nb {
-			workers = nb
-		}
-		st.wg.Add(workers)
-		for w := 1; w < workers; w++ {
-			sweepPool.submit(poolTask{r: st, seg: -1})
-		}
-		st.runSeg(-1)
-	} else {
-		segs := len(st.bounds) - 1
-		st.wg.Add(segs)
-		for seg := 1; seg < segs; seg++ {
-			sweepPool.submit(poolTask{r: st, seg: seg})
-		}
-		st.runSeg(0)
+	st.cursor.Store(0)
+	st.wg.Add(st.workers)
+	for w := 1; w < st.workers; w++ {
+		sweepPool.submit(st)
 	}
+	st.runBlocks()
 	st.wg.Wait()
 }
 
-// runSeg computes one static segment (seg ≥ 0) or loops grabbing dynamic
-// blocks until none remain (seg < 0). Each segment's residual partial lands
-// in accs at the segment's own index, so the post-barrier reduction order is
-// independent of work-stealing interleavings.
-func (st *sweepState[T]) runSeg(seg int) {
+// runBlocks loops grabbing blocks until none remain.
+func (st *sweepState[T]) runBlocks() {
 	e := st.e
-	if seg >= 0 {
-		d, a := sweepRows(e.pullOffsets, e.pullSources, st.probs, st.cur, st.scaled, st.next, st.nextScaled, st.tele,
-			st.rowFactor, st.srcScale, st.alpha, st.base, st.activeTol, int(st.bounds[seg]), int(st.bounds[seg+1]))
-		st.accs[seg] = blockAcc{diff: d, active: a}
-		st.wg.Done()
-		return
-	}
-	nb := int64(len(st.bounds) - 1)
+	nb := int64(len(st.diffs))
 	for {
 		b := st.cursor.Add(1) - 1
 		if b >= nb {
 			break
 		}
-		d, a := sweepRows(e.pullOffsets, e.pullSources, st.probs, st.cur, st.scaled, st.next, st.nextScaled, st.tele,
-			st.rowFactor, st.srcScale, st.alpha, st.base, st.activeTol, int(st.bounds[b]), int(st.bounds[b+1]))
-		st.accs[b] = blockAcc{diff: d, active: a}
+		st.diffs[b] = sweepRows(e.pullOffsets, e.pullSources, st.probs, st.cur, st.scaled, st.next, st.nextScaled, st.tele,
+			st.rowFactor, st.srcScale, st.alpha, st.base, int(e.blocks[b]), int(e.blocks[b+1]))
 	}
 	st.wg.Done()
 }
 
-// segRunner is the unit of work the pool executes; both sweep tiers
-// implement it, so one pool serves float64 and float32 solves alike.
-type segRunner interface {
-	runSeg(seg int)
+// blockRunner is the unit of work the pool executes: one worker slot of one
+// sweep. Both sweep tiers implement it, so one pool serves float64 and
+// float32 solves alike, and submitting allocates nothing — the interface word
+// holds the *sweepState pointer directly.
+type blockRunner interface {
+	runBlocks()
 }
 
-// poolTask is one segment (or one dynamic worker slot) of one sweep. Plain
-// value: submitting allocates nothing — the interface word holds the
-// *sweepState pointer directly.
-type poolTask struct {
-	r   segRunner
-	seg int
-}
-
-// workerPool runs sweep segments on persistent goroutines. Workers are
+// workerPool runs sweep worker slots on persistent goroutines. Workers are
 // spawned on demand up to the pool's cap and exit after workerIdleTimeout
 // without a task, so an idle process keeps no goroutines and a server under
 // load keeps them hot across iterations, solves, and requests.
 type workerPool struct {
-	tasks chan poolTask // unbuffered: a send succeeds only into a waiting worker
-	sem   chan struct{} // counts live workers
+	tasks chan blockRunner // unbuffered: a send succeeds only into a waiting worker
+	sem   chan struct{}    // counts live workers
 }
 
 const workerIdleTimeout = 30 * time.Second
@@ -906,12 +768,12 @@ var sweepPool = newWorkerPool(64)
 
 func newWorkerPool(maxWorkers int) *workerPool {
 	return &workerPool{
-		tasks: make(chan poolTask),
+		tasks: make(chan blockRunner),
 		sem:   make(chan struct{}, maxWorkers),
 	}
 }
 
-func (p *workerPool) submit(t poolTask) {
+func (p *workerPool) submit(t blockRunner) {
 	select {
 	case p.tasks <- t: // an idle worker is waiting
 		return
@@ -924,8 +786,8 @@ func (p *workerPool) submit(t poolTask) {
 	}
 }
 
-func (p *workerPool) worker(t poolTask) {
-	t.r.runSeg(t.seg)
+func (p *workerPool) worker(t blockRunner) {
+	t.runBlocks()
 	idle := time.NewTimer(workerIdleTimeout)
 	defer idle.Stop()
 	for {
@@ -934,7 +796,7 @@ func (p *workerPool) worker(t poolTask) {
 			if !idle.Stop() {
 				<-idle.C
 			}
-			t.r.runSeg(t.seg)
+			t.runBlocks()
 			idle.Reset(workerIdleTimeout)
 		case <-idle.C:
 			<-p.sem

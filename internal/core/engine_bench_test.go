@@ -19,10 +19,9 @@ import (
 //   - CoreSolveWarmNoReorder: the identity-order ablation of the locality
 //     relabeling (same kernel, builder's node order).
 //   - CoreSolveWarmFloat32: the float32 score tier (Options.Float32).
-//   - CoreSweepBlocked vs CoreSweepNodeBalanced vs CoreSweepArcBalanced:
-//     the dynamic cache-blocked schedule against the two static splits.
-//   - CoreConvergePower vs CoreConvergeHybrid: full runs to a real
-//     tolerance, with and without the adaptive Gauss–Seidel tail.
+//   - CoreSweepSequential vs CoreSweepBlocked4/8: the cache-blocked
+//     schedule serially and with 4 and 8 workers.
+//   - CoreConvergePower: a full run to a real tolerance.
 //
 // Every warm bench also reports ns_per_arc — the tentpole metric the
 // CI bench-regression guard tracks (scripts/bench_guard.sh).
@@ -183,14 +182,11 @@ func BenchmarkCoreSolveWarmFloat32(b *testing.B) {
 }
 
 // benchSweep runs the fixed-iteration power core with the given worker count
-// and schedule over a pre-scattered probability buffer. Besides wall time
-// (which only separates the strategies on multi-core hosts), the static
-// schedules report "imbalance": the heaviest segment's arc load as a multiple
-// of the ideal per-worker share — the straggler factor, 1.0 being perfect.
-// The blocked schedule reports its block count instead; its balance is
-// dynamic. Both metrics are deterministic, so BENCH_core.json records the
-// schedule quality even when the bench host is single-core.
-func benchSweep(b *testing.B, workers int, sched schedule) {
+// over a pre-scattered probability buffer, on the cache-blocked schedule
+// (workers grab whole destination blocks; one worker walks them in order).
+// Besides wall time (which only separates worker counts on multi-core
+// hosts), it reports the block count, which is deterministic.
+func benchSweep(b *testing.B, workers int) {
 	g := benchGraph(b)
 	e := EngineFor(g)
 	tr := DegreeDecoupled(g, 1)
@@ -202,57 +198,35 @@ func benchSweep(b *testing.B, workers int, sched schedule) {
 	}
 	opts.Workers = workers
 
-	if _, err := e.power(context.Background(), flow{probs: probs}, opts, sched); err != nil {
+	if _, err := e.power(context.Background(), flow{probs: probs}, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.power(context.Background(), flow{probs: probs}, opts, sched); err != nil {
+		if _, err := e.power(context.Background(), flow{probs: probs}, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 	// After the loop: ResetTimer deletes user metrics reported before it.
 	reportNsPerArc(b, g.NumArcs(), opts.MaxIter)
-	if sched == schedBlocked {
-		b.ReportMetric(float64(len(e.blocks)-1), "blocks")
-		return
-	}
-	bounds := partitionNodes(e.n, workers)
-	if sched == schedArcStatic {
-		bounds = e.partitionArcs(workers)
-	}
-	var maxSeg int64
-	for w := 0; w < workers; w++ {
-		if arcs := e.pullOffsets[bounds[w+1]] - e.pullOffsets[bounds[w]]; arcs > maxSeg {
-			maxSeg = arcs
-		}
-	}
-	b.ReportMetric(float64(maxSeg)*float64(workers)/float64(g.NumArcs()), "imbalance")
+	b.ReportMetric(float64(len(e.blocks)-1), "blocks")
 }
 
-func BenchmarkCoreSweepNodeBalanced4(b *testing.B) { benchSweep(b, 4, schedNodeStatic) }
-func BenchmarkCoreSweepArcBalanced4(b *testing.B)  { benchSweep(b, 4, schedArcStatic) }
-func BenchmarkCoreSweepBlocked4(b *testing.B)      { benchSweep(b, 4, schedBlocked) }
-func BenchmarkCoreSweepNodeBalanced8(b *testing.B) { benchSweep(b, 8, schedNodeStatic) }
-func BenchmarkCoreSweepArcBalanced8(b *testing.B)  { benchSweep(b, 8, schedArcStatic) }
-func BenchmarkCoreSweepBlocked8(b *testing.B)      { benchSweep(b, 8, schedBlocked) }
+func BenchmarkCoreSweepBlocked4(b *testing.B) { benchSweep(b, 4) }
+func BenchmarkCoreSweepBlocked8(b *testing.B) { benchSweep(b, 8) }
 
 // BenchmarkCoreSweepSequential anchors the parallel numbers.
-func BenchmarkCoreSweepSequential(b *testing.B) { benchSweep(b, 1, schedArcStatic) }
+func BenchmarkCoreSweepSequential(b *testing.B) { benchSweep(b, 1) }
 
-// benchConverge runs warm solves to a real tolerance (not the pinned
-// iteration count), so the hybrid solver's fewer-total-sweeps advantage is
-// visible as wall time. The tolerance sits at 1e-14, deep enough that the
-// residual frontier collapses and the hybrid actually switches to its
-// Gauss–Seidel tail on the bench graph (at looser tolerances power
-// iteration converges before the frontier shrinks). Iterations vary per
-// variant, so these report plain ns/op only.
-func benchConverge(b *testing.B, hybrid bool) {
+// BenchmarkCoreConvergePower runs warm solves to a real tolerance (not the
+// pinned iteration count), 1e-14, so the whole convergence tail is timed.
+// The iteration count is reported alongside ns/op.
+func BenchmarkCoreConvergePower(b *testing.B) {
 	g := benchGraph(b)
 	e := EngineFor(g)
 	tr := DegreeDecoupled(g, 1)
-	opts := Options{Alpha: DefaultAlpha, Tol: 1e-14, Hybrid: hybrid}
-	var iters, sweeps int
+	opts := Options{Alpha: DefaultAlpha, Tol: 1e-14}
+	var iters int
 	for i := 0; i < 2; i++ {
 		res, err := e.Solve(tr, opts)
 		if err != nil {
@@ -261,7 +235,7 @@ func benchConverge(b *testing.B, hybrid bool) {
 		if !res.Converged {
 			b.Fatalf("did not converge in %d iterations", res.Iterations)
 		}
-		iters, sweeps = res.Iterations, res.GSSweeps
+		iters = res.Iterations
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -270,8 +244,4 @@ func benchConverge(b *testing.B, hybrid bool) {
 		}
 	}
 	b.ReportMetric(float64(iters), "iters")
-	b.ReportMetric(float64(sweeps), "gs_sweeps")
 }
-
-func BenchmarkCoreConvergePower(b *testing.B)  { benchConverge(b, false) }
-func BenchmarkCoreConvergeHybrid(b *testing.B) { benchConverge(b, true) }

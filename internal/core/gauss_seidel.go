@@ -14,8 +14,8 @@ import (
 // the grain" of the arcs (so in-neighbors are fresh by the time a node
 // updates) it converges in a fraction of the sweeps, while against the grain
 // it can need more sweeps than Jacobi — `BenchmarkAblationGaussSeidel`
-// measures both. It exists as the ablation partner for the solver choice and
-// as the convergence tail of Options.Hybrid, not as a standalone default.
+// measures both. It exists as the ablation partner for the solver choice,
+// not as a standalone default.
 //
 // Sweeps run in the engine's permuted (locality-relabeled) id space like
 // every other solver here; because Gauss–Seidel's result depends on update
@@ -23,15 +23,16 @@ import (
 // has always been its contract (TestGaussSeidelMatchesPowerIteration).
 //
 // The pull topology comes from the per-graph engine cache, the same one
-// Solve and SweepSolver use, so alternating between solvers on one graph
-// never re-transposes it; uniform transitions run off the cached 1/outdeg
-// table with no per-arc probabilities.
+// Solve uses, so alternating between solvers on one graph never
+// re-transposes it; uniform transitions run off the cached 1/outdeg table
+// with no per-arc probabilities.
 //
 // The method is inherently sequential, so Options.Workers is ignored, and it
 // always runs in the float64 tier (Options.Float32 is ignored too).
 // Dangling-node handling and the teleport distribution match Solve exactly;
 // both solvers converge to the same vector (within tolerance), which
-// TestGaussSeidelMatchesPowerIteration asserts.
+// TestGaussSeidelMatchesPowerIteration asserts. Result.Iterations counts
+// sweeps.
 func SolveGaussSeidel(t *Transition, opts Options) (*Result, error) {
 	return SolveGaussSeidelContext(context.Background(), t, opts)
 }
@@ -51,101 +52,78 @@ func SolveGaussSeidelContext(ctx context.Context, t *Transition, opts Options) (
 	if err != nil {
 		return nil, err
 	}
-	e := EngineFor(t.g)
-
-	f, done := e.flowOf(t)
-	telep := getNT[float64](e)
-	tele := *telep
-	teleportPermuted(opts, tele, e.permOf)
-
-	xp := getNT[float64](e)
-	x := *xp
-	copy(x, tele)
-	var scaled []float64
-	var scaledp *[]float64
-	if f.probs == nil {
-		scaledp = getNT[float64](e)
-		scaled = *scaledp
-	}
-
-	res := &Result{}
-	solveStart := time.Now()
-	cancelErr := gsLoop(ctx, e, f.probs, x, scaled, tele, f.rowFactor, f.srcScale, opts, res, 1)
-	res.Elapsed = time.Since(solveStart)
-	if cancelErr == nil {
-		res.Scores = materializeScores(x, e.permOf)
-	}
-	putNT(e, telep)
-	putNT(e, xp)
-	if scaledp != nil {
-		putNT(e, scaledp)
-	}
-	if done != nil {
-		done()
-	}
-	if cancelErr != nil {
-		return nil, cancelErr
-	}
-	return res, nil
+	return EngineFor(t.g).gaussSeidel(ctx, t, opts)
 }
 
-// gsLoop runs Gauss–Seidel sweeps over the engine's permuted pull CSR until
-// convergence, MaxIter, or cancellation, updating res in place. x is the
-// iterate (modified in place); with probs == nil the transition is per-node —
-// rank-1 factored when rowFactor/srcScale (permuted space) are set, the
-// implicit uniform one otherwise — and scaled (same length) is used as the
-// x[u]·srcScale[u] mirror; gsLoop initializes it from x, so callers hand it
-// over uninitialized. startIter numbers the first sweep, letting the hybrid
-// solver continue the shared iteration budget where power iteration left off.
-//
-// Shared by SolveGaussSeidel (float64, startIter 1) and the Options.Hybrid
-// convergence tail (either tier, resuming mid-solve).
-func gsLoop[T float32or64](ctx context.Context, e *Engine, probs, x, scaled, tele []T, rowFactor, srcScale []float64, opts Options, res *Result, startIter int) error {
+// gaussSeidel runs Gauss–Seidel sweeps over the engine's permuted pull CSR
+// until convergence, MaxIter, or cancellation. opts must already have
+// defaults applied. For per-node transitions (probs == nil) — rank-1
+// factored when rowFactor/srcScale are set, the implicit uniform one
+// otherwise — a scaled mirror x[u]·srcScale[u] is kept so each in-arc reads
+// one value.
+func (e *Engine) gaussSeidel(ctx context.Context, t *Transition, opts Options) (*Result, error) {
 	n := e.n
 	offsets, sources := e.pullOffsets, e.pullSources
+	f, done := e.flowOf(t)
+	if done != nil {
+		defer done()
+	}
+	probs, rowFactor, srcScale := f.probs, f.rowFactor, f.srcScale
 	if srcScale == nil {
 		srcScale = e.invOutP
+	}
+	telep, xp := getNT[float64](e), getNT[float64](e)
+	defer putNT(e, telep)
+	defer putNT(e, xp)
+	tele, x := *telep, *xp
+	teleportPermuted(opts, tele, e.permOf)
+	copy(x, tele)
+	var scaled []float64
+	if probs == nil {
+		scaledp := getNT[float64](e)
+		defer putNT(e, scaledp)
+		scaled = *scaledp
+		for u := 0; u < n; u++ {
+			scaled[u] = x[u] * srcScale[u]
+		}
 	}
 	// Track the dangling mass incrementally: recomputing it per node would
 	// be O(n·|dangling|). srcScale[v] == 0 identifies dangling nodes (true
 	// for the 1/outdeg table and the factored reciprocal sums alike).
 	var danglingMass float64
 	for _, d := range e.dangling {
-		danglingMass += float64(x[d])
-	}
-	if probs == nil {
-		for u := 0; u < n; u++ {
-			scaled[u] = T(float64(x[u]) * srcScale[u])
-		}
+		danglingMass += x[d]
 	}
 	update := func(v int) float64 {
 		lo, hi := offsets[v], offsets[v+1]
 		var acc float64
 		if probs == nil {
 			for k := lo; k < hi; k++ {
-				acc += float64(scaled[sources[k]])
+				acc += scaled[sources[k]]
 			}
 			if rowFactor != nil {
 				acc *= rowFactor[v]
 			}
 		} else {
 			for k := lo; k < hi; k++ {
-				acc += float64(probs[k]) * float64(x[sources[k]])
+				acc += probs[k] * x[sources[k]]
 			}
 		}
-		nv := opts.Alpha*acc + (opts.Alpha*danglingMass+1-opts.Alpha)*float64(tele[v])
-		d := nv - float64(x[v])
+		nv := opts.Alpha*acc + (opts.Alpha*danglingMass+1-opts.Alpha)*tele[v]
+		d := nv - x[v]
 		if srcScale[v] == 0 {
 			danglingMass += d
 		} else if probs == nil {
-			scaled[v] = T(nv * srcScale[v])
+			scaled[v] = nv * srcScale[v]
 		}
-		x[v] = T(nv)
+		x[v] = nv
 		return math.Abs(d)
 	}
-	for iter := startIter; iter <= opts.MaxIter; iter++ {
+	res := &Result{}
+	solveStart := time.Now()
+	for iter := 1; iter <= opts.MaxIter; iter++ {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: gauss-seidel solve aborted after %d/%d sweeps: %w", res.Iterations, opts.MaxIter, err)
+			return nil, fmt.Errorf("core: gauss-seidel solve aborted after %d/%d sweeps: %w", res.Iterations, opts.MaxIter, err)
 		}
 		// Alternate the sweep direction: whichever way the graph's natural
 		// ordering points (citation DAGs point at lower ids, BFS orders at
@@ -179,12 +157,13 @@ func gsLoop[T float32or64](ctx context.Context, e *Engine, probs, x, scaled, tel
 			}
 		}
 		res.Iterations = iter
-		res.GSSweeps++
 		res.Residual = diff
 		if diff < opts.Tol {
 			res.Converged = true
 			break
 		}
 	}
-	return nil
+	res.Elapsed = time.Since(solveStart)
+	res.Scores = materializeScores(x, e.permOf)
+	return res, nil
 }

@@ -215,45 +215,6 @@ func TestFloat32TolClamped(t *testing.T) {
 	}
 }
 
-func TestHybridMatchesPowerFixpoint(t *testing.T) {
-	// Property: the adaptive hybrid solver (power → Gauss–Seidel tail)
-	// reaches the same fixpoint as pure power iteration, and actually
-	// switches on graphs whose frontier collapses.
-	graphs := map[string]*graph.Graph{
-		"skewed":   skewedGraph(250, 3),
-		"powerlaw": powerLawGraph(t, 400, 6, 29),
-	}
-	switched := false
-	for name, g := range graphs {
-		tr := DegreeDecoupled(g, 1.5)
-		base, err := Solve(tr, Options{Tol: 1e-12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hyb, err := Solve(tr, Options{Tol: 1e-12, Hybrid: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !hyb.Converged {
-			t.Fatalf("%s: hybrid did not converge", name)
-		}
-		if hyb.HybridSwitch > 0 {
-			switched = true
-			if hyb.GSSweeps == 0 {
-				t.Errorf("%s: switched at %d but ran no GS sweeps", name, hyb.HybridSwitch)
-			}
-		}
-		for i := range base.Scores {
-			if math.Abs(base.Scores[i]-hyb.Scores[i]) > 1e-9 {
-				t.Fatalf("%s: score[%d] differs by %v", name, i, base.Scores[i]-hyb.Scores[i])
-			}
-		}
-	}
-	if !switched {
-		t.Error("hybrid never switched to the Gauss–Seidel tail on any test graph")
-	}
-}
-
 func TestRankCorrelationSanityAcrossSolvers(t *testing.T) {
 	// The experiments only consume rankings; verify the two solvers induce
 	// identical rankings, not just close scores.

@@ -11,9 +11,8 @@ type float32or64 interface {
 }
 
 // sweepRows performs one pull sweep over destinations [lo, hi) of the
-// permuted pull CSR and returns the segment's partial L1 difference between
-// next and cur plus its active-frontier count (nodes moving by more than
-// activeTol). Fusing the residual into the sweep epilogue saves a separate
+// permuted pull CSR and returns the block's partial L1 difference between
+// next and cur. Fusing the residual into the sweep epilogue saves a separate
 // two-stream pass over the score vectors per iteration (~10% of a warm
 // solve, measured). The residual is summed in layout order (an original-id
 // walk would be a gather costing ~30% of the solve, measured), so a
@@ -39,16 +38,16 @@ type float32or64 interface {
 // arc, which — not bandwidth — was the sweep's bottleneck (the gather
 // working set of a 30k-node graph already fits in L2). The reduction order
 // (a0+a1)+(a2+a3) after the same 4-lane striping is fixed, so results are
-// deterministic and identical across schedules, worker counts, and node
-// orderings: a destination's row always holds the same values in the same
-// sequence (rows are filled in original source-scan order regardless of the
-// relabeling), and each row is always reduced by this exact tree.
+// deterministic and identical across worker counts and node orderings: a
+// destination's row always holds the same values in the same sequence (rows
+// are filled in original source-scan order regardless of the relabeling),
+// and each row is always reduced by this exact tree.
 //
 // Partial sums are accumulated in float64 for both tiers; for the float32
 // tier only the stored vectors are narrowed, keeping hub rows (which can sum
 // tens of thousands of terms) from losing digits to cascaded float32
 // rounding.
-func sweepRows[T float32or64](offsets []int64, sources []int32, probs, cur, scaled, next, nextScaled, tele []T, rowFactor, srcScale []float64, alpha, base, activeTol float64, lo, hi int) (diff float64, active int) {
+func sweepRows[T float32or64](offsets []int64, sources []int32, probs, cur, scaled, next, nextScaled, tele []T, rowFactor, srcScale []float64, alpha, base float64, lo, hi int) (diff float64) {
 	tail := base + 1 - alpha
 	if probs == nil && rowFactor != nil {
 		for v := lo; v < hi; v++ {
@@ -68,13 +67,9 @@ func sweepRows[T float32or64](offsets []int64, sources []int32, probs, cur, scal
 			x := T(alpha*rowFactor[v]*acc + tail*float64(tele[v]))
 			next[v] = x
 			nextScaled[v] = T(float64(x) * srcScale[v])
-			d := math.Abs(float64(x) - float64(cur[v]))
-			diff += d
-			if d > activeTol {
-				active++
-			}
+			diff += math.Abs(float64(x) - float64(cur[v]))
 		}
-		return diff, active
+		return diff
 	}
 	if probs == nil {
 		for v := lo; v < hi; v++ {
@@ -99,13 +94,9 @@ func sweepRows[T float32or64](offsets []int64, sources []int32, probs, cur, scal
 			nextScaled[v] = T(float64(x) * srcScale[v])
 			// math.Abs is a branchless intrinsic; a sign test here would
 			// mispredict half the time (residual signs are random).
-			d := math.Abs(float64(x) - float64(cur[v]))
-			diff += d
-			if d > activeTol {
-				active++
-			}
+			diff += math.Abs(float64(x) - float64(cur[v]))
 		}
-		return diff, active
+		return diff
 	}
 	for v := lo; v < hi; v++ {
 		klo, khi := offsets[v], offsets[v+1]
@@ -130,13 +121,9 @@ func sweepRows[T float32or64](offsets []int64, sources []int32, probs, cur, scal
 		acc := (a0 + a1) + (a2 + a3)
 		x := T(alpha*acc + tail*float64(tele[v]))
 		next[v] = x
-		d := math.Abs(float64(x) - float64(cur[v]))
-		diff += d
-		if d > activeTol {
-			active++
-		}
+		diff += math.Abs(float64(x) - float64(cur[v]))
 	}
-	return diff, active
+	return diff
 }
 
 // materializeScores renormalizes the converged iterate into a fresh

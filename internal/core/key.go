@@ -10,8 +10,8 @@ import (
 // CacheKey returns a canonical string identifying the solver configuration
 // for result caching: two Options values that produce identical solver
 // behavior map to the same key, regardless of whether defaults were spelled
-// out or left zero. Workers and Hybrid are intentionally excluded — they
-// change wall-clock time, never the fixpoint (within Tol). Float32 is
+// out or left zero. Workers is intentionally excluded — it changes
+// wall-clock time, never the fixpoint. Float32 is
 // included: it changes the scores beyond Tol-level noise.
 //
 // The teleport vector is folded in as an FNV-1a digest of its normalized

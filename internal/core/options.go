@@ -59,16 +59,6 @@ type Options struct {
 	// serving workloads that rank by score order tolerate it, numerical
 	// consumers should keep the default tier.
 	Float32 bool
-	// Hybrid enables the adaptive hybrid solver: iterations start as
-	// parallel Jacobi power sweeps, and once the active-residual frontier —
-	// the nodes still moving by more than Tol/n per iteration — shrinks
-	// below n/8, the convergence tail switches to sequential Gauss–Seidel
-	// sweeps, which propagate fresh values within a sweep and finish the
-	// tail in far fewer passes. The solve converges to the same fixpoint
-	// within Tol, so (like Workers) Hybrid does not participate in
-	// Options.CacheKey. Result.HybridSwitch and Result.GSSweeps report
-	// whether and when the switch happened.
-	Hybrid bool
 }
 
 // Float32MinTol is the effective lower bound on Tol in Float32 mode: an L1
@@ -144,7 +134,8 @@ func (o Options) teleportInto(t []float64) {
 type Result struct {
 	// Scores is the stationary distribution; it sums to 1.
 	Scores []float64
-	// Iterations is the number of iterations performed.
+	// Iterations is the number of iterations performed (sweeps, for
+	// SolveGaussSeidel).
 	Iterations int
 	// Converged reports whether the L1 residual dropped below Tol before
 	// MaxIter was reached.
@@ -155,13 +146,6 @@ type Result struct {
 	// solver so serving-layer telemetry never needs to wrap a solve call in
 	// its own timer.
 	Elapsed time.Duration
-	// HybridSwitch is the power iteration after which an Options.Hybrid
-	// solve handed the tail to Gauss–Seidel; 0 when no switch happened.
-	HybridSwitch int
-	// GSSweeps counts Gauss–Seidel sweeps: all of them for SolveGaussSeidel,
-	// the tail sweeps for a hybrid solve, 0 for pure power iteration.
-	// Iterations always counts both kinds.
-	GSSweeps int
 }
 
 // ErrEmptyGraph is returned when a ranker is asked to rank a graph with no

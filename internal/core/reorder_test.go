@@ -170,48 +170,25 @@ func TestReorderedGaussSeidelBitIdentical(t *testing.T) {
 	// sweeps through permOf in original id order — making it, too,
 	// bit-identical to the identity engine.
 	for name, g := range reorderTestGraphs(t) {
-		reordered := NewEngine(g)
-		identity := newEngineIdentity(g)
 		tr := DegreeDecoupled(g, 0.75)
-		opts := Options{Tol: 1e-12}
-		ra := &Result{}
-		rb := &Result{}
-		fa, da := reordered.flowOf(tr)
-		xa := make([]float64, g.NumNodes())
-		sa := make([]float64, g.NumNodes())
-		teleA := make([]float64, g.NumNodes())
-		optsA, err := opts.withDefaults(g.NumNodes())
+		opts, err := Options{Tol: 1e-12}.withDefaults(g.NumNodes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		teleportPermuted(optsA, teleA, reordered.permOf)
-		copy(xa, teleA)
-		if err := gsLoop(context.Background(), reordered, fa.probs, xa, sa, teleA, fa.rowFactor, fa.srcScale, optsA, ra, 1); err != nil {
+		a, err := NewEngine(g).gaussSeidel(context.Background(), tr, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if da != nil {
-			da()
-		}
-		fb, db := identity.flowOf(tr)
-		xb := make([]float64, g.NumNodes())
-		sb := make([]float64, g.NumNodes())
-		teleB := make([]float64, g.NumNodes())
-		teleportPermuted(optsA, teleB, identity.permOf)
-		copy(xb, teleB)
-		if err := gsLoop(context.Background(), identity, fb.probs, xb, sb, teleB, fb.rowFactor, fb.srcScale, optsA, rb, 1); err != nil {
+		b, err := newEngineIdentity(g).gaussSeidel(context.Background(), tr, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if db != nil {
-			db()
+		if a.Iterations != b.Iterations {
+			t.Fatalf("%s: sweeps %d vs %d", name, a.Iterations, b.Iterations)
 		}
-		if ra.Iterations != rb.Iterations {
-			t.Fatalf("%s: sweeps %d vs %d", name, ra.Iterations, rb.Iterations)
-		}
-		sca := materializeScores(xa, reordered.permOf)
-		scb := materializeScores(xb, identity.permOf)
-		for i := range sca {
-			if sca[i] != scb[i] {
-				t.Fatalf("%s: score[%d] differs: %v vs %v", name, i, sca[i], scb[i])
+		for i := range a.Scores {
+			if a.Scores[i] != b.Scores[i] {
+				t.Fatalf("%s: score[%d] differs: %v vs %v", name, i, a.Scores[i], b.Scores[i])
 			}
 		}
 	}

@@ -171,34 +171,23 @@ func DegreeDecoupled(g *graph.Graph, p float64) *Transition {
 }
 
 // factoredDecoupled builds the rank-1 form of the D2PR transition, or returns
-// (nil, nil) when any factor or per-source factor sum falls outside the
-// positive finite range where the unshifted evaluation is safe (the same gate
-// SweepSolver.decoupledFlowProbs applies per source; here one bad source
-// rejects the whole factorization, because the solvers consume the factored
-// form for every row or not at all). A denormal sum passes sum > 0 but its
-// reciprocal overflows, so the reciprocal is tested alongside the sum.
+// (nil, nil) when the unshifted evaluation is unsafe anywhere: some factor is
+// not a positive finite number, or some source fails factorScale's gate. One
+// bad source rejects the whole factorization, because the solvers consume the
+// factored form for every row or not at all.
 func factoredDecoupled(g *graph.Graph, p float64, logTheta []float64) (rowFactor, srcScale []float64) {
 	n := g.NumNodes()
 	rowFactor = make([]float64, n)
-	for v := 0; v < n; v++ {
-		f := math.Exp(-p * logTheta[v])
-		if f <= 0 || math.IsInf(f, 0) {
-			return nil, nil
-		}
-		rowFactor[v] = f
+	if !decoupledFactors(p, logTheta, rowFactor) {
+		return nil, nil
 	}
 	srcScale = make([]float64, n)
 	for u := int32(0); int(u) < n; u++ {
-		lo, hi := g.ArcRange(u)
-		if lo == hi {
+		if g.OutDegree(u) == 0 {
 			continue // dangling: srcScale stays 0
 		}
-		var sum float64
-		for k := lo; k < hi; k++ {
-			sum += rowFactor[g.ArcTarget(k)]
-		}
-		inv := 1 / sum
-		if !(sum > 0) || math.IsInf(sum, 0) || math.IsInf(inv, 0) {
+		inv, ok := factorScale(g, u, rowFactor)
+		if !ok {
 			return nil, nil
 		}
 		srcScale[u] = inv
@@ -206,8 +195,40 @@ func factoredDecoupled(g *graph.Graph, p float64, logTheta []float64) (rowFactor
 	return rowFactor, srcScale
 }
 
+// decoupledFactors fills factor[v] = exp(-p·log Θ̂(v)), the unshifted
+// per-node D2PR factor table: n exponentials instead of one per arc, since
+// the per-source shift of the stable evaluation cancels in the
+// normalization. It reports whether every factor is a positive finite
+// number.
+func decoupledFactors(p float64, logTheta, factor []float64) bool {
+	ok := true
+	for v, lt := range logTheta {
+		f := math.Exp(-p * lt)
+		factor[v] = f
+		if f <= 0 || math.IsInf(f, 0) {
+			ok = false
+		}
+	}
+	return ok
+}
+
+// factorScale returns 1/Σ_{v ∈ out(u)} factor[v] for a non-dangling source u
+// and whether the unshifted evaluation is safe there: the sum must be a
+// positive finite number with a finite reciprocal (a denormal sum passes
+// sum > 0, but 1/sum overflows). Sources that fail, possible only at extreme
+// p·Θ̂ spreads, need the shifted evaluation (shiftedRow).
+func factorScale(g *graph.Graph, u int32, factor []float64) (float64, bool) {
+	lo, hi := g.ArcRange(u)
+	var sum float64
+	for k := lo; k < hi; k++ {
+		sum += factor[g.ArcTarget(k)]
+	}
+	inv := 1 / sum
+	return inv, sum > 0 && !math.IsInf(sum, 0) && !math.IsInf(inv, 0)
+}
+
 // logThetaTable precomputes log Θ̂ for every node — the p-independent half of
-// the D2PR transition build, shared across a sweep by SweepSolver.
+// the D2PR transition build.
 func logThetaTable(g *graph.Graph) []float64 {
 	n := g.NumNodes()
 	logTheta := make([]float64, n)
@@ -223,33 +244,38 @@ func logThetaTable(g *graph.Graph) []float64 {
 
 // decoupledProbs writes the D2PR transition probabilities for de-coupling
 // weight p into probs (parallel to the CSR arcs), using a precomputed
-// logTheta table.
+// logTheta table and the shifted evaluation for every source.
 func decoupledProbs(g *graph.Graph, p float64, logTheta, probs []float64) {
 	n := g.NumNodes()
 	for u := int32(0); int(u) < n; u++ {
-		lo, hi := g.ArcRange(u)
-		if hi == lo {
-			continue
+		if g.OutDegree(u) > 0 {
+			shiftedRow(g, u, p, logTheta, probs)
 		}
-		// exponent for arc k: e_k = -p * log Θ̂(dst)
-		maxE := math.Inf(-1)
-		for k := lo; k < hi; k++ {
-			e := -p * logTheta[g.ArcTarget(k)]
-			if e > maxE {
-				maxE = e
-			}
+	}
+}
+
+// shiftedRow writes non-dangling source u's D2PR out-probabilities into its
+// arc range of probs with the shifted-exponential trick: the largest term of
+// the row is exp(0) = 1 and all others lie in (0, 1], so extreme p cannot
+// over- or underflow.
+func shiftedRow(g *graph.Graph, u int32, p float64, logTheta, probs []float64) {
+	lo, hi := g.ArcRange(u)
+	// exponent for arc k: e_k = -p * log Θ̂(dst)
+	maxE := math.Inf(-1)
+	for k := lo; k < hi; k++ {
+		if e := -p * logTheta[g.ArcTarget(k)]; e > maxE {
+			maxE = e
 		}
-		var sum float64
-		for k := lo; k < hi; k++ {
-			e := -p*logTheta[g.ArcTarget(k)] - maxE
-			w := math.Exp(e)
-			probs[k] = w
-			sum += w
-		}
-		inv := 1 / sum
-		for k := lo; k < hi; k++ {
-			probs[k] *= inv
-		}
+	}
+	var sum float64
+	for k := lo; k < hi; k++ {
+		w := math.Exp(-p*logTheta[g.ArcTarget(k)] - maxE)
+		probs[k] = w
+		sum += w
+	}
+	inv := 1 / sum
+	for k := lo; k < hi; k++ {
+		probs[k] *= inv
 	}
 }
 
@@ -257,37 +283,41 @@ func decoupledProbs(g *graph.Graph, p float64, logTheta, probs []float64) {
 //
 //	T(j,i) = β·T_conn(j,i) + (1-β)·T_D(j,i)
 //
-// β = 1 is conventional weighted PageRank; β = 0 is full degree de-coupling.
-// β must lie in [0, 1]. The blend is computed in place into a single per-arc
-// buffer (the de-coupled half is staged there and the connection half folded
-// in), instead of materializing both source transitions plus the output.
+// β = 1 is conventional weighted PageRank, built without reading p; β = 0 is
+// full degree de-coupling. β must lie in [0, 1]. On an unweighted graph the
+// transitions that reduce to the uniform one (β = 1, or p = 0) stay
+// implicit, and β = 0 keeps DegreeDecoupled's factored form. A proper blend
+// is computed in place into a single per-arc buffer (see blendedProbs).
 func Blended(g *graph.Graph, p, beta float64) (*Transition, error) {
-	if beta < 0 || beta > 1 || math.IsNaN(beta) {
+	switch {
+	case beta < 0 || beta > 1 || math.IsNaN(beta):
 		return nil, fmt.Errorf("core: beta %v out of range [0, 1]", beta)
-	}
-	if beta == 0 {
+	case beta == 0:
 		return DegreeDecoupled(g, p), nil
-	}
-	conn := ConnectionStrength(g)
-	if beta == 1 {
-		return conn, nil
-	}
-	if conn.uniform && p == 0 {
+	case beta == 1:
+		return ConnectionStrength(g), nil
+	case p == 0 && !g.Weighted():
 		// Both halves are the uniform transition, so the blend is too; keep
 		// it implicit rather than blending a distribution with itself.
-		return conn, nil
+		return Uniform(g), nil
 	}
 	t := &Transition{g: g, probs: make([]float64, g.NumArcs())}
-	blendedProbs(g, p, beta, logThetaTable(g), t.probs)
+	blendedProbs(g, p, beta, t.probs)
 	return t, nil
 }
 
 // blendedProbs writes β·T_conn + (1-β)·T_D directly into probs, one source
-// row at a time: the shifted-exponential de-coupled weights are staged in
-// the output row, then the connection-strength term is folded in. The
-// arithmetic per arc is identical to blending the separately-built
-// transitions, without the two extra per-arc arrays.
-func blendedProbs(g *graph.Graph, p, beta float64, logTheta, probs []float64) {
+// row at a time: the de-coupled weights are staged in the output row, then
+// the connection-strength term is folded in, without materializing either
+// source transition. The de-coupled half comes from the per-node factor
+// table, one exponential per node instead of one per arc; a source whose
+// factor sum fails factorScale's gate takes the shifted evaluation, so
+// extreme p keeps DegreeDecoupled's stability guarantee. The two
+// evaluations agree to a few ulps wherever both are safe.
+func blendedProbs(g *graph.Graph, p, beta float64, probs []float64) {
+	logTheta := logThetaTable(g)
+	factor := make([]float64, len(logTheta))
+	decoupledFactors(p, logTheta, factor)
 	n := g.NumNodes()
 	weighted := g.Weighted()
 	for u := int32(0); int(u) < n; u++ {
@@ -295,21 +325,13 @@ func blendedProbs(g *graph.Graph, p, beta float64, logTheta, probs []float64) {
 		if hi == lo {
 			continue
 		}
-		// De-coupled half (see DegreeDecoupled): shifted exponentials so
-		// extreme p cannot over- or underflow.
-		maxE := math.Inf(-1)
-		for k := lo; k < hi; k++ {
-			if e := -p * logTheta[g.ArcTarget(k)]; e > maxE {
-				maxE = e
+		if inv, ok := factorScale(g, u, factor); ok {
+			for k := lo; k < hi; k++ {
+				probs[k] = factor[g.ArcTarget(k)] * inv
 			}
+		} else {
+			shiftedRow(g, u, p, logTheta, probs)
 		}
-		var dsum float64
-		for k := lo; k < hi; k++ {
-			w := math.Exp(-p*logTheta[g.ArcTarget(k)] - maxE)
-			probs[k] = w
-			dsum += w
-		}
-		dinv := 1 / dsum
 		// Connection half (see ConnectionStrength), folded in place.
 		uniP := 1 / float64(hi-lo)
 		var wsum float64
@@ -323,7 +345,7 @@ func blendedProbs(g *graph.Graph, p, beta float64, logTheta, probs []float64) {
 			if weighted && wsum > 0 {
 				connP = g.ArcWeight(k) / wsum
 			}
-			probs[k] = beta*connP + (1-beta)*(probs[k]*dinv)
+			probs[k] = beta*connP + (1-beta)*probs[k]
 		}
 	}
 }

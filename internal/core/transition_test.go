@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -237,6 +239,127 @@ func TestBlendedBadBeta(t *testing.T) {
 		if _, err := Blended(g, 1, beta); err == nil {
 			t.Errorf("beta=%v: want error", beta)
 		}
+	}
+}
+
+// blendTestGraph is a weighted 40-node graph with hubs, a ring, and varied
+// weights, so the three transition regimes (β = 0, β = 1, blends) all
+// differ.
+func blendTestGraph(t testing.TB) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(graph.Undirected).Weighted()
+	for i := int32(1); i < 12; i++ {
+		b.AddWeightedEdge(0, i, float64(i))
+	}
+	for i := int32(0); i < 40; i++ {
+		b.AddWeightedEdge(i, (i+1)%40, 1.5)
+	}
+	for i := int32(0); i < 20; i++ {
+		b.AddWeightedEdge(i, 39-i, 0.5+float64(i%3))
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestBlendedExtremeP drives the de-coupling weight to values where the
+// unshifted per-node factor table over- or underflows: ±300 makes factors
+// denormal or +Inf, so sources must fail factorScale's gate and take the
+// shifted evaluation instead of producing Inf/NaN probabilities. Scores must
+// stay finite and normalized and agree with a solve of the shifted per-arc
+// reference transition.
+func TestBlendedExtremeP(t *testing.T) {
+	g := blendTestGraph(t)
+	conn := ConnectionStrength(g)
+	for _, beta := range []float64{0, 0.5} {
+		for _, p := range []float64{-300, -50, -8, 8, 50, 300} {
+			tr, err := Blended(g, p, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Solve(tr, Options{})
+			if err != nil {
+				t.Fatalf("p=%g β=%g: %v", p, beta, err)
+			}
+			var sum float64
+			for _, v := range res.Scores {
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					t.Fatalf("p=%g β=%g: invalid score %v", p, beta, v)
+				}
+				sum += v
+			}
+			if math.Abs(sum-1) > 1e-9 {
+				t.Errorf("p=%g β=%g: scores sum to %v", p, beta, sum)
+			}
+			ref := &Transition{g: g, probs: make([]float64, g.NumArcs())}
+			decoupledProbs(g, p, logThetaTable(g), ref.probs)
+			for k := range ref.probs {
+				ref.probs[k] = beta*conn.Prob(int64(k)) + (1-beta)*ref.probs[k]
+			}
+			want, err := Solve(ref, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maxAbsDiff(res.Scores, want.Scores); d > 1e-9 {
+				t.Fatalf("p=%g β=%g: max |Δ| = %g against the shifted reference", p, beta, d)
+			}
+		}
+	}
+}
+
+// TestBlendedConcurrentSolves: one engine must serve concurrent parallel
+// solves of distinct Blended transitions — the batch path runs a grid's
+// configurations this way — with every result matching the serial solve
+// bit for bit. Run with -race.
+func TestBlendedConcurrentSolves(t *testing.T) {
+	g := blendTestGraph(t)
+	e := NewEngine(g)
+	type config struct{ p, beta float64 }
+	var configs []config
+	for _, p := range []float64{-1, 0, 0.5, 1, 2, 3} {
+		for _, beta := range []float64{0, 0.5, 1} {
+			configs = append(configs, config{p, beta})
+		}
+	}
+	solve := func(c config, workers int) ([]float64, error) {
+		tr, err := Blended(g, c.p, c.beta)
+		if err != nil {
+			return nil, err
+		}
+		res, err := e.Solve(tr, Options{Workers: workers})
+		if err != nil {
+			return nil, err
+		}
+		return res.Scores, nil
+	}
+	want := make([][]float64, len(configs))
+	for i, c := range configs {
+		var err error
+		if want[i], err = solve(c, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(configs))
+	for i, c := range configs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := solve(c, 2)
+			if err == nil && maxAbsDiff(got, want[i]) != 0 {
+				err = fmt.Errorf("p=%g β=%g: concurrent solve differs from the serial one", c.p, c.beta)
+			}
+			if err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

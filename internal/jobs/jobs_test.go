@@ -75,16 +75,29 @@ func TestSweepExpand(t *testing.T) {
 	if len(specs) != 12 {
 		t.Fatalf("expanded = %d", len(specs))
 	}
-	seen := map[string]bool{}
+	// Every grid point is a distinct spec, but β = 1 ignores p, so the two
+	// p values there share one cache key per α: 12 specs, 9 keys.
+	seenSpec := map[[3]float64]bool{}
+	keys := map[string][]rankspec.Spec{}
 	for _, sp := range specs {
 		if sp.Algo != rankspec.AlgoD2PR {
 			t.Errorf("algo not defaulted: %+v", sp)
 		}
-		key := string(sp.CacheKey())
-		if seen[key] {
-			t.Errorf("duplicate config in grid: %s", key)
+		id := [3]float64{sp.P, sp.Beta, sp.Alpha}
+		if seenSpec[id] {
+			t.Errorf("duplicate spec in grid: %+v", sp)
 		}
-		seen[key] = true
+		seenSpec[id] = true
+		key := string(sp.CacheKey())
+		keys[key] = append(keys[key], sp)
+	}
+	if len(keys) != 9 {
+		t.Errorf("%d distinct cache keys, want 9", len(keys))
+	}
+	for key, group := range keys {
+		if len(group) > 1 && group[0].Beta != 1 {
+			t.Errorf("β<1 specs share key %s: %+v", key, group)
+		}
 	}
 	// Empty axes default to a one-point grid.
 	if n := (SweepSpec{Graph: "g"}).GridSize(); n != 1 {
@@ -164,8 +177,9 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 			t.Errorf("config %s not resident in the rank cache", row.Config)
 		}
 	}
-	if got := cache.Len(); got != 6 {
-		t.Errorf("cache len = %d, want 6", got)
+	// Six grid points, but the three β = 1 rows share one solve.
+	if got := cache.Len(); got != 4 {
+		t.Errorf("cache len = %d, want 4", got)
 	}
 }
 

@@ -371,17 +371,12 @@ func (m *Manager) run(j *job) {
 	if j.spec.Correlate {
 		deg = rankspec.DegreeVector(snap.Graph)
 	}
-	// One Computer per job: the D2PR sweep state (log Θ̂, transpose
-	// structure, β-blend partner) is built once and shared by every
-	// configuration the workers execute.
-	comp := rankspec.NewComputer(snap)
-
 	m.fanOut(j, len(j.specs), func(i int) ConfigResult {
 		cfg := j.specs[i]
 		if m.hookBeforeConfig != nil {
 			m.hookBeforeConfig(cfg)
 		}
-		return runConfig(j.ctx, comp, cfg, j.spec, m.opts.Cache, deg, m.opts.Telemetry)
+		return runConfig(j.ctx, snap, cfg, j.spec, m.opts.Cache, deg, m.opts.Telemetry)
 	}, func(i int) ConfigResult {
 		cfg := j.specs[i]
 		return ConfigResult{Config: string(cfg.CacheKey()), Spec: cfg, Skipped: true, Error: "cancelled"}
@@ -455,8 +450,11 @@ func (m *Manager) fanOut(j *job, n int, exec, skip func(i int) ConfigResult) {
 // finishJob moves a job to its terminal state and updates the manager
 // counters. errMsg, when non-empty, marks the whole job failed (e.g. the
 // graph never resolved); otherwise the state derives from cancellation and
-// per-configuration failures.
+// per-configuration failures. The counter and the state change under m.mu
+// together (taken before j.mu, the order Stats uses), so no reader sees a
+// terminal job that the totals do not count yet.
 func (m *Manager) finishJob(j *job, errMsg string) {
+	m.mu.Lock()
 	j.mu.Lock()
 	j.finished = time.Now()
 	switch {
@@ -470,13 +468,7 @@ func (m *Manager) finishJob(j *job, errMsg string) {
 	default:
 		j.state = StateDone
 	}
-	state := j.state
-	j.cond.Broadcast()
-	j.mu.Unlock()
-	j.cancel() // release the context's resources
-
-	m.mu.Lock()
-	switch state {
+	switch j.state {
 	case StateDone:
 		m.totals.done++
 	case StateFailed:
@@ -484,7 +476,10 @@ func (m *Manager) finishJob(j *job, errMsg string) {
 	case StateCancelled:
 		m.totals.cancelled++
 	}
+	j.cond.Broadcast()
+	j.mu.Unlock()
 	m.mu.Unlock()
+	j.cancel() // release the context's resources
 }
 
 // runConfig executes one configuration through the rank cache and builds its
@@ -499,8 +494,7 @@ func (m *Manager) finishJob(j *job, errMsg string) {
 // !cached): the cache's done-channel close orders the closure's writes before
 // the leader's return, whereas on error or piggyback paths an abandoned
 // closure may still be running.
-func runConfig(ctx context.Context, comp *rankspec.Computer, cfg rankspec.Spec, sw SweepSpec, cache *rankcache.Cache, deg []float64, tel *telemetry.Registry) ConfigResult {
-	snap := comp.Snapshot()
+func runConfig(ctx context.Context, snap *registry.Snapshot, cfg rankspec.Spec, sw SweepSpec, cache *rankcache.Cache, deg []float64, tel *telemetry.Registry) ConfigResult {
 	started := time.Now()
 	// Cache operations are keyed by snapshot epoch (a reload invalidates by
 	// changing the key); the wire-visible Config string stays epoch-less so
@@ -508,7 +502,7 @@ func runConfig(ctx context.Context, comp *rankspec.Computer, cfg rankspec.Spec, 
 	key := cfg.CacheKeyFor(snap)
 	var probe telemetry.SolveStats
 	scores, cached, err := cache.Get(ctx, key, func(solveCtx context.Context) ([]float64, error) {
-		s, st, cerr := comp.ComputeStats(solveCtx, cfg)
+		s, st, cerr := cfg.ComputeStats(solveCtx, snap)
 		if cerr != nil {
 			if tel != nil {
 				tel.RecordSolveError(snap.Name)
@@ -570,7 +564,6 @@ func RunSyncTraced(ctx context.Context, snap *registry.Snapshot, sw SweepSpec, c
 	if sw.Correlate {
 		deg = rankspec.DegreeVector(snap.Graph)
 	}
-	comp := rankspec.NewComputer(snap)
 	results := make([]ConfigResult, len(specs))
 	var wg sync.WaitGroup
 	for i, cfg := range specs {
@@ -597,7 +590,7 @@ func RunSyncTraced(ctx context.Context, snap *registry.Snapshot, sw SweepSpec, c
 				results[i] = ConfigResult{Config: string(cfg.CacheKey()), Spec: cfg, Skipped: true, Error: "cancelled"}
 				return
 			}
-			results[i] = runConfig(ctx, comp, cfg, sw, cache, deg, tel)
+			results[i] = runConfig(ctx, snap, cfg, sw, cache, deg, tel)
 		}(i, cfg)
 	}
 	wg.Wait()

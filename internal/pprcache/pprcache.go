@@ -340,6 +340,7 @@ func (c *Cache) Stats() Stats {
 		st.Shared += s.stats.Shared
 		st.Evictions += s.stats.Evictions
 		st.Rejected += s.stats.Rejected
+		st.Abandoned += s.stats.Abandoned
 		st.Len += s.lru.Len()
 		st.Cap += s.capacity
 		s.mu.Unlock()

@@ -171,9 +171,18 @@ func TestSingleflightSharesOneCompute(t *testing.T) {
 			results[i], cachedFlags[i] = val, cached
 		}(i)
 	}
-	// Let every goroutine reach the shard before releasing the leader. The
-	// leader blocks in compute; waiters block on cl.done; close frees all.
-	for computes.Load() == 0 {
+	// Let every goroutine reach the shard before releasing the leader: the
+	// leader blocks in compute, and each waiter counts as shared once it
+	// parks on the flight. Releasing earlier would let late goroutines find
+	// the finished entry and count as hits instead.
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().Shared < waiters-1 {
+		if time.Now().After(deadline) {
+			close(release)
+			wg.Wait()
+			t.Fatalf("only %d of %d waiters joined the flight", c.Stats().Shared, waiters-1)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	close(release)
 	wg.Wait()
@@ -291,6 +300,9 @@ func TestAllWaitersGoneCancelsSolve(t *testing.T) {
 	// The key is immediately retryable.
 	if _, cached := mustGet(t, c, "k", 3); cached {
 		t.Error("retry after abandon must recompute")
+	}
+	if got := c.Stats().Abandoned; got != 1 {
+		t.Errorf("Abandoned = %d, want 1", got)
 	}
 }
 

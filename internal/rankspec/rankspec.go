@@ -13,7 +13,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -134,8 +133,10 @@ func (s Spec) Options(n int) core.Options {
 
 // CacheKey derives the rankcache key, canonicalizing parameters each
 // algorithm ignores so equivalent configurations share one cache slot:
-// p/β for everything but d2pr, alpha and seeds additionally for HITS (which
-// only reads Tol/MaxIter), and every solver option for degree centrality.
+// p/β for everything but d2pr, p for d2pr at β = 1 (pure connection
+// strength, which core.Blended builds without reading p), alpha and seeds
+// additionally for HITS (which only reads Tol/MaxIter), and every solver
+// option for degree centrality.
 // The teleport component of Options.CacheKey depends on n, which is unknown
 // before the graph loads; seeds are appended verbatim instead, which is
 // strictly finer and therefore still correct.
@@ -148,6 +149,10 @@ func (s Spec) CacheKey() rankcache.Key {
 		p, beta, alpha, seeds = 0, 0, core.DefaultAlpha, nil
 	case AlgoPageRank:
 		p, beta = 0, 0
+	case AlgoD2PR:
+		if beta == 1 {
+			p = 0
+		}
 	}
 	o := core.Options{Alpha: alpha}
 	if float32Applies(s.Algo) && Float32Mode() {
@@ -253,58 +258,6 @@ func (s Spec) ComputeStats(ctx context.Context, snap *registry.Snapshot) ([]floa
 		return scores, st, nil
 	}
 	return nil, st, fmt.Errorf("unknown algo %q", s.Algo)
-}
-
-// Computer evaluates Specs over one snapshot, amortizing the p-independent
-// half of the D2PR pipeline across calls via core.SweepSolver (log Θ̂ table,
-// connection-strength transition, flow transpose, per-node factor table).
-// A sweep executing its grid through one Computer pays that setup once
-// instead of per configuration; results agree with Spec.Compute to within
-// a few ulps of floating-point reassociation — far inside the solver
-// tolerance (see core.SweepSolver). Safe for concurrent use.
-type Computer struct {
-	snap  *registry.Snapshot
-	once  sync.Once
-	sweep *core.SweepSolver
-}
-
-// NewComputer returns a Computer over snap. The sweep state is built lazily
-// on the first d2pr configuration, so non-d2pr sweeps pay nothing.
-func NewComputer(snap *registry.Snapshot) *Computer {
-	return &Computer{snap: snap}
-}
-
-// Snapshot returns the snapshot the Computer evaluates over.
-func (c *Computer) Snapshot() *registry.Snapshot { return c.snap }
-
-// Compute evaluates one spec, routing d2pr through the shared sweep solver
-// (built over the snapshot's cached engine, so the sweep and every other
-// serving path share one pull topology). ctx bounds the solve as in
-// Spec.Compute.
-func (c *Computer) Compute(ctx context.Context, spec Spec) ([]float64, error) {
-	scores, _, err := c.ComputeStats(ctx, spec)
-	return scores, err
-}
-
-// ComputeStats is Compute plus per-solve telemetry (see Spec.ComputeStats).
-// The engine-build stage covers the lazily-built sweep state on the first
-// d2pr configuration; later configurations see ~0.
-func (c *Computer) ComputeStats(ctx context.Context, spec Spec) ([]float64, telemetry.SolveStats, error) {
-	if spec.Algo != AlgoD2PR {
-		return spec.ComputeStats(ctx, c.snap)
-	}
-	st := telemetry.SolveStats{Algo: spec.Algo}
-	buildStart := time.Now()
-	c.once.Do(func() { c.sweep = core.NewSweepSolverFor(c.snap.Engine()) })
-	st.EngineBuild = time.Since(buildStart)
-	solveStart := time.Now()
-	res, err := c.sweep.SolveContext(ctx, spec.P, spec.Beta, spec.Options(c.snap.Graph.NumNodes()))
-	if err != nil {
-		return nil, st, err
-	}
-	fillIterative(&st, res)
-	st.Solve = time.Since(solveStart)
-	return res.Scores, st, nil
 }
 
 // Entry is one row of a top-k ranking table.

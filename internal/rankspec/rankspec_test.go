@@ -103,6 +103,54 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestCacheKeyD2PRBetaOneIgnoresP: at β = 1 the d2pr transition is pure
+// connection strength and p plays no part, so every p shares one key (a
+// p × β grid solves one β = 1 transition per graph, not one per p), while
+// p stays in the key for every β < 1. The shared key is sound only if the
+// scores really do not depend on p; a weighted graph makes connection
+// strength differ from the uniform walk.
+func TestCacheKeyD2PRBetaOneIgnoresP(t *testing.T) {
+	spec := func(p, beta float64) Spec {
+		s := New("t")
+		s.P, s.Beta = p, beta
+		return s
+	}
+	canon := spec(0, 1).CacheKey()
+	for _, p := range []float64{-4, -0.5, 0.5, 4} {
+		if got := spec(p, 1).CacheKey(); got != canon {
+			t.Errorf("p=%g β=1: key %q, want the p=0 key %q", p, got, canon)
+		}
+		for _, beta := range []float64{0, 0.5, 0.999} {
+			if spec(p, beta).CacheKey() == spec(0, beta).CacheKey() {
+				t.Errorf("p=%g β=%g: key must keep p", p, beta)
+			}
+		}
+	}
+
+	g, err := graph.FromWeighted(graph.Undirected, []graph.WeightedEdge{
+		{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 4}, {U: 1, V: 2, W: 2}, {U: 2, V: 3, W: 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &registry.Snapshot{Name: "t", Graph: g}
+	want, err := spec(0, 1).Compute(context.Background(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []float64{-4, 4} {
+		got, err := spec(p, 1).Compute(context.Background(), snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("p=%g β=1: score[%d] = %v, p=0 gives %v", p, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestFloat32ModeCacheIdentity: the server-wide float32 tier changes which
 // score vector a spec produces, so it must be part of the cache key — but
 // only for the algorithms it applies to.

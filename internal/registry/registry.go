@@ -77,11 +77,11 @@ type Snapshot struct {
 
 // Engine returns the solver engine for the snapshot's graph (cached pull
 // topology, worker pool, scratch buffers — see core.Engine), built lazily on
-// first use. The snapshot pins the engine for as long as it lives, so every
-// serving path over this graph — synchronous ranks, batch sweeps, background
-// jobs, cache warming — shares one topology and never re-transposes; a
-// reload's new snapshot builds its own engine, and the old one dies with the
-// old epoch.
+// first use. The snapshot owns the engine (core.NewEngine, not the process-
+// wide core.EngineFor cache), so every serving path over this graph —
+// synchronous ranks, batch sweeps, background jobs, cache warming — shares
+// one topology and never re-transposes, while a reload's new snapshot builds
+// its own engine and the old one dies with the old epoch.
 func (s *Snapshot) Engine() *core.Engine {
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()
@@ -90,7 +90,7 @@ func (s *Snapshot) Engine() *core.Engine {
 		// the next caller retries; the error return is meaningless here
 		// (building cannot fail), only Delay and Panic faults apply.
 		_ = faultinject.Fire(faultinject.PointEngineBuild, s.Name)
-		s.engine = core.EngineFor(s.Graph)
+		s.engine = core.NewEngine(s.Graph)
 	}
 	return s.engine
 }

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
+	"d2pr/internal/core"
 	"d2pr/internal/dataset"
 	"d2pr/internal/graph"
 	"d2pr/internal/lifecycle"
@@ -269,6 +272,36 @@ func TestReloadSwapsEpoch(t *testing.T) {
 // TestReloadFailureKeepsServing: a reload that hits a corrupted file
 // quarantines the entry, but requests keep getting the last good snapshot —
 // and a manual reload after the file is fixed re-arms it.
+// TestSnapshotEngineDiesWithSnapshot: the snapshot owns its engine, so once
+// the registry and every snapshot that used it are gone, the engine — and the
+// graph it points to — must be collectable, not pinned by a process-wide
+// cache.
+func TestSnapshotEngineDiesWithSnapshot(t *testing.T) {
+	engine := func() weak.Pointer[core.Engine] {
+		r := New()
+		if err := r.AddGraph("g", mustGraph(t), nil); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := r.Get("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := snap.Engine()
+		if _, err := e.Solve(core.Uniform(snap.Graph), core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(e)
+	}()
+	// The engine's used sync.Pools sit on the runtime's pool list (interior
+	// pointers into the engine) until two collections have passed.
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	if engine.Value() != nil {
+		t.Fatal("the engine outlived its registry and snapshot")
+	}
+}
+
 func TestReloadFailureKeepsServing(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.tsv")

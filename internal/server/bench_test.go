@@ -117,10 +117,11 @@ func BenchmarkSweep20Batch(b *testing.B) {
 }
 
 // BenchmarkSweep20BatchSerial runs the batch execution path with a
-// one-worker pool, isolating the SweepSolver amortization (shared log Θ̂
-// table, β-blend partner, flow transpose, per-node factor table) from the
-// concurrency win the default pool adds on multi-core hosts. Compare
-// against BenchmarkSweep20Sequential for the pure amortization effect.
+// one-worker pool, separating it from the concurrency win the default pool
+// adds on multi-core hosts. Every configuration solves through the same
+// Spec.ComputeStats path as a /rank request, so against
+// BenchmarkSweep20Sequential the difference is the per-request HTTP and
+// handler work one batch saves.
 func BenchmarkSweep20BatchSerial(b *testing.B) {
 	reg := registry.New()
 	if err := reg.AddDataset(dataset.IMDBActorActor, dataset.Config{Scale: 0.5, Seed: 7}); err != nil {

@@ -10,12 +10,13 @@
 #                      middleware overhead (BenchmarkMiddlewareRecord).
 #   BENCH_core.json  — solver engine (internal/core) + personalized path
 #                      (internal/pprcache): cold (re-transpose) vs warm
-#                      (cached-engine) solve, implicit-uniform solve, node-
-#                      vs arc-balanced parallel sweeps on a skewed power-law
-#                      graph, plus the PPR serving pair — cold forward push
-#                      per seed (BenchmarkPPRColdSeed) vs warm cached top-k
-#                      lookup (BenchmarkPPRWarmSeed; must be ≥100× faster)
-#                      and the admission-path mixed-traffic bench.
+#                      (cached-engine) solve, implicit-uniform solve, the
+#                      cache-blocked sweep with 1, 4 and 8 workers on a
+#                      skewed power-law graph, plus the PPR serving pair —
+#                      cold forward push per seed (BenchmarkPPRColdSeed) vs
+#                      warm cached top-k lookup (BenchmarkPPRWarmSeed; must
+#                      be ≥100× faster) and the admission-path mixed-traffic
+#                      bench.
 #
 # BENCH_core.json also carries BenchmarkCoreSolveCancelOverhead: the warm
 # solve re-run under an (uncancelled) context, whose per-iteration ctx poll
@@ -35,12 +36,12 @@
 #     "benchmarks": [
 #       {"name": "BenchmarkCoreSolveWarm", "iterations": 97,
 #        "ns_per_op": 11758747, "bytes_per_op": 245826, "allocs_per_op": 2,
-#        "imbalance": 1.126}
+#        "ns_per_arc": 1.534}
 #     ]
 #   }
 # ns/bytes/allocs come from -benchmem; any extra `value unit` pairs emitted
-# via b.ReportMetric (e.g. the sweep benches' "imbalance" straggler factor,
-# see internal/core/engine_bench_test.go) land as additional fields.
+# via b.ReportMetric (e.g. the sweep benches' "blocks" count, see
+# internal/core/engine_bench_test.go) land as additional fields.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
