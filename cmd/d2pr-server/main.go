@@ -76,27 +76,27 @@ import (
 
 func main() {
 	var (
-		listen     = flag.String("listen", ":8080", "listen address")
-		graphsDir  = flag.String("graphs", "", "directory of edge-list files to register (name = file base name)")
-		directed   = flag.Bool("directed", false, "treat positional edge-list files as directed")
-		weighted   = flag.Bool("weighted", false, "read a weight column from positional edge-list files")
-		sigPath    = flag.String("sig", "", "optional per-node significance file for the positional graph")
-		dataGraph  = flag.String("dataset", "", "also serve one built-in synthetic data graph")
-		datasets   = flag.Bool("datasets", false, "also serve all eight built-in synthetic data graphs")
-		scale      = flag.Float64("scale", 1.0, "synthetic dataset scale")
-		seed       = flag.Uint64("seed", 42, "synthetic dataset seed")
-		cacheSize  = flag.Int("cache-size", 0, "max resident score vectors (0 = default 256)")
-		warm       = flag.String("warm", "", "background-warm d2pr at these de-coupling weights, e.g. p=0,0.5,1")
-		jobWorkers = flag.Int("job-workers", 0, "concurrent sweep configurations across all jobs (0 = default 4)")
-		jobTTL     = flag.Duration("job-ttl", 0, "retention of finished job results (0 = default 15m)")
-		pprCache   = flag.Int("ppr-cache-size", 0, "max resident personalized top-k results (0 = default 4096)")
-		pprEps     = flag.Float64("ppr-eps", 0, "default forward-push residual threshold for /ppr (0 = default 1e-7)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
+		listen      = flag.String("listen", ":8080", "listen address")
+		graphsDir   = flag.String("graphs", "", "directory of edge-list files to register (name = file base name)")
+		directed    = flag.Bool("directed", false, "treat positional edge-list files as directed")
+		weighted    = flag.Bool("weighted", false, "read a weight column from positional edge-list files")
+		sigPath     = flag.String("sig", "", "optional per-node significance file for the positional graph")
+		dataGraph   = flag.String("dataset", "", "also serve one built-in synthetic data graph")
+		datasets    = flag.Bool("datasets", false, "also serve all eight built-in synthetic data graphs")
+		scale       = flag.Float64("scale", 1.0, "synthetic dataset scale")
+		seed        = flag.Uint64("seed", 42, "synthetic dataset seed")
+		cacheSize   = flag.Int("cache-size", 0, "max resident score vectors (0 = default 256)")
+		warm        = flag.String("warm", "", "background-warm d2pr at these de-coupling weights, e.g. p=0,0.5,1")
+		jobWorkers  = flag.Int("job-workers", 0, "concurrent sweep configurations across all jobs (0 = default 4)")
+		jobTTL      = flag.Duration("job-ttl", 0, "retention of finished job results (0 = default 15m)")
+		pprCache    = flag.Int("ppr-cache-size", 0, "max resident personalized top-k results (0 = default 4096)")
+		pprEps      = flag.Float64("ppr-eps", 0, "default forward-push residual threshold for /ppr (0 = default 1e-7)")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 		float32Tier = flag.Bool("float32", false, "serve d2pr/pagerank power-iteration solves from the float32 score tier (~1e-6 absolute accuracy, roughly half the memory traffic)")
 
-		quiet      = flag.Bool("quiet", false, "disable per-request logging")
-		logJSON    = flag.Bool("log-json", false, "emit request logs as JSON records instead of logfmt-style text")
-		slowReq    = flag.Duration("slow-request-threshold", 0, "log requests at or above this duration at WARN with the full solver-stage breakdown (0 = disabled)")
+		quiet   = flag.Bool("quiet", false, "disable per-request logging")
+		logJSON = flag.Bool("log-json", false, "emit request logs as JSON records instead of logfmt-style text")
+		slowReq = flag.Duration("slow-request-threshold", 0, "log requests at or above this duration at WARN with the full solver-stage breakdown (0 = disabled)")
 
 		reqTimeout    = flag.Duration("request-timeout", 0, "default deadline for compute requests; ?timeout= overrides per request (0 = none)")
 		maxReqTimeout = flag.Duration("max-request-timeout", 0, "cap on per-request ?timeout= overrides (0 = default 1m)")

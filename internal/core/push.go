@@ -12,7 +12,7 @@ type ForwardPushOptions struct {
 	// fixpoint is approximated). 0 means DefaultAlpha.
 	Alpha float64
 	// Epsilon is the per-node residual threshold: push terminates when every
-	// node's residual is below Epsilon·outdeg(node). Smaller is more
+	// node's residual is below Epsilon·max(outdeg(node), 1). Smaller is more
 	// accurate. 0 means DefaultPPREpsilon.
 	Epsilon float64
 	// MaxPushes caps the total number of push operations as a safety bound.
@@ -21,8 +21,10 @@ type ForwardPushOptions struct {
 }
 
 // DefaultPPREpsilon is the per-node residual threshold used when
-// ForwardPushOptions.Epsilon is zero. It matches power iteration to ~1e-6
-// absolute error on the graphs in this module.
+// ForwardPushOptions.Epsilon is zero. It is a stopping threshold, not an
+// error bound: the answer's L1 error is its PPRResult.ResidualMass (see
+// SolvePPR), which at this ε reads 1.3e-3 to 8.8e-3 on the eight paper
+// graphs.
 const DefaultPPREpsilon = 1e-7
 
 // PPRResult reports the outcome of a forward-push personalized solve.
@@ -30,10 +32,11 @@ type PPRResult struct {
 	// Scores is the PPR estimate p̂. It sums to ≤ 1; the deficit is the
 	// un-pushed residual mass.
 	Scores []float64
-	// ResidualMass is Σ_v r(v) at termination. The push invariant
-	// Σp̂ + Σr = 1 holds throughout the solve (each push moves (1-α)·r(u)
-	// into the estimate and α·r(u) back into the residual), so
-	// Scores-sum + ResidualMass = 1 up to floating-point rounding at every ε.
+	// ResidualMass is Σ_v r(v) at termination, and the exact L1 error
+	// ‖p − p̂‖₁. The push invariant Σp̂ + Σr = 1 holds throughout the solve
+	// (each push moves (1-α)·r(u) into the estimate and α·r(u) back into the
+	// residual), so Scores-sum + ResidualMass = 1 up to floating-point
+	// rounding at every ε.
 	ResidualMass float64
 	// Pushes is the number of push operations performed.
 	Pushes int
@@ -43,8 +46,11 @@ type PPRResult struct {
 }
 
 // pprScratch is the recycled solve-time state of SolvePPR: the residual
-// vector, the work queue, and its membership bits. r and inQueue are returned
-// to the pool zeroed, so a pooled scratch is ready to use as-is.
+// vector, the work queue, and its membership bits. The queue is a ring of n
+// slots: inQueue admits a node at most once while it waits, so no more than
+// n entries are ever live and the ring never grows. r and inQueue are
+// returned to the pool zeroed and the ring's contents are dead between
+// solves, so a pooled scratch is ready to use as-is.
 type pprScratch struct {
 	r       []float64
 	inQueue []bool
@@ -58,14 +64,13 @@ func (e *Engine) getPPR() *pprScratch {
 	return &pprScratch{
 		r:       make([]float64, e.n),
 		inQueue: make([]bool, e.n),
-		queue:   make([]int32, 0, 64),
+		queue:   make([]int32, e.n),
 	}
 }
 
 func (e *Engine) putPPR(s *pprScratch) {
 	clear(s.r)
 	clear(s.inQueue)
-	s.queue = s.queue[:0]
 	e.pprbuf.Put(s)
 }
 
@@ -75,12 +80,13 @@ func (e *Engine) putPPR(s *pprScratch) {
 // locality-sensitive computation style of the paper's reference [17]).
 // t must be a transition over the engine's graph.
 //
-// The estimate p̂ satisfies, for every node v,
-//
-//	|p(v) − p̂(v)| ≤ ε · Σ_u outdeg(u)·(reachability factors)
-//
-// in the classic analysis; practically, ε=1e-7 matches power iteration to
-// ~1e-6 absolute error on the graphs in this module.
+// The accuracy contract is exact: every unpushed residual r(u) would become
+// a PPR vector of mass r(u), so p̂(v) ≤ p(v) for every node v and
+// ‖p − p̂‖₁ = ResidualMass. The push stops once every r(v) is below
+// ε·max(outdeg(v), 1), so ResidualMass ≤ ε·(arcs + nodes without out-arcs).
+// The worst-case work is Θ(1/((1−α)·ε)) pushes, independent of graph size;
+// on the eight paper graphs at DefaultPPREpsilon the push makes 14–18
+// pushes per node.
 //
 // This is the per-seed serving hot path: uniform transitions run off the
 // engine's cached 1/outdeg table (no per-arc probability array exists), and
@@ -142,11 +148,20 @@ func (e *Engine) SolvePPRContext(ctx context.Context, t *Transition, seed int32,
 	}
 	invOut := e.invOut
 
-	push := func(u int32) {
-		if !inQueue[u] {
-			inQueue[u] = true
-			queue = append(queue, u)
+	// The queue is first-in-first-out, so the push sweeps the frontier much
+	// as a power iteration does (Wu et al., "PowerPush", SIGMOD 2021) and
+	// pushes each node a few times with large residuals; last-in-first-out
+	// order re-pushes the nodes it has just fed, with small residuals, tens
+	// of times more often.
+	head, size := 0, 0
+	enqueue := func(v int32) {
+		inQueue[v] = true
+		tail := head + size
+		if tail >= n {
+			tail -= n
 		}
+		queue[tail] = v
+		size++
 	}
 	threshold := func(u int32) float64 {
 		d := g.Degree(u)
@@ -155,20 +170,22 @@ func (e *Engine) SolvePPRContext(ctx context.Context, t *Transition, seed int32,
 		}
 		return opts.Epsilon * float64(d)
 	}
-	push(seed)
+	enqueue(seed)
 	pushes := 0
 	steps := 0
-	for len(queue) > 0 && pushes < opts.MaxPushes {
+	for size > 0 && pushes < opts.MaxPushes {
 		steps++
 		if steps&255 == 0 {
 			if err := ctx.Err(); err != nil {
-				st.queue = queue
 				e.putPPR(st)
 				return nil, fmt.Errorf("core: ppr solve aborted after %d pushes: %w", pushes, err)
 			}
 		}
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+		u := queue[head]
+		if head++; head == n {
+			head = 0
+		}
+		size--
 		inQueue[u] = false
 		ru := r[u]
 		if ru < threshold(u) {
@@ -177,34 +194,35 @@ func (e *Engine) SolvePPRContext(ctx context.Context, t *Transition, seed int32,
 		pushes++
 		p[u] += (1 - opts.Alpha) * ru
 		r[u] = 0
+		aru := opts.Alpha * ru
 		lo, hi := g.ArcRange(u)
 		if lo == hi {
 			// Dangling node: walk mass returns to the seed (the same policy
 			// the exact solver applies with a seed teleport vector).
-			r[seed] += opts.Alpha * ru
-			if r[seed] >= threshold(seed) {
-				push(seed)
+			r[seed] += aru
+			if !inQueue[seed] && r[seed] >= threshold(seed) {
+				enqueue(seed)
 			}
 			continue
 		}
 		if probs == nil {
 			// Implicit uniform transition: every out-arc of u carries the
 			// cached 1/outdeg probability.
-			pv := opts.Alpha * ru * invOut[u]
+			pv := aru * invOut[u]
 			for k := lo; k < hi; k++ {
 				v := g.ArcTarget(k)
 				r[v] += pv
-				if r[v] >= threshold(v) {
-					push(v)
+				if !inQueue[v] && r[v] >= threshold(v) {
+					enqueue(v)
 				}
 			}
 			continue
 		}
 		for k := lo; k < hi; k++ {
 			v := g.ArcTarget(k)
-			r[v] += opts.Alpha * ru * probs[k]
-			if r[v] >= threshold(v) {
-				push(v)
+			r[v] += aru * probs[k]
+			if !inQueue[v] && r[v] >= threshold(v) {
+				enqueue(v)
 			}
 		}
 	}
@@ -212,7 +230,6 @@ func (e *Engine) SolvePPRContext(ctx context.Context, t *Transition, seed int32,
 	for _, rv := range r {
 		residual += rv
 	}
-	st.queue = queue
 	e.putPPR(st)
 	return &PPRResult{Scores: p, ResidualMass: residual, Pushes: pushes, Elapsed: time.Since(solveStart)}, nil
 }

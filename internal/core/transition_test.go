@@ -102,7 +102,7 @@ func TestDegreeDecoupledStochasticProperty(t *testing.T) {
 		g := b.MustBuild()
 		return DegreeDecoupled(g, p).Validate(1e-9) == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(35))}); err != nil {
 		t.Error(err)
 	}
 }

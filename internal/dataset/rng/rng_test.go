@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -88,7 +89,7 @@ func TestPermIsPermutation(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(41))}); err != nil {
 		t.Error(err)
 	}
 }

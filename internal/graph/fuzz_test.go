@@ -16,6 +16,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 0\n", false, false)
 	f.Add("9999999999 1\n", true, false)
 	f.Add("1 2 NaN\n", false, true)
+	f.Add("# nodes=2147483647\n0 1\n", true, false)
 	f.Fuzz(func(t *testing.T, input string, directed, weighted bool) {
 		kind := Undirected
 		if directed {
@@ -35,6 +36,9 @@ func FuzzReadEdgeList(f *testing.F) {
 		g2, err := ReadEdgeList(&buf, kind, weighted)
 		if err != nil {
 			t.Fatalf("round trip rejected: %v", err)
+		}
+		if g2.NumNodes() != g.NumNodes() {
+			t.Fatalf("round trip changed node count: %d → %d", g.NumNodes(), g2.NumNodes())
 		}
 		a, b := SortedEdges(g), SortedEdges(g2)
 		if len(a) != len(b) {

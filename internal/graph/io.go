@@ -18,7 +18,9 @@ import (
 //
 // Fields are separated by tabs or spaces. Node ids are non-negative integers.
 // This covers the formats the paper's datasets ship in (SNAP/hetrec-style
-// TSV).
+// TSV). A "nodes=N" token in a comment line, as in the header WriteEdgeList
+// writes, means the graph has at least N nodes, so isolated nodes past the
+// largest id an edge line names survive a round trip.
 
 // WriteEdgeList writes g to w in edge-list form. Undirected edges are written
 // once (u ≤ v). Weights are written only for weighted graphs, using %g.
@@ -64,10 +66,19 @@ func ReadEdgeList(r io.Reader, kind Kind, weighted bool) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	lineNo := 0
+	headerNodes := 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		if line == "" {
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			n, err := nodesHeader(line)
+			if err != nil {
+				return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
+			}
+			headerNodes = max(headerNodes, n)
 			continue
 		}
 		fields := strings.Fields(line)
@@ -97,7 +108,29 @@ func ReadEdgeList(r io.Reader, kind Kind, weighted bool) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: read: %w", err)
 	}
-	return b.Build()
+	// The header sizes the graph's offset table, so a one-line file naming a
+	// huge count would demand gigabytes. Isolated nodes are legitimate, so,
+	// as in readScores, reject only a count both large in absolute terms
+	// (≥ 2²⁴ nodes) and wildly disproportionate to the edge lines.
+	if edges := b.NumPendingEdges(); headerNodes >= 1<<24 && headerNodes > 64*edges+1024 {
+		return nil, fmt.Errorf("graph: header claims %d nodes for %d edge lines", headerNodes, edges)
+	}
+	return b.EnsureNodes(headerNodes).Build()
+}
+
+// nodesHeader returns N from the "nodes=N" token of a comment line, or 0
+// when the line has none.
+func nodesHeader(comment string) (int, error) {
+	for _, f := range strings.Fields(comment[1:]) {
+		if s, ok := strings.CutPrefix(f, "nodes="); ok {
+			n, err := strconv.ParseInt(s, 10, 32)
+			if err != nil || n < 0 {
+				return 0, fmt.Errorf("bad node count %q", f)
+			}
+			return int(n), nil
+		}
+	}
+	return 0, nil
 }
 
 // WriteScores writes a per-node float map (significances, ranks, scores) as

@@ -49,7 +49,7 @@ func TestRanksSumInvariant(t *testing.T) {
 		n := float64(len(xs))
 		return almostEq(sum, n*(n+1)/2, 1e-6*n)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(22))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -171,7 +171,7 @@ func TestKendallAgainstNaive(t *testing.T) {
 		}
 		return almostEq(KendallTauB(xs, ys), naiveKendall(xs, ys), 1e-9)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(23))}); err != nil {
 		t.Error(err)
 	}
 }
