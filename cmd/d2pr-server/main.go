@@ -29,8 +29,8 @@
 // operator reloads it.
 //
 // Personalized PageRank requests (/v1/{graph}/ppr) run forward push per
-// seed and cache the top-k per (seed, α, ε, k) in a dedicated sharded cache
-// sized by -ppr-cache-size; -ppr-eps sets the default push accuracy.
+// seed and cache the top-k per (seed, α, ε, k) in a dedicated admitting
+// cache sized by -ppr-cache-size; -ppr-eps sets the default push accuracy.
 //
 // Parameter sweeps run as asynchronous jobs on a worker pool sized by
 // -job-workers; finished job results are retained for -job-ttl.

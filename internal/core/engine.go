@@ -28,15 +28,15 @@ import (
 //     stealing style (one atomic per block), which both bounds each grab's
 //     working set and load-balances hub rows without a static partition.
 //   - perm maps each forward-CSR arc to its pull position, so non-uniform
-//     transition probabilities scatter into pull order in one pass — and the
-//     scatter result is memoized per Transition for repeat solves.
+//     transition probabilities scatter into pull order in one pass per solve.
 //
 // The engine also owns the solve-time scratch: score/next/teleport/
 // probability buffers (float64 and float32 tiers) are recycled through
 // sync.Pools, so a warm solve allocates nothing proportional to the graph
 // beyond the returned score vector, and the parallel sweep runs on a
 // process-wide pool of persistent workers instead of spawning goroutines
-// every iteration.
+// every iteration. Every solve borrows these buffers afresh; the engine keeps
+// no reference to a transition it has solved.
 //
 // An Engine is immutable after construction and safe for concurrent use.
 type Engine struct {
@@ -93,28 +93,11 @@ type Engine struct {
 	// SolvePPR calls; see push.go.
 	pprbuf sync.Pool
 
-	// Flow-probability memoization: repeat solves of the same *Transition
-	// skip the O(m) scatter entirely. A transition is only promoted into the
-	// cache on its second sighting (flowSeen ring), so one-shot transitions
-	// — the serving layer builds a fresh Transition per request — keep using
-	// pooled buffers and never churn owned allocations.
-	flowMu      sync.Mutex
-	flowSeen    [4]*Transition
-	flowSeenPos int
-	flowEntries [2]flowEntry
-
 	// connOnce/conn lazily cache the graph's connection-strength transition
 	// (= Uniform for unweighted graphs), so per-seed PPR requests never
 	// rebuild the O(arcs) probability array.
 	connOnce sync.Once
 	conn     *Transition
-}
-
-type flowEntry struct {
-	tr    *Transition
-	probs []float64
-	// Permuted factored tables for rank-1 transitions (probs nil then).
-	rowFactor, srcScale []float64
 }
 
 // sweepBlockArcs is the target in-arc count per destination block: 8k arcs
@@ -373,11 +356,9 @@ func (e *Engine) SolveContext(ctx context.Context, t *Transition, opts Options) 
 	if err != nil {
 		return nil, err
 	}
-	f, done := e.flowOf(t)
+	f := e.flowOf(t)
 	res, err := e.power(ctx, f, opts)
-	if done != nil {
-		done()
-	}
+	f.release(e)
 	return res, err
 }
 
@@ -392,51 +373,41 @@ type flow struct {
 	probs     []float64
 	rowFactor []float64
 	srcScale  []float64
+	// The pooled buffers backing probs or rowFactor+srcScale, nil when the
+	// flow reads the transition's own tables; release returns them.
+	probsBuf, rowFactorBuf, srcScaleBuf *[]float64
 }
 
-// flowOf returns t's flow representation; when the returned cleanup is
-// non-nil the flow borrows pooled buffers and the caller must invoke it after
-// the solve. Factored transitions cost at most one O(n) permuted copy per
-// solve (nothing at all on an identity-ordered engine) — compare the O(arcs)
-// scatter plus per-iteration O(arcs) stream the per-arc path pays — and even
-// that copy is memoized away for repeat solves of the same *Transition: the
-// scattered permute walk misses cache on most writes, which is measurable
-// against a solve that otherwise streams.
-func (e *Engine) flowOf(t *Transition) (flow, func()) {
-	if t.uniform {
-		return flow{}, nil
+// flowOf returns t's flow representation, borrowing pooled buffers that the
+// caller must hand back with release after the solve. A factored transition
+// costs at most one O(n) permuted copy per solve (nothing at all on an
+// identity-ordered engine); a per-arc transition costs an O(arcs) scatter
+// into pull order, on top of the O(arcs) stream every iteration reads.
+func (e *Engine) flowOf(t *Transition) flow {
+	switch {
+	case t.uniform:
+		return flow{}
+	case t.rowFactor != nil && e.permOf == nil:
+		return flow{rowFactor: t.rowFactor, srcScale: t.srcScale}
+	case t.rowFactor != nil:
+		rfp, ssp := getNT[float64](e), getNT[float64](e)
+		e.permuteFactors(*rfp, *ssp, t)
+		return flow{rowFactor: *rfp, srcScale: *ssp, rowFactorBuf: rfp, srcScaleBuf: ssp}
 	}
-	if t.rowFactor != nil {
-		if e.permOf == nil {
-			return flow{rowFactor: t.rowFactor, srcScale: t.srcScale}, nil
-		}
-		e.flowMu.Lock()
-		for i := range e.flowEntries {
-			if fe := e.flowEntries[i]; fe.tr == t {
-				e.flowMu.Unlock()
-				return flow{rowFactor: fe.rowFactor, srcScale: fe.srcScale}, nil
-			}
-		}
-		seen := e.flowSeenLocked(t)
-		e.flowMu.Unlock()
-		if !seen {
-			rfp, ssp := getNT[float64](e), getNT[float64](e)
-			e.permuteFactors(*rfp, *ssp, t)
-			return flow{rowFactor: *rfp, srcScale: *ssp}, func() { putNT(e, rfp); putNT(e, ssp) }
-		}
-		rf, ss := make([]float64, e.n), make([]float64, e.n)
-		e.permuteFactors(rf, ss, t)
-		e.flowMu.Lock()
-		e.flowEntries[1] = e.flowEntries[0]
-		e.flowEntries[0] = flowEntry{tr: t, rowFactor: rf, srcScale: ss}
-		e.flowMu.Unlock()
-		return flow{rowFactor: rf, srcScale: ss}, nil
+	pp := e.getM()
+	e.scatterFlow(*pp, t.arcProbs())
+	return flow{probs: *pp, probsBuf: pp}
+}
+
+// release returns the pooled buffers f borrowed from e.
+func (f flow) release(e *Engine) {
+	if f.probsBuf != nil {
+		e.putM(f.probsBuf)
 	}
-	probs, pooled := e.flowProbs(t)
-	if pooled != nil {
-		return flow{probs: probs}, func() { e.putM(pooled) }
+	if f.rowFactorBuf != nil {
+		putNT(e, f.rowFactorBuf)
+		putNT(e, f.srcScaleBuf)
 	}
-	return flow{probs: probs}, nil
 }
 
 // permuteFactors copies t's factored tables into the engine's permuted id
@@ -446,58 +417,6 @@ func (e *Engine) permuteFactors(rf, ss []float64, t *Transition) {
 		rf[pv] = t.rowFactor[v]
 		ss[pv] = t.srcScale[v]
 	}
-}
-
-// flowSeenLocked records t in the seen ring and reports whether it was
-// already there — the "second sighting" test that gates memo promotion.
-// Caller holds flowMu.
-func (e *Engine) flowSeenLocked(t *Transition) bool {
-	for _, s := range e.flowSeen {
-		if s == t {
-			return true
-		}
-	}
-	e.flowSeen[e.flowSeenPos] = t
-	e.flowSeenPos = (e.flowSeenPos + 1) % len(e.flowSeen)
-	return false
-}
-
-// flowProbs returns t's probabilities in pull order. Uniform transitions
-// return (nil, nil): the solver runs off the cached 1/outdeg table. For
-// explicit transitions the scatter result is memoized per *Transition —
-// but only once a transition has been seen before, so long-lived transitions
-// (benchmark loops, the engine's own Connection) amortize the scatter to
-// zero while per-request one-shot transitions stay on pooled buffers. When
-// the second return is non-nil the caller owns the buffer and must putM it
-// after the solve.
-func (e *Engine) flowProbs(t *Transition) ([]float64, *[]float64) {
-	if t.uniform {
-		return nil, nil
-	}
-	e.flowMu.Lock()
-	for i := range e.flowEntries {
-		if fe := e.flowEntries[i]; fe.tr == t {
-			e.flowMu.Unlock()
-			return fe.probs, nil
-		}
-	}
-	seen := e.flowSeenLocked(t)
-	e.flowMu.Unlock()
-	if !seen {
-		pp := e.getM()
-		e.scatterFlow(*pp, t.arcProbs())
-		return *pp, pp
-	}
-	// Second sighting: build an owned copy and publish it. Racing builders
-	// may both scatter; last insert wins and the loser's copy still solves
-	// correctly.
-	owned := make([]float64, len(e.pullSources))
-	e.scatterFlow(owned, t.arcProbs())
-	e.flowMu.Lock()
-	e.flowEntries[1] = e.flowEntries[0]
-	e.flowEntries[0] = flowEntry{tr: t, probs: owned}
-	e.flowMu.Unlock()
-	return owned, nil
 }
 
 // scatterFlow scatters forward-CSR-ordered probabilities into pull order.

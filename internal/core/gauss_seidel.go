@@ -64,10 +64,8 @@ func SolveGaussSeidelContext(ctx context.Context, t *Transition, opts Options) (
 func (e *Engine) gaussSeidel(ctx context.Context, t *Transition, opts Options) (*Result, error) {
 	n := e.n
 	offsets, sources := e.pullOffsets, e.pullSources
-	f, done := e.flowOf(t)
-	if done != nil {
-		defer done()
-	}
+	f := e.flowOf(t)
+	defer f.release(e)
 	probs, rowFactor, srcScale := f.probs, f.rowFactor, f.srcScale
 	if srcScale == nil {
 		srcScale = e.invOutP

@@ -65,28 +65,6 @@ func PersonalizedPageRank(g *graph.Graph, seeds []int32, opts Options) (*Result,
 	return Solve(ConnectionStrength(g), opts)
 }
 
-// PersonalizedD2PR combines seed-based teleportation with degree
-// de-coupling: the context-aware recommendation setting the paper's
-// introduction motivates.
-func PersonalizedD2PR(g *graph.Graph, seeds []int32, p float64, opts Options) (*Result, error) {
-	n := g.NumNodes()
-	if n == 0 {
-		return nil, ErrEmptyGraph
-	}
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("core: personalized D2PR needs at least one seed")
-	}
-	tele := make([]float64, n)
-	for _, s := range seeds {
-		if s < 0 || int(s) >= n {
-			return nil, fmt.Errorf("core: seed %d out of range [0, %d)", s, n)
-		}
-		tele[s] = 1
-	}
-	opts.Teleport = tele
-	return Solve(DegreeDecoupled(g, p), opts)
-}
-
 // DegreeBiasedTeleport computes PageRank with an unchanged (conventional)
 // transition matrix but a degree-dependent teleport distribution
 // t(v) ∝ Θ̂(v)^-q — the alternative de-coupling mechanism of Bánky et al.

@@ -142,34 +142,6 @@ func TestD2PRBlendedWeighted(t *testing.T) {
 	}
 }
 
-func TestPersonalizedD2PRLocality(t *testing.T) {
-	// Two triangle clusters joined by one bridge; personalizing on cluster
-	// one must put all its nodes above all of cluster two.
-	g, err := graph.FromEdges(graph.Undirected, [][2]int32{
-		{0, 1}, {1, 2}, {0, 2}, // cluster one
-		{3, 4}, {4, 5}, {3, 5}, // cluster two
-		{2, 3}, // bridge
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := PersonalizedD2PR(g, []int32{0, 1}, 0.5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	minNear := math.Min(res.Scores[0], math.Min(res.Scores[1], res.Scores[2]))
-	maxFar := math.Max(res.Scores[4], res.Scores[5])
-	if minNear <= maxFar {
-		t.Errorf("cluster-one scores %v must dominate cluster two %v: %v", minNear, maxFar, res.Scores)
-	}
-	if _, err := PersonalizedD2PR(g, nil, 0.5, Options{}); err == nil {
-		t.Error("empty seeds must error")
-	}
-	if _, err := PersonalizedD2PR(g, []int32{99}, 0.5, Options{}); err == nil {
-		t.Error("out-of-range seed must error")
-	}
-}
-
 func TestDegreeBiasedTeleport(t *testing.T) {
 	g := skewedGraph(300, 9)
 	deg := degreesOf(g)

@@ -5,11 +5,11 @@ import (
 )
 
 // BenchmarkPPRColdSeed measures one cold per-seed forward-push solve on the
-// 30k-node skewed bench graph at the serving default ε — the cost the
-// pprcache admission layer is amortizing away for hot seeds. Seeds rotate so
+// 30k-node skewed bench graph at the serving default ε — the cost the PPR
+// cache's admission layer is amortizing away for hot seeds. Seeds rotate so
 // no push locality carries over between iterations; only the engine pool
 // scratch is warm, as it is in a serving process. The warm counterpart
-// (BenchmarkPPRWarmSeed, internal/pprcache) must be ≥100× faster.
+// (BenchmarkPPRWarmSeed, internal/rankcache) must be ≥100× faster.
 func BenchmarkPPRColdSeed(b *testing.B) {
 	g := benchGraph(b)
 	e := EngineFor(g)

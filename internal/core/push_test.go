@@ -115,57 +115,3 @@ func seedVector(n int, seed int32) []float64 {
 	v[seed] = 1
 	return v
 }
-
-func TestHittingTimePath(t *testing.T) {
-	// Path 0-1-2-3-4, walk from 0: expected first-hit step must increase
-	// with distance from the source.
-	g := pathGraph(5)
-	ht, err := HittingTime(Uniform(g), 0, HittingTimeOptions{Walks: 4000, MaxLen: 200, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ht[0] != 0 {
-		t.Errorf("h(0,0) = %v, want 0", ht[0])
-	}
-	for i := 1; i < 5; i++ {
-		if ht[i] <= ht[i-1] {
-			t.Errorf("hitting time must grow with distance: %v", ht)
-			break
-		}
-	}
-}
-
-func TestHittingTimeUnreachable(t *testing.T) {
-	// Two components: unreachable nodes must report the truncation bound.
-	g := graph.NewBuilder(graph.Undirected).EnsureNodes(4).
-		AddEdge(0, 1).AddEdge(2, 3).MustBuild()
-	const maxLen = 50
-	ht, err := HittingTime(Uniform(g), 0, HittingTimeOptions{Walks: 200, MaxLen: maxLen, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ht[2] != maxLen || ht[3] != maxLen {
-		t.Errorf("unreachable hitting times = %v/%v, want %v", ht[2], ht[3], maxLen)
-	}
-}
-
-func TestHittingTimeValidation(t *testing.T) {
-	g := pathGraph(3)
-	if _, err := HittingTime(Uniform(g), 9, HittingTimeOptions{}); err == nil {
-		t.Error("bad source must error")
-	}
-	if _, err := HittingTime(Uniform(g), 0, HittingTimeOptions{Walks: -1}); err == nil {
-		t.Error("negative walks must error")
-	}
-}
-
-func TestMonteCarloPageRankValidation(t *testing.T) {
-	g := pathGraph(3)
-	if _, err := MonteCarloPageRank(Uniform(g), 1.2, 10, 1); err == nil {
-		t.Error("alpha out of range must error")
-	}
-	empty := graph.NewBuilder(graph.Undirected).MustBuild()
-	if _, err := MonteCarloPageRank(Uniform(empty), 0.5, 10, 1); err == nil {
-		t.Error("empty graph must error")
-	}
-}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"d2pr/internal/dataset/rng"
 	"d2pr/internal/graph"
 )
 
@@ -312,4 +314,82 @@ func TestMonteCarloAgreesWithPowerIteration(t *testing.T) {
 			t.Errorf("node %d: exact %v, MC %v", i, exact.Scores[i], mc[i])
 		}
 	}
+}
+
+func TestMonteCarloPageRankValidation(t *testing.T) {
+	g := pathGraph(3)
+	if _, err := MonteCarloPageRank(Uniform(g), 1.2, 10, 1); err == nil {
+		t.Error("alpha out of range must error")
+	}
+	empty := graph.NewBuilder(graph.Undirected).MustBuild()
+	if _, err := MonteCarloPageRank(Uniform(empty), 0.5, 10, 1); err == nil {
+		t.Error("empty graph must error")
+	}
+}
+
+// MonteCarloPageRank estimates PageRank-style visit frequencies by simulating
+// `walks` teleporting random walks of geometric length on the transition.
+// It is the verification partner for the power-iteration solver: both must
+// agree within Monte-Carlo error. alpha is the residual probability.
+func MonteCarloPageRank(t *Transition, alpha float64, walks int, seed uint64) ([]float64, error) {
+	g := t.g
+	n := g.NumNodes()
+	if n == 0 {
+		return nil, ErrEmptyGraph
+	}
+	if alpha < 0 || alpha >= 1 {
+		return nil, fmt.Errorf("core: alpha %v out of range [0, 1)", alpha)
+	}
+	if walks <= 0 {
+		walks = 100 * n
+	}
+	r := rng.New(seed)
+	probs := t.arcProbs()
+	visits := make([]float64, n)
+	var total float64
+	for w := 0; w < walks; w++ {
+		u := int32(r.Intn(n))
+		for {
+			visits[u]++
+			total++
+			if r.Float64() >= alpha {
+				break
+			}
+			v, ok := stepFrom(g, probs, u, r)
+			if !ok {
+				break // dangling: walk teleports (ends)
+			}
+			u = v
+		}
+	}
+	if total > 0 {
+		inv := 1 / total
+		for i := range visits {
+			visits[i] *= inv
+		}
+	}
+	// Guard against pathological inputs where nothing was visited.
+	if math.IsNaN(visits[0]) {
+		return nil, fmt.Errorf("core: Monte-Carlo PageRank produced NaN")
+	}
+	return visits, nil
+}
+
+// stepFrom samples one transition out of u; ok is false for dangling nodes.
+// probs is t's per-arc probability slice, hoisted by the caller so the
+// per-step hot path does no lazy-materialization check.
+func stepFrom(g *graph.Graph, probs []float64, u int32, r *rng.RNG) (int32, bool) {
+	lo, hi := g.ArcRange(u)
+	if lo == hi {
+		return 0, false
+	}
+	x := r.Float64()
+	var acc float64
+	for k := lo; k < hi; k++ {
+		acc += probs[k]
+		if x < acc {
+			return g.ArcTarget(k), true
+		}
+	}
+	return g.ArcTarget(hi - 1), true
 }

@@ -17,6 +17,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("9999999999 1\n", true, false)
 	f.Add("1 2 NaN\n", false, true)
 	f.Add("# nodes=2147483647\n0 1\n", true, false)
+	f.Add("2147483646 0\n", false, false)
 	f.Fuzz(func(t *testing.T, input string, directed, weighted bool) {
 		kind := Undirected
 		if directed {

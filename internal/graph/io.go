@@ -108,14 +108,16 @@ func ReadEdgeList(r io.Reader, kind Kind, weighted bool) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: read: %w", err)
 	}
-	// The header sizes the graph's offset table, so a one-line file naming a
-	// huge count would demand gigabytes. Isolated nodes are legitimate, so,
-	// as in readScores, reject only a count both large in absolute terms
-	// (≥ 2²⁴ nodes) and wildly disproportionate to the edge lines.
-	if edges := b.NumPendingEdges(); headerNodes >= 1<<24 && headerNodes > 64*edges+1024 {
-		return nil, fmt.Errorf("graph: header claims %d nodes for %d edge lines", headerNodes, edges)
+	// The node count, max(header N, largest edge id + 1), sizes the graph's
+	// offset table, so a one-line file naming a huge count or id would demand
+	// gigabytes. Isolated nodes are legitimate, so, as in readScores, reject
+	// only a count both large in absolute terms (≥ 2²⁴ nodes) and wildly
+	// disproportionate to the edge lines.
+	b.EnsureNodes(headerNodes)
+	if n, edges := b.numNodes, b.NumPendingEdges(); n >= 1<<24 && n > 64*edges+1024 {
+		return nil, fmt.Errorf("graph: %d nodes for %d edge lines", n, edges)
 	}
-	return b.EnsureNodes(headerNodes).Build()
+	return b.Build()
 }
 
 // nodesHeader returns N from the "nodes=N" token of a comment line, or 0

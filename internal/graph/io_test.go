@@ -74,6 +74,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"bad-weight", "0 1 z\n"},
 		{"bad-nodes-header", "# nodes=x\n0 1\n"},
 		{"huge-nodes-header", "# nodes=2147483647\n0 1\n"},
+		{"huge-edge-id", "16777215 0\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

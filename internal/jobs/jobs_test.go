@@ -31,9 +31,9 @@ func testRegistry(t *testing.T) *registry.Registry {
 	return reg
 }
 
-func testManager(t *testing.T, reg *registry.Registry, opts Options) (*Manager, *rankcache.Cache) {
+func testManager(t *testing.T, reg *registry.Registry, opts Options) (*Manager, *rankcache.Cache[[]float64]) {
 	t.Helper()
-	cache := rankcache.New(64)
+	cache := rankcache.NewLRU[[]float64](64)
 	opts.Resolve = reg.Get
 	opts.Cache = cache
 	m, err := New(opts)
@@ -430,7 +430,7 @@ func TestCloseCancelsOnExpiredContext(t *testing.T) {
 
 func TestRunSyncSharesSnapshotAndCache(t *testing.T) {
 	reg := testRegistry(t)
-	cache := rankcache.New(64)
+	cache := rankcache.NewLRU[[]float64](64)
 	snap, err := reg.Get("g")
 	if err != nil {
 		t.Fatal(err)

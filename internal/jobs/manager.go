@@ -52,10 +52,10 @@ type Options struct {
 	// Resolve materializes a graph by registry name. Required.
 	Resolve func(name string) (*registry.Snapshot, error)
 	// Cache receives every computed score vector. Required.
-	Cache *rankcache.Cache
+	Cache *rankcache.Cache[[]float64]
 	// PPRCache receives every computed personalized top-k. Required only for
 	// SubmitPPR; a manager built without one rejects PPR cohorts.
-	PPRCache *pprcache.Cache
+	PPRCache *rankcache.Cache[[]pprcache.Entry]
 	// Telemetry, when non-nil, receives per-solve statistics for every fresh
 	// solve a job executes — batch work shows up in the same per-graph
 	// iteration/residual series as interactive traffic.
@@ -494,7 +494,7 @@ func (m *Manager) finishJob(j *job, errMsg string) {
 // !cached): the cache's done-channel close orders the closure's writes before
 // the leader's return, whereas on error or piggyback paths an abandoned
 // closure may still be running.
-func runConfig(ctx context.Context, snap *registry.Snapshot, cfg rankspec.Spec, sw SweepSpec, cache *rankcache.Cache, deg []float64, tel *telemetry.Registry) ConfigResult {
+func runConfig(ctx context.Context, snap *registry.Snapshot, cfg rankspec.Spec, sw SweepSpec, cache *rankcache.Cache[[]float64], deg []float64, tel *telemetry.Registry) ConfigResult {
 	started := time.Now()
 	// Cache operations are keyed by snapshot epoch (a reload invalidates by
 	// changing the key); the wire-visible Config string stays epoch-less so
@@ -548,13 +548,13 @@ func runConfig(ctx context.Context, snap *registry.Snapshot, cfg rankspec.Spec, 
 // call-local DefaultWorkers bound). ctx cancellation stops launching new
 // configurations; rows for configurations never started carry a
 // "cancelled" error.
-func RunSync(ctx context.Context, snap *registry.Snapshot, sw SweepSpec, cache *rankcache.Cache, sem chan struct{}) []ConfigResult {
+func RunSync(ctx context.Context, snap *registry.Snapshot, sw SweepSpec, cache *rankcache.Cache[[]float64], sem chan struct{}) []ConfigResult {
 	return RunSyncTraced(ctx, snap, sw, cache, sem, nil)
 }
 
 // RunSyncTraced is RunSync with an optional telemetry registry: fresh solves
 // report their statistics to tel exactly as async jobs' do.
-func RunSyncTraced(ctx context.Context, snap *registry.Snapshot, sw SweepSpec, cache *rankcache.Cache, sem chan struct{}, tel *telemetry.Registry) []ConfigResult {
+func RunSyncTraced(ctx context.Context, snap *registry.Snapshot, sw SweepSpec, cache *rankcache.Cache[[]float64], sem chan struct{}, tel *telemetry.Registry) []ConfigResult {
 	sw = sw.withDefaults()
 	specs := sw.Expand()
 	if sem == nil {

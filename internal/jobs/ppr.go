@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"d2pr/internal/pprcache"
+	"d2pr/internal/rankcache"
 	"d2pr/internal/rankspec"
 	"d2pr/internal/registry"
 	"d2pr/internal/telemetry"
@@ -169,7 +170,7 @@ func (m *Manager) runPPR(j *job) {
 // ranks. tel, when non-nil, receives the push statistics from inside the
 // compute closure; the probe is read only on the leader-success path, as in
 // runConfig.
-func runPPRConfig(ctx context.Context, snap *registry.Snapshot, spec rankspec.PPRSpec, cache *pprcache.Cache, tel *telemetry.Registry) ConfigResult {
+func runPPRConfig(ctx context.Context, snap *registry.Snapshot, spec rankspec.PPRSpec, cache *rankcache.Cache[[]pprcache.Entry], tel *telemetry.Registry) ConfigResult {
 	started := time.Now()
 	// Epoch-keyed like runConfig: the cache key carries the snapshot epoch,
 	// the wire-visible Config string does not.

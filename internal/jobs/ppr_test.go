@@ -7,21 +7,22 @@ import (
 	"time"
 
 	"d2pr/internal/pprcache"
+	"d2pr/internal/rankcache"
 	"d2pr/internal/rankspec"
 	"d2pr/internal/registry"
 )
 
 // testPPRManager builds a manager with a PPR cache wired in.
-func testPPRManager(t *testing.T, opts Options) (*Manager, *pprcache.Cache) {
+func testPPRManager(t *testing.T, opts Options) (*Manager, *rankcache.Cache[[]pprcache.Entry]) {
 	m, ppr, _ := testPPRManagerReg(t, opts)
 	return m, ppr
 }
 
 // testPPRManagerReg additionally exposes the backing registry, for tests that
 // need the snapshot (epoch-qualified cache keys).
-func testPPRManagerReg(t *testing.T, opts Options) (*Manager, *pprcache.Cache, *registry.Registry) {
+func testPPRManagerReg(t *testing.T, opts Options) (*Manager, *rankcache.Cache[[]pprcache.Entry], *registry.Registry) {
 	t.Helper()
-	ppr := pprcache.New(64, 4)
+	ppr := rankcache.NewAdmitting[[]pprcache.Entry](64)
 	opts.PPRCache = ppr
 	reg := testRegistry(t)
 	m, _ := testManager(t, reg, opts)

@@ -3,19 +3,27 @@ package pprcache
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"d2pr/internal/rankcache"
 )
+
+// These tests drive the cache exactly as the serving layer builds it for
+// personalized rows: an admitting rankcache.Cache of []Entry.
+
+type rowCache = rankcache.Cache[[]Entry]
+
+func newRowCache(capacity int) *rowCache { return rankcache.NewAdmitting[[]Entry](capacity) }
 
 func entriesFor(seed int) []Entry {
 	return []Entry{{Node: int32(seed), Score: 1}, {Node: int32(seed + 1), Score: 0.5}}
 }
 
-func mustGet(t *testing.T, c *Cache, key Key, seed int) ([]Entry, bool) {
+func mustGet(t *testing.T, c *rowCache, key Key, seed int) ([]Entry, bool) {
 	t.Helper()
 	val, cached, err := c.Get(context.Background(), key, func(context.Context) ([]Entry, error) { return entriesFor(seed), nil })
 	if err != nil {
@@ -25,7 +33,7 @@ func mustGet(t *testing.T, c *Cache, key Key, seed int) ([]Entry, bool) {
 }
 
 func TestGetCachesAndReportsStatus(t *testing.T) {
-	c := New(8, 1)
+	c := newRowCache(8)
 	val, cached := mustGet(t, c, "a", 1)
 	if cached {
 		t.Error("first Get must report a compute, not a cache hit")
@@ -53,7 +61,7 @@ func TestGetCachesAndReportsStatus(t *testing.T) {
 }
 
 func TestErrorsAreNotCached(t *testing.T) {
-	c := New(8, 1)
+	c := newRowCache(8)
 	boom := errors.New("boom")
 	if _, _, err := c.Get(context.Background(), "a", func(context.Context) ([]Entry, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -70,60 +78,18 @@ func TestErrorsAreNotCached(t *testing.T) {
 	}
 }
 
-// TestAdmissionKeepsHotKeys is the tinyLFU property: under a stream of
-// one-off keys, frequently-touched residents must stay in the cache, and the
-// one-off keys must be rejected rather than evicting them.
-func TestAdmissionKeepsHotKeys(t *testing.T) {
-	c := New(4, 1)
-	hot := []Key{"h0", "h1", "h2", "h3"}
-	// Make the hot set resident and frequent.
-	for round := 0; round < 8; round++ {
-		for i, k := range hot {
-			mustGet(t, c, k, i)
-		}
-	}
-	// A flood of cold one-off keys, each seen exactly once.
-	for i := 0; i < 200; i++ {
-		mustGet(t, c, Key(fmt.Sprintf("cold-%d", i)), 1000+i)
-	}
-	for _, k := range hot {
-		if _, ok := c.Lookup(k); !ok {
-			t.Errorf("hot key %q evicted by one-off traffic", k)
-		}
-	}
-	st := c.Stats()
-	if st.Rejected == 0 {
-		t.Error("admission never rejected a one-off key")
-	}
-	if st.Len > st.Cap {
-		t.Errorf("len %d exceeds cap %d", st.Len, st.Cap)
-	}
-}
-
-// TestNewlyHotKeyEarnsAdmission: a key that keeps recurring must eventually
-// beat a resident that is never touched again.
-func TestNewlyHotKeyEarnsAdmission(t *testing.T) {
-	c := New(2, 1)
-	mustGet(t, c, "old0", 0)
-	mustGet(t, c, "old1", 1)
-	for i := 0; i < 20; i++ {
-		c.Get(context.Background(), "riser", func(context.Context) ([]Entry, error) { return entriesFor(9), nil })
-	}
-	if _, ok := c.Lookup("riser"); !ok {
-		t.Error("recurring key never admitted over idle residents")
-	}
-}
-
 func TestLRUEvictionOrder(t *testing.T) {
-	c := New(2, 1)
+	c := newRowCache(2)
 	// Touch each key enough that admission passes on frequency, then verify
 	// the least-recently-used resident is the one displaced.
 	for i := 0; i < 4; i++ {
 		mustGet(t, c, "a", 0)
 		mustGet(t, c, "b", 1)
 	}
+	// A Lookup of an absent key counts as a use for admission, standing in
+	// for repeated misses without computing anything.
 	for i := 0; i < 6; i++ {
-		c.sketchTouchForTest("c")
+		c.Lookup("c")
 	}
 	mustGet(t, c, "a", 0) // refresh a → b is now LRU
 	mustGet(t, c, "c", 2)
@@ -138,18 +104,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-// sketchTouchForTest bumps a key's frequency without a Get, standing in for
-// repeated misses in tests that need a precise admission setup.
-func (c *Cache) sketchTouchForTest(key Key) {
-	h := hashKey(key)
-	s := c.shardFor(h)
-	s.mu.Lock()
-	s.sketch.touch(h)
-	s.mu.Unlock()
-}
-
 func TestSingleflightSharesOneCompute(t *testing.T) {
-	c := New(64, 4)
+	c := newRowCache(64)
 	var computes atomic.Int64
 	release := make(chan struct{})
 	const waiters = 16
@@ -171,7 +127,7 @@ func TestSingleflightSharesOneCompute(t *testing.T) {
 			results[i], cachedFlags[i] = val, cached
 		}(i)
 	}
-	// Let every goroutine reach the shard before releasing the leader: the
+	// Let every goroutine reach the cache before releasing the leader: the
 	// leader blocks in compute, and each waiter counts as shared once it
 	// parks on the flight. Releasing earlier would let late goroutines find
 	// the finished entry and count as hits instead.
@@ -207,7 +163,7 @@ func TestSingleflightSharesOneCompute(t *testing.T) {
 }
 
 func TestPanicDoesNotPoisonKey(t *testing.T) {
-	c := New(8, 1)
+	c := newRowCache(8)
 	// The compute runs detached from any single requester, so a panic cannot
 	// be re-raised on a caller's goroutine; it surfaces as an error instead.
 	_, _, err := c.Get(context.Background(), "p", func(context.Context) ([]Entry, error) { panic("kaboom") })
@@ -224,7 +180,7 @@ func TestPanicDoesNotPoisonKey(t *testing.T) {
 // push gets its own ctx error while the remaining waiter still receives the
 // computed rows.
 func TestCancelledWaiterDoesNotFailSiblings(t *testing.T) {
-	c := New(8, 1)
+	c := newRowCache(8)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	compute := func(ctx context.Context) ([]Entry, error) {
@@ -273,7 +229,7 @@ func TestCancelledWaiterDoesNotFailSiblings(t *testing.T) {
 // TestAllWaitersGoneCancelsSolve: the detached compute context is cancelled
 // once every requester has walked away, so an abandoned push can stop.
 func TestAllWaitersGoneCancelsSolve(t *testing.T) {
-	c := New(8, 1)
+	c := newRowCache(8)
 	entered := make(chan struct{})
 	cancelled := make(chan struct{})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -306,79 +262,21 @@ func TestAllWaitersGoneCancelsSolve(t *testing.T) {
 	}
 }
 
+// TestNewNormalizesShape: the row cache's only shape parameter is its
+// capacity; a non-positive one falls back to the admitting default.
 func TestNewNormalizesShape(t *testing.T) {
 	cases := []struct {
-		capacity, shards int
-		wantShards       int
+		capacity, wantCap int
 	}{
-		{0, 0, DefaultShards},
-		{100, 3, 4},  // rounded up to a power of two
-		{2, 16, 2},   // shards capped at capacity
-		{1024, 8, 8}, // already a power of two
-		{-1, -1, DefaultShards},
+		{0, rankcache.DefaultAdmittingCapacity},
+		{100, 100},
+		{2, 2},
+		{1024, 1024},
+		{-1, rankcache.DefaultAdmittingCapacity},
 	}
 	for _, tc := range cases {
-		c := New(tc.capacity, tc.shards)
-		if len(c.shards) != tc.wantShards {
-			t.Errorf("New(%d, %d): %d shards, want %d", tc.capacity, tc.shards, len(c.shards), tc.wantShards)
+		if st := newRowCache(tc.capacity).Stats(); st.Cap != tc.wantCap {
+			t.Errorf("capacity %d: cap %d, want %d", tc.capacity, st.Cap, tc.wantCap)
 		}
-		if st := c.Stats(); st.Cap < tc.capacity {
-			t.Errorf("New(%d, %d): cap %d below requested capacity", tc.capacity, tc.shards, st.Cap)
-		}
-	}
-}
-
-func TestConcurrentMixedTraffic(t *testing.T) {
-	// Race-detector stress: many goroutines hammering a small cache with
-	// overlapping keys, lookups, and stats reads.
-	c := New(32, 4)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				key := Key(fmt.Sprintf("k%d", (w*7+i)%48))
-				seed := i
-				if _, _, err := c.Get(context.Background(), key, func(context.Context) ([]Entry, error) { return entriesFor(seed), nil }); err != nil {
-					t.Error(err)
-					return
-				}
-				if i%16 == 0 {
-					c.Lookup(key)
-					c.Stats()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if c.Len() > 32 {
-		t.Errorf("len %d exceeds capacity", c.Len())
-	}
-}
-
-func TestSketchEstimateAndAging(t *testing.T) {
-	s := newCMSketch(8)
-	h := hashKey("hot")
-	for i := 0; i < 10; i++ {
-		s.touch(h)
-	}
-	if est := s.estimate(h); est < 10 {
-		t.Errorf("estimate %d after 10 touches, want ≥ 10", est)
-	}
-	// Saturation at 15.
-	for i := 0; i < 100; i++ {
-		s.touch(h)
-	}
-	if est := s.estimate(h); est != 15 {
-		t.Errorf("estimate %d, want saturation at 15", est)
-	}
-	before := s.estimate(h)
-	s.age()
-	if after := s.estimate(h); after != before/2 {
-		t.Errorf("aging: %d → %d, want halved", before, after)
-	}
-	if cold := s.estimate(hashKey("never-seen-key-xyz")); cold > 2 {
-		t.Errorf("untouched key estimates %d, want ~0", cold)
 	}
 }

@@ -1,4 +1,4 @@
-package pprcache
+package rankcache
 
 import "math/bits"
 
@@ -19,7 +19,7 @@ type cmSketch struct {
 
 const cmRows = 4
 
-// newCMSketch sizes a sketch for a shard holding capacity entries: ~8
+// newCMSketch sizes a sketch for a cache holding capacity entries: ~8
 // counters per resident entry keeps estimate error low at this scale, and
 // the aging window is 10× capacity touches.
 func newCMSketch(capacity int) cmSketch {

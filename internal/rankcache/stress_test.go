@@ -22,7 +22,7 @@ func TestStressSingleflightNoEviction(t *testing.T) {
 		goroutines = 32
 		iters      = 300
 	)
-	c := New(keySpace) // capacity == key space: nothing ever evicts
+	c := NewLRU[[]float64](keySpace) // capacity == key space: nothing ever evicts
 	var computes [keySpace]atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -81,7 +81,7 @@ func TestStressSingleflightWithEvictions(t *testing.T) {
 		goroutines = 24
 		iters      = 200
 	)
-	c := New(capacity)
+	c := NewLRU[[]float64](capacity)
 	var inflight [keySpace]atomic.Int64
 	var overlaps atomic.Int64
 	var wg sync.WaitGroup
@@ -138,7 +138,7 @@ func TestStressErrorsDoNotPoison(t *testing.T) {
 		goroutines = 16
 		iters      = 100
 	)
-	c := New(keySpace)
+	c := NewLRU[[]float64](keySpace)
 	var flips [keySpace]atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

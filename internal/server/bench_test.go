@@ -131,7 +131,7 @@ func BenchmarkSweep20BatchSerial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cache := rankcache.New(4)
+	cache := rankcache.NewLRU[[]float64](4)
 	serialSem := make(chan struct{}, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

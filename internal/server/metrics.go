@@ -9,7 +9,6 @@ import (
 	"d2pr/internal/admission"
 	"d2pr/internal/core"
 	"d2pr/internal/jobs"
-	"d2pr/internal/pprcache"
 	"d2pr/internal/rankcache"
 	"d2pr/internal/rankspec"
 	"d2pr/internal/telemetry"
@@ -37,7 +36,7 @@ type MetricsResponse struct {
 	Solves           []telemetry.GraphSummary `json:"solves,omitempty"`
 	Admission        admission.Stats          `json:"admission"`
 	Cache            rankcache.Stats          `json:"cache"`
-	PPRCache         pprcache.Stats           `json:"ppr_cache"`
+	PPRCache         rankcache.Stats          `json:"ppr_cache"`
 	Jobs             jobs.Stats               `json:"jobs"`
 	GraphsLoaded     int                      `json:"graphs_loaded"`
 	GraphsRegistry   int                      `json:"graphs_registered"`

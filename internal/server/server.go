@@ -73,7 +73,7 @@ type Config struct {
 	// 0 means jobs.DefaultTTL.
 	JobTTL time.Duration
 	// PPRCacheSize bounds the number of resident personalized top-k results.
-	// 0 means pprcache.DefaultCapacity.
+	// 0 means rankcache.DefaultAdmittingCapacity.
 	PPRCacheSize int
 	// PPREps is the forward-push residual threshold applied when a PPR
 	// request omits eps. 0 means core.DefaultPPREpsilon.
@@ -105,8 +105,8 @@ type Config struct {
 // Server serves ranking queries over a registry of named graphs.
 type Server struct {
 	reg    *registry.Registry
-	cache  *rankcache.Cache
-	ppr    *pprcache.Cache
+	cache  *rankcache.Cache[[]float64]
+	ppr    *rankcache.Cache[[]pprcache.Entry]
 	pprEps float64
 	jobs   *jobs.Manager
 	adm    *admission.Controller
@@ -139,8 +139,8 @@ func NewMulti(reg *registry.Registry, cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		reg:    reg,
-		cache:  rankcache.New(cfg.CacheSize),
-		ppr:    pprcache.New(cfg.PPRCacheSize, 0),
+		cache:  rankcache.NewLRU[[]float64](cfg.CacheSize),
+		ppr:    rankcache.NewAdmitting[[]pprcache.Entry](cfg.PPRCacheSize),
 		pprEps: cfg.PPREps,
 		adm: admission.New(admission.Config{
 			MaxConcurrent: cfg.MaxConcurrent,
@@ -187,10 +187,10 @@ func New(g *graph.Graph, significance []float64) (*Server, error) {
 }
 
 // Cache exposes the result cache (for warming and stats).
-func (s *Server) Cache() *rankcache.Cache { return s.cache }
+func (s *Server) Cache() *rankcache.Cache[[]float64] { return s.cache }
 
 // PPRCache exposes the personalized-ranking result cache.
-func (s *Server) PPRCache() *pprcache.Cache { return s.ppr }
+func (s *Server) PPRCache() *rankcache.Cache[[]pprcache.Entry] { return s.ppr }
 
 // Jobs exposes the sweep-job manager.
 func (s *Server) Jobs() *jobs.Manager { return s.jobs }
@@ -269,7 +269,7 @@ func (s *Server) Warm(ps []float64, beta float64, parallelism int) <-chan struct
 				}
 			}
 		}()
-		var warmJobs []rankcache.Job
+		var warmJobs []rankcache.Job[[]float64]
 		for _, name := range s.reg.Names() {
 			snap, err := s.reg.Get(name)
 			if err != nil {
@@ -278,7 +278,7 @@ func (s *Server) Warm(ps []float64, beta float64, parallelism int) <-chan struct
 			for _, p := range ps {
 				spec := rankspec.New(name)
 				spec.P, spec.Beta = p, beta
-				warmJobs = append(warmJobs, rankcache.Job{
+				warmJobs = append(warmJobs, rankcache.Job[[]float64]{
 					Key: spec.CacheKeyFor(snap),
 					Compute: func(ctx context.Context) ([]float64, error) {
 						scores, st, err := spec.ComputeStats(ctx, snap)

@@ -9,7 +9,7 @@
 #                      personalized (/ppr) hit, and the parallel telemetry
 #                      middleware overhead (BenchmarkMiddlewareRecord).
 #   BENCH_core.json  — solver engine (internal/core) + personalized path
-#                      (internal/pprcache): cold (re-transpose) vs warm
+#                      (internal/rankcache): cold (re-transpose) vs warm
 #                      (cached-engine) solve, implicit-uniform solve, the
 #                      cache-blocked sweep with 1, 4 and 8 workers on a
 #                      skewed power-law graph, plus the PPR serving pair —
@@ -89,4 +89,4 @@ run_suite() {
 }
 
 run_suite ./internal/server 'BenchmarkRankRequest|BenchmarkSweep20|BenchmarkPPRRequest|BenchmarkMiddleware' "$OUTDIR/BENCH_serve.json"
-run_suite "./internal/core ./internal/pprcache" 'BenchmarkCore|BenchmarkPPR' "$OUTDIR/BENCH_core.json"
+run_suite "./internal/core ./internal/rankcache" 'BenchmarkCore|BenchmarkPPR' "$OUTDIR/BENCH_core.json"
