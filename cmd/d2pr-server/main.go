@@ -12,7 +12,7 @@
 // Sources combine: -graphs, -dataset/-datasets, and a positional edge-list
 // file may all be given together. Graphs load lazily on first request;
 // -warm precomputes the given d2pr de-coupling weights for every registered
-// graph in the background at startup.
+// graph in the background at startup, on the job workers.
 //
 // Endpoints: /healthz, /readyz, /metrics, /v1/graphs,
 // /v1/graphs/{graph}/reload, /v1/{graph}/info, /v1/{graph}/rank,
@@ -32,8 +32,9 @@
 // seed and cache the top-k per (seed, α, ε, k) in a dedicated admitting
 // cache sized by -ppr-cache-size; -ppr-eps sets the default push accuracy.
 //
-// Parameter sweeps run as asynchronous jobs on a worker pool sized by
-// -job-workers; finished job results are retained for -job-ttl.
+// Parameter sweeps — asynchronous jobs, /rank/batch requests and -warm —
+// run on a worker pool sized by -job-workers; finished job results are
+// retained for -job-ttl.
 //
 // Cold solves run under per-graph admission control: -max-concurrent solves
 // per graph, -queue-depth queued behind them, and everything past that shed
@@ -188,7 +189,10 @@ func main() {
 		if err != nil {
 			log.Fatalf("d2pr-server: %v", err)
 		}
-		done := srv.Warm(ps, 0, 2)
+		done, err := srv.Warm(ps, 0)
+		if err != nil {
+			log.Fatalf("d2pr-server: -warm: %v", err)
+		}
 		go func() {
 			started := time.Now()
 			<-done

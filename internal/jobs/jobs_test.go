@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"d2pr/internal/rankcache"
 	"d2pr/internal/rankspec"
 	"d2pr/internal/registry"
+	"d2pr/internal/telemetry"
 )
 
 func testRegistry(t *testing.T) *registry.Registry {
@@ -116,6 +119,10 @@ func TestSweepValidate(t *testing.T) {
 		{"bad algo", SweepSpec{Graph: "g", Algo: "bogus"}, false},
 		{"bad beta", SweepSpec{Graph: "g", Betas: []float64{0, 2}}, false},
 		{"bad alpha", SweepSpec{Graph: "g", Alphas: []float64{0.85, 1}}, false},
+		{"NaN p", SweepSpec{Graph: "g", Ps: []float64{0, math.NaN()}}, false},
+		{"Inf p", SweepSpec{Graph: "g", Ps: []float64{0, math.Inf(1)}}, false},
+		{"NaN beta", SweepSpec{Graph: "g", Betas: []float64{0, math.NaN()}}, false},
+		{"NaN alpha", SweepSpec{Graph: "g", Alphas: []float64{0.85, math.NaN()}}, false},
 		{"negative topk", SweepSpec{Graph: "g", TopK: -1}, false},
 		{"negative seed", SweepSpec{Graph: "g", Seeds: []int32{-1}}, false},
 		{"oversized grid", SweepSpec{Graph: "g",
@@ -140,7 +147,7 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	st, err := m.Submit(SweepSpec{
 		Graph: "g", Ps: []float64{0, 0.5, 1}, Betas: []float64{0, 1},
 		TopK: 3, Correlate: true,
-	})
+	}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +192,12 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 
 func TestSubmitValidationAndResolveFailures(t *testing.T) {
 	m, _ := testManager(t, testRegistry(t), Options{})
-	if _, err := m.Submit(SweepSpec{Graph: "g", Algo: "bogus"}); err == nil {
+	if _, err := m.Submit(SweepSpec{Graph: "g", Algo: "bogus"}, ""); err == nil {
 		t.Error("bad sweep must be rejected at submit")
 	}
 	// Unknown graph passes Submit (the registry is only consulted at run
 	// time) and fails the job.
-	st, err := m.Submit(SweepSpec{Graph: "missing"})
+	st, err := m.Submit(SweepSpec{Graph: "missing"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +205,7 @@ func TestSubmitValidationAndResolveFailures(t *testing.T) {
 		t.Errorf("state = %s error = %q, want failed with message", final.State, final.Error)
 	}
 	// Correlate against a graph without significance fails the job.
-	st, err = m.Submit(SweepSpec{Graph: "nosig", Correlate: true})
+	st, err = m.Submit(SweepSpec{Graph: "nosig", Correlate: true}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +213,7 @@ func TestSubmitValidationAndResolveFailures(t *testing.T) {
 		t.Errorf("state = %s, want failed (no significance)", final.State)
 	}
 	// Seed beyond the node count fails at run time, not submit.
-	st, err = m.Submit(SweepSpec{Graph: "g", Seeds: []int32{999}})
+	st, err = m.Submit(SweepSpec{Graph: "g", Seeds: []int32{999}}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +226,11 @@ func TestCancelMidSweep(t *testing.T) {
 	m, _ := testManager(t, testRegistry(t), Options{Workers: 1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 64)
-	m.hookBeforeConfig = func(rankspec.Spec) {
+	m.hookBeforeRow = func(int) {
 		started <- struct{}{}
 		<-release
 	}
-	st, err := m.Submit(SweepSpec{Graph: "g", Ps: []float64{0, 0.25, 0.5, 0.75, 1}})
+	st, err := m.Submit(SweepSpec{Graph: "g", Ps: []float64{0, 0.25, 0.5, 0.75, 1}}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,18 +256,19 @@ func TestCancelMidSweep(t *testing.T) {
 }
 
 // TestCancelledConfigsLandAsSkippedRows: a cancelled sweep must account for
-// every configuration in the grid — the ones the cancel kept from running
-// come back as explicit skipped rows (Skipped, Error "cancelled"), visible
-// both in Results and in the streamed NDJSON rows, never silently dropped.
+// every configuration in the grid — the ones the cancel kept from finishing,
+// the one it interrupted mid-solve included, come back as explicit skipped
+// rows (Skipped, Error "cancelled"), visible both in Results and in the
+// streamed NDJSON rows, never silently dropped and never counted as failed.
 func TestCancelledConfigsLandAsSkippedRows(t *testing.T) {
 	m, _ := testManager(t, testRegistry(t), Options{Workers: 1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 64)
-	m.hookBeforeConfig = func(rankspec.Spec) {
+	m.hookBeforeRow = func(int) {
 		started <- struct{}{}
 		<-release
 	}
-	st, err := m.Submit(SweepSpec{Graph: "g", Ps: []float64{0, 0.25, 0.5, 0.75, 1}})
+	st, err := m.Submit(SweepSpec{Graph: "g", Ps: []float64{0, 0.25, 0.5, 0.75, 1}}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,6 +286,9 @@ func TestCancelledConfigsLandAsSkippedRows(t *testing.T) {
 	}
 	if final.Completed+final.Skipped > final.Total {
 		t.Fatalf("completed %d + skipped %d exceeds total %d", final.Completed, final.Skipped, final.Total)
+	}
+	if final.Failed != 0 || final.Error != "" {
+		t.Errorf("cancelled job reports failed %d, error %q; want no failure", final.Failed, final.Error)
 	}
 
 	rows, _, err := m.Results(st.ID)
@@ -317,7 +328,7 @@ func TestCancelledConfigsLandAsSkippedRows(t *testing.T) {
 
 func TestStreamDeliversAllRows(t *testing.T) {
 	m, _ := testManager(t, testRegistry(t), Options{Workers: 2})
-	st, err := m.Submit(SweepSpec{Graph: "g", Ps: []float64{0, 0.5, 1, 1.5}})
+	st, err := m.Submit(SweepSpec{Graph: "g", Ps: []float64{0, 0.5, 1, 1.5}}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +360,7 @@ func TestStreamDeliversAllRows(t *testing.T) {
 
 func TestTTLPrunesFinishedJobs(t *testing.T) {
 	m, _ := testManager(t, testRegistry(t), Options{TTL: 20 * time.Millisecond})
-	st, err := m.Submit(SweepSpec{Graph: "g"})
+	st, err := m.Submit(SweepSpec{Graph: "g"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +384,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	m, _ := testManager(t, testRegistry(t), Options{Workers: 2})
 	var ids []string
 	for i := 0; i < 3; i++ {
-		st, err := m.Submit(SweepSpec{Graph: "g", Ps: []float64{float64(i), float64(i) + 0.1}})
+		st, err := m.Submit(SweepSpec{Graph: "g", Ps: []float64{float64(i), float64(i) + 0.1}}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +402,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 			t.Errorf("job %s state after drain = %s", id, st.State)
 		}
 	}
-	if _, err := m.Submit(SweepSpec{Graph: "g"}); !errors.Is(err, ErrClosed) {
+	if _, err := m.Submit(SweepSpec{Graph: "g"}, ""); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after close err = %v", err)
 	}
 }
@@ -400,13 +411,13 @@ func TestCloseCancelsOnExpiredContext(t *testing.T) {
 	m, _ := testManager(t, testRegistry(t), Options{Workers: 1})
 	release := make(chan struct{})
 	var once bool
-	m.hookBeforeConfig = func(rankspec.Spec) {
+	m.hookBeforeRow = func(int) {
 		if !once {
 			once = true
 			<-release
 		}
 	}
-	st, err := m.Submit(SweepSpec{Graph: "g", Ps: []float64{0, 0.5, 1}})
+	st, err := m.Submit(SweepSpec{Graph: "g", Ps: []float64{0, 0.5, 1}}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,13 +441,13 @@ func TestCloseCancelsOnExpiredContext(t *testing.T) {
 
 func TestRunSyncSharesSnapshotAndCache(t *testing.T) {
 	reg := testRegistry(t)
-	cache := rankcache.NewLRU[[]float64](64)
+	m, _ := testManager(t, reg, Options{Workers: 2})
 	snap, err := reg.Get("g")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sw := SweepSpec{Graph: "g", Ps: []float64{0, 0.5, 1}, TopK: 2, Correlate: true}
-	results := RunSync(context.Background(), snap, sw, cache, make(chan struct{}, 2))
+	results := m.RunSync(context.Background(), snap, sw)
 	if len(results) != 3 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -449,7 +460,7 @@ func TestRunSyncSharesSnapshotAndCache(t *testing.T) {
 		}
 	}
 	// Second run over the same grid is all cache hits.
-	again := RunSync(context.Background(), snap, sw, cache, nil)
+	again := m.RunSync(context.Background(), snap, sw)
 	for _, row := range again {
 		if !row.Cached {
 			t.Errorf("%s: repeat run must be cached", row.Config)
@@ -459,22 +470,102 @@ func TestRunSyncSharesSnapshotAndCache(t *testing.T) {
 	// computing them.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	gone := RunSync(ctx, snap, SweepSpec{Graph: "g", Ps: []float64{7, 8}}, cache, make(chan struct{}, 1))
+	gone := m.RunSync(ctx, snap, SweepSpec{Graph: "g", Ps: []float64{7, 8}})
 	for _, row := range gone {
-		if row.Error != "cancelled" {
+		if !row.Skipped || row.Error != "cancelled" {
 			t.Errorf("cancelled run produced %+v", row)
 		}
+	}
+	// A context that ends while a row runs cuts it short: the row lands as
+	// skipped, never as a failure (it may still win the race and succeed).
+	ctx, cancel = context.WithCancel(context.Background())
+	m.hookBeforeRow = func(int) { cancel() }
+	cut := m.RunSync(ctx, snap, SweepSpec{Graph: "g", Ps: []float64{9}})
+	m.hookBeforeRow = nil
+	if row := cut[0]; row.Error != "" && (!row.Skipped || row.Error != "cancelled") {
+		t.Errorf("row cut short by its context produced %+v", row)
+	}
+}
+
+// TestRowPanicLandsAsFailedRow drives the one fan-out through a job and
+// through RunSync on a one-worker manager. In both, a row that panics lands
+// as a failed row whose error starts "panic:", the panic counter behind
+// d2pr_panics_total counts it, and its worker slot is released: a following
+// RunSync completes.
+func TestRowPanicLandsAsFailedRow(t *testing.T) {
+	reg := testRegistry(t)
+	tel := telemetry.NewRegistry()
+	m, _ := testManager(t, reg, Options{Workers: 1, Telemetry: tel})
+	snap, err := reg.Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.hookBeforeRow = func(i int) {
+		if i == 1 {
+			panic("injected row panic")
+		}
+	}
+	checkRows := func(path string, sw SweepSpec, rows []ConfigResult) {
+		t.Helper()
+		if len(rows) != 3 {
+			t.Fatalf("%s: %d rows, want 3", path, len(rows))
+		}
+		for _, row := range rows {
+			panicked := row.Spec.P == sw.Ps[1]
+			if panicked != strings.HasPrefix(row.Error, "panic:") || row.Skipped {
+				t.Errorf("%s: row p=%v: error %q skipped %v", path, row.Spec.P, row.Error, row.Skipped)
+			}
+			if panicked && row.Config != string(row.Spec.CacheKey()) {
+				t.Errorf("%s: panicked row config %q, want its spec's key", path, row.Config)
+			}
+		}
+	}
+
+	sw := SweepSpec{Graph: "g", Ps: []float64{0, 0.5, 1}}
+	st, err := m.Submit(sw, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, m, st.ID)
+	if final.State != StateFailed || final.Completed != 3 || final.Failed != 1 || !strings.HasPrefix(final.Error, "panic:") {
+		t.Errorf("job status %+v, want failed with one panicked row", final)
+	}
+	rows, _, err := m.Results(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRows("job", sw, rows)
+	if got := tel.Panics(); got != 1 {
+		t.Errorf("panics after the job = %d, want 1", got)
+	}
+
+	sw = SweepSpec{Graph: "g", Ps: []float64{2, 3, 4}}
+	checkRows("RunSync", sw, m.RunSync(context.Background(), snap, sw))
+	if got := tel.Panics(); got != 2 {
+		t.Errorf("panics after RunSync = %d, want 2", got)
+	}
+
+	m.hookBeforeRow = nil
+	done := make(chan []ConfigResult, 1)
+	go func() { done <- m.RunSync(context.Background(), snap, SweepSpec{Graph: "g", Ps: []float64{5}}) }()
+	select {
+	case rows := <-done:
+		if rows[0].Error != "" {
+			t.Errorf("RunSync after the panics: %+v", rows[0])
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunSync after the panics never ran: a panicked row kept its worker slot")
 	}
 }
 
 func TestManagerStats(t *testing.T) {
 	m, _ := testManager(t, testRegistry(t), Options{Workers: 2})
-	st, err := m.Submit(SweepSpec{Graph: "g", Ps: []float64{0, 0.5}})
+	st, err := m.Submit(SweepSpec{Graph: "g", Ps: []float64{0, 0.5}}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitTerminal(t, m, st.ID)
-	if _, err := m.Submit(SweepSpec{Graph: "missing"}); err != nil {
+	if _, err := m.Submit(SweepSpec{Graph: "missing"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the failing job too.

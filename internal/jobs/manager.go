@@ -1,9 +1,9 @@
-// Package jobs is the asynchronous sweep subsystem of the serving layer: it
-// accepts a SweepSpec (one graph, the cross product of p/β/α parameter
-// lists), expands it into a configuration grid, and executes the grid on a
-// bounded worker pool shared by all jobs. Each job tracks per-configuration
-// progress, supports cancellation, and retains its results for a TTL after
-// completion. Score vectors are computed through the serving layer's
+// Package jobs is the sweep subsystem of the serving layer: it accepts a
+// SweepSpec (one graph, the cross product of p/β/α parameter lists) or a PPR
+// seed cohort, expands it into rows, and executes them on one bounded worker
+// pool that asynchronous jobs, synchronous batches (RunSync) and warming
+// share. Each job tracks per-configuration progress, supports cancellation,
+// and retains its results for a TTL after completion. Score vectors are computed through the serving layer's
 // rankcache, so every configuration a job touches leaves the cache warm for
 // later synchronous /rank requests — the sweep is the batch face of the same
 // cache the interactive face reads.
@@ -56,9 +56,10 @@ type Options struct {
 	// PPRCache receives every computed personalized top-k. Required only for
 	// SubmitPPR; a manager built without one rejects PPR cohorts.
 	PPRCache *rankcache.Cache[[]pprcache.Entry]
-	// Telemetry, when non-nil, receives per-solve statistics for every fresh
-	// solve a job executes — batch work shows up in the same per-graph
-	// iteration/residual series as interactive traffic.
+	// Telemetry receives per-solve statistics for every fresh solve a job or
+	// batch executes — batch work shows up in the same per-graph
+	// iteration/residual series as interactive traffic — and every row
+	// panic. nil means a private registry.
 	Telemetry *telemetry.Registry
 }
 
@@ -99,11 +100,11 @@ type ConfigResult struct {
 	Spearman       *float64 `json:"spearman,omitempty"`
 	DegreeSpearman *float64 `json:"degree_spearman,omitempty"`
 	Error          string   `json:"error,omitempty"`
-	// Skipped marks a configuration whose solve never ran because the job
-	// was cancelled (or the manager shut down) first. Skipped rows still
-	// appear in the NDJSON stream — every configuration of the grid is
-	// accounted for — but are excluded from Status.Completed and do not
-	// count as failures.
+	// Skipped marks a configuration whose solve never finished because the
+	// job was cancelled (or the manager shut down, or a batch's deadline
+	// expired) first. Skipped rows still appear in the NDJSON stream —
+	// every configuration of the grid is accounted for — but are excluded
+	// from Status.Completed and do not count as failures.
 	Skipped bool `json:"skipped,omitempty"`
 }
 
@@ -116,7 +117,7 @@ type Status struct {
 	// Total is the grid size; Completed counts finished configurations
 	// (including failed ones, excluding skipped ones), Failed the subset
 	// that errored, Skipped the configurations a cancellation kept from
-	// ever starting.
+	// finishing.
 	Total      int       `json:"total"`
 	Completed  int       `json:"completed"`
 	Failed     int       `json:"failed"`
@@ -130,16 +131,21 @@ type Status struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
+// rowFunc runs row i of a batch bound to its snapshot: one configuration of
+// a sweep or one seed of a cohort, solved through the cache under ctx.
+type rowFunc func(ctx context.Context, i int) ConfigResult
+
 // job is the internal mutable job record. cond is broadcast on every result
 // append and state change, which Stream uses to deliver rows as they land.
 type job struct {
-	id        string
-	requestID string
-	spec      SweepSpec
-	specs     []rankspec.Spec
-	// pprSpec/pprSpecs are set instead of spec/specs for PPR-cohort jobs.
-	pprSpec  *PPRBatchSpec
-	pprSpecs []rankspec.PPRSpec
+	id, requestID string
+	graph, algo   string
+	total         int
+	// bind validates the job against its resolved snapshot and returns its
+	// row runner; skip builds row i's skipped row. The two are all that
+	// tells a sweep from a PPR cohort.
+	bind func(snap *registry.Snapshot) (rowFunc, error)
+	skip func(i int) ConfigResult
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -157,13 +163,9 @@ type job struct {
 }
 
 func (j *job) statusLocked() Status {
-	graph, algo, total := j.spec.Graph, j.spec.Algo, len(j.specs)
-	if j.pprSpec != nil {
-		graph, algo, total = j.pprSpec.Graph, AlgoPPR, len(j.pprSpecs)
-	}
 	return Status{
-		ID: j.id, Graph: graph, Algo: algo, State: j.state,
-		Total: total, Completed: len(j.results) - j.skipped, Failed: j.failed, Skipped: j.skipped,
+		ID: j.id, Graph: j.graph, Algo: j.algo, State: j.state,
+		Total: j.total, Completed: len(j.results) - j.skipped, Failed: j.failed, Skipped: j.skipped,
 		Error: j.errMsg, CreatedAt: j.created, StartedAt: j.started, FinishedAt: j.finished,
 		RequestID: j.requestID,
 	}
@@ -194,8 +196,8 @@ type Stats struct {
 	Retained int `json:"retained"`
 }
 
-// Manager owns the worker pool and the job table. All methods are safe for
-// concurrent use.
+// Manager owns the worker semaphore and the job table. All methods are safe
+// for concurrent use.
 type Manager struct {
 	opts Options
 	sem  chan struct{}
@@ -211,11 +213,9 @@ type Manager struct {
 	wg          sync.WaitGroup // one unit per running job goroutine
 	janitorStop chan struct{}
 
-	// hookBeforeConfig / hookBeforePPRConfig, when non-nil, run before each
-	// configuration executes — test seams for deterministic
-	// cancellation/progress tests.
-	hookBeforeConfig    func(cfg rankspec.Spec)
-	hookBeforePPRConfig func(cfg rankspec.PPRSpec)
+	// hookBeforeRow, when non-nil, runs before each row executes — a test
+	// seam for deterministic cancellation, progress and panic tests.
+	hookBeforeRow func(i int)
 }
 
 // New returns a Manager executing sweeps with opts. Resolve and Cache are
@@ -230,6 +230,9 @@ func New(opts Options) (*Manager, error) {
 	if opts.TTL <= 0 {
 		opts.TTL = DefaultTTL
 	}
+	if opts.Telemetry == nil {
+		opts.Telemetry = telemetry.NewRegistry()
+	}
 	m := &Manager{
 		opts:        opts,
 		sem:         make(chan struct{}, opts.Workers),
@@ -239,12 +242,6 @@ func New(opts Options) (*Manager, error) {
 	go m.janitor()
 	return m, nil
 }
-
-// Sem exposes the manager's worker semaphore so synchronous sweeps
-// (RunSync) can share the same global concurrency bound as async jobs —
-// with a shared semaphore, -job-workers caps total in-flight sweep
-// configurations regardless of how the work arrived.
-func (m *Manager) Sem() chan struct{} { return m.sem }
 
 // janitor prunes expired jobs periodically (List/Get also prune lazily, so
 // the janitor only bounds memory when nobody is looking).
@@ -279,34 +276,31 @@ func (m *Manager) prune() {
 
 // Submit validates and enqueues a sweep, returning the queued job's status.
 // The grid starts executing immediately (subject to worker availability).
-func (m *Manager) Submit(spec SweepSpec) (Status, error) {
-	return m.SubmitTraced(spec, "")
-}
-
-// SubmitTraced is Submit with a request ID attached to the job record, so
-// job listings and NDJSON terminal lines carry the submitting request's
-// X-Request-ID.
-func (m *Manager) SubmitTraced(spec SweepSpec, requestID string) (Status, error) {
+// requestID, when non-empty, is the submitting request's X-Request-ID: job
+// listings and NDJSON terminal lines carry it.
+func (m *Manager) Submit(spec SweepSpec, requestID string) (Status, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return Status{}, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		requestID: requestID,
-		spec:      spec,
-		specs:     spec.Expand(),
-		ctx:       ctx,
-		cancel:    cancel,
-		state:     StateQueued,
-		created:   time.Now(),
-	}
-	return m.enqueue(j)
+	specs := spec.Expand()
+	return m.enqueue(&job{
+		requestID: requestID, graph: spec.Graph, algo: spec.Algo, total: len(specs),
+		bind: func(snap *registry.Snapshot) (rowFunc, error) {
+			if err := spec.ValidateWith(snap); err != nil {
+				return nil, err
+			}
+			return m.sweepRows(snap, spec, specs), nil
+		},
+		skip: sweepSkip(specs),
+	})
 }
 
 // enqueue registers a constructed job and starts its runner goroutine.
 func (m *Manager) enqueue(j *job) (Status, error) {
+	j.ctx, j.cancel = context.WithCancel(context.Background())
 	j.cond = sync.NewCond(&j.mu)
+	j.state, j.created = StateQueued, time.Now()
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -324,22 +318,21 @@ func (m *Manager) enqueue(j *job) (Status, error) {
 	return j.status(), nil
 }
 
-// run executes one job: resolve the graph once, re-validate seeds against
-// the real node count, then fan the work out over the shared worker pool.
+// run executes one job: resolve the graph once, bind the job to it (which
+// re-validates against the real node count), then fan the rows out over the
+// shared worker semaphore, appending each row as it completes.
 func (m *Manager) run(j *job) {
 	defer m.wg.Done()
 	// A panic anywhere on the job path (resolve, engine build, fan-out
-	// bookkeeping) fails this job, not the process. Per-configuration panics
-	// are additionally contained inside fanOut so one bad configuration
-	// doesn't take down its siblings.
+	// bookkeeping) fails this job, not the process. Per-row panics are
+	// additionally contained inside fanOut so one bad row doesn't take down
+	// its siblings.
 	defer func() {
 		p := recover()
 		if p == nil {
 			return
 		}
-		if m.opts.Telemetry != nil {
-			m.opts.Telemetry.RecordPanic()
-		}
+		m.opts.Telemetry.RecordPanic()
 		j.mu.Lock()
 		terminal := j.state.terminal()
 		j.mu.Unlock()
@@ -353,45 +346,16 @@ func (m *Manager) run(j *job) {
 	j.cond.Broadcast()
 	j.mu.Unlock()
 
-	if j.pprSpec != nil {
-		m.runPPR(j)
-		return
-	}
-
-	snap, err := m.opts.Resolve(j.spec.Graph)
+	snap, err := m.opts.Resolve(j.graph)
+	var row rowFunc
 	if err == nil {
-		err = j.spec.ValidateWith(snap)
+		row, err = j.bind(snap)
 	}
 	if err != nil {
 		m.finishJob(j, err.Error())
 		return
 	}
-
-	var deg []float64
-	if j.spec.Correlate {
-		deg = rankspec.DegreeVector(snap.Graph)
-	}
-	m.fanOut(j, len(j.specs), func(i int) ConfigResult {
-		cfg := j.specs[i]
-		if m.hookBeforeConfig != nil {
-			m.hookBeforeConfig(cfg)
-		}
-		return runConfig(j.ctx, snap, cfg, j.spec, m.opts.Cache, deg, m.opts.Telemetry)
-	}, func(i int) ConfigResult {
-		cfg := j.specs[i]
-		return ConfigResult{Config: string(cfg.CacheKey()), Spec: cfg, Skipped: true, Error: "cancelled"}
-	})
-}
-
-// fanOut executes n work items over the shared worker pool, appending each
-// item's result row as it completes (broadcasting for streamers), then moves
-// the job to its terminal state. exec must be safe for concurrent calls; it
-// is never invoked after the job's context is cancelled — configurations the
-// cancellation keeps from running land as skip(i) rows instead, so the
-// NDJSON stream accounts for every configuration of the grid rather than
-// silently dropping the tail.
-func (m *Manager) fanOut(j *job, n int, exec, skip func(i int) ConfigResult) {
-	add := func(res ConfigResult) {
+	m.fanOut(j.ctx, j.total, row, j.skip, func(_ int, res ConfigResult) {
 		j.mu.Lock()
 		j.results = append(j.results, res)
 		if res.Skipped {
@@ -404,47 +368,57 @@ func (m *Manager) fanOut(j *job, n int, exec, skip func(i int) ConfigResult) {
 		}
 		j.cond.Broadcast()
 		j.mu.Unlock()
-	}
-	// runOne contains a panicking configuration: the row is recorded as a
-	// failure (skip(i) supplies the Config/Spec identity) and the worker
-	// goroutine survives to release its semaphore slot.
-	runOne := func(i int) (res ConfigResult) {
-		defer func() {
-			if p := recover(); p != nil {
-				if m.opts.Telemetry != nil {
-					m.opts.Telemetry.RecordPanic()
-				}
-				res = skip(i)
-				res.Skipped = false
-				res.Error = fmt.Sprintf("panic: %v", p)
-			}
-		}()
-		return exec(i)
-	}
+	})
+	m.finishJob(j, "")
+}
+
+// fanOut runs rows 0..n-1 under the manager's semaphore, so -job-workers
+// bounds async jobs, synchronous batches and warming together, and hands
+// each finished row to land (from the row's goroutine, in completion
+// order). It returns once every row has landed. A row that ctx keeps from
+// starting lands as skip(i), and so does a row that ends in an error after
+// ctx ended: the cancellation cut it short. A row that panics lands as a
+// failed row with skip(i)'s identity, and its slot is released.
+func (m *Manager) fanOut(ctx context.Context, n int, row rowFunc, skip func(i int) ConfigResult, land func(i int, res ConfigResult)) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		if j.ctx.Err() != nil {
-			add(skip(i))
-			continue
+		if ctx.Err() == nil {
+			select {
+			case m.sem <- struct{}{}:
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer func() { <-m.sem }()
+					land(i, m.runRow(ctx, i, row, skip))
+				}()
+				continue
+			case <-ctx.Done():
+			}
 		}
-		select {
-		case <-j.ctx.Done():
-			add(skip(i))
-		case m.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-m.sem }()
-				if j.ctx.Err() != nil {
-					add(skip(i))
-					return
-				}
-				add(runOne(i))
-			}(i)
-		}
+		land(i, skip(i))
 	}
 	wg.Wait()
-	m.finishJob(j, "")
+}
+
+// runRow runs row i for fanOut.
+func (m *Manager) runRow(ctx context.Context, i int, row rowFunc, skip func(i int) ConfigResult) (res ConfigResult) {
+	defer func() {
+		if p := recover(); p != nil {
+			m.opts.Telemetry.RecordPanic()
+			res = skip(i)
+			res.Skipped = false
+			res.Error = fmt.Sprintf("panic: %v", p)
+		}
+	}()
+	if ctx.Err() == nil {
+		if m.hookBeforeRow != nil {
+			m.hookBeforeRow(i)
+		}
+		if res = row(ctx, i); res.Error == "" || ctx.Err() == nil {
+			return res
+		}
+	}
+	return skip(i)
 }
 
 // finishJob moves a job to its terminal state and updates the manager
@@ -482,119 +456,66 @@ func (m *Manager) finishJob(j *job, errMsg string) {
 	j.cancel() // release the context's resources
 }
 
-// runConfig executes one configuration through the rank cache and builds its
-// retained result row. ctx bounds this configuration's wait and (if it is
-// the last interested party) its solve. deg is the precomputed per-node
-// degree vector (nil unless the sweep correlates). tel, when non-nil,
-// receives the solve's statistics from inside the compute closure — recorded
-// even when the requester abandons the solve.
-//
-// The solve diagnostics on the returned row come from a probe the closure
-// fills. Reading it is only safe on the leader-success path (err == nil and
-// !cached): the cache's done-channel close orders the closure's writes before
-// the leader's return, whereas on error or piggyback paths an abandoned
-// closure may still be running.
-func runConfig(ctx context.Context, snap *registry.Snapshot, cfg rankspec.Spec, sw SweepSpec, cache *rankcache.Cache[[]float64], deg []float64, tel *telemetry.Registry) ConfigResult {
-	started := time.Now()
-	// Cache operations are keyed by snapshot epoch (a reload invalidates by
-	// changing the key); the wire-visible Config string stays epoch-less so
-	// rows are comparable across reloads.
-	key := cfg.CacheKeyFor(snap)
-	var probe telemetry.SolveStats
-	scores, cached, err := cache.Get(ctx, key, func(solveCtx context.Context) ([]float64, error) {
-		s, st, cerr := cfg.ComputeStats(solveCtx, snap)
-		if cerr != nil {
-			if tel != nil {
-				tel.RecordSolveError(snap.Name)
-			}
-			return nil, cerr
-		}
-		if tel != nil {
-			tel.RecordSolve(snap.Name, st)
-		}
-		probe = st
-		return s, nil
-	})
-	res := ConfigResult{Config: string(cfg.CacheKey()), Spec: cfg, Cached: cached}
-	if err != nil {
-		res.Error = err.Error()
-		res.ElapsedMs = time.Since(started).Seconds() * 1000
-		return res
-	}
-	if !cached {
-		res.Iterations = probe.Iterations
-		res.Residual = probe.Residual
-		res.Converged = probe.Converged
-	}
-	if sw.TopK > 0 {
-		res.Top = rankspec.TopEntries(snap.Graph, scores, sw.TopK)
-	}
-	if sw.Correlate && snap.Significance != nil {
-		rho := stats.Spearman(scores, snap.Significance)
-		res.Spearman = &rho
-		dr := stats.Spearman(scores, deg)
-		res.DegreeSpearman = &dr
-	}
-	res.ElapsedMs = time.Since(started).Seconds() * 1000
-	return res
-}
-
-// RunSync executes a sweep synchronously over an already-resolved snapshot,
-// returning results in grid order. It backs the /v1/{graph}/rank/batch
-// endpoint: one registry snapshot and one CSR are shared across every
-// configuration, and each score vector still lands in the cache. sem bounds
-// configuration concurrency; pass a semaphore shared across callers to cap
-// the aggregate solver load of concurrent batches (nil creates a
-// call-local DefaultWorkers bound). ctx cancellation stops launching new
-// configurations; rows for configurations never started carry a
-// "cancelled" error.
-func RunSync(ctx context.Context, snap *registry.Snapshot, sw SweepSpec, cache *rankcache.Cache[[]float64], sem chan struct{}) []ConfigResult {
-	return RunSyncTraced(ctx, snap, sw, cache, sem, nil)
-}
-
-// RunSyncTraced is RunSync with an optional telemetry registry: fresh solves
-// report their statistics to tel exactly as async jobs' do.
-func RunSyncTraced(ctx context.Context, snap *registry.Snapshot, sw SweepSpec, cache *rankcache.Cache[[]float64], sem chan struct{}, tel *telemetry.Registry) []ConfigResult {
+// RunSync runs a sweep over an already-resolved snapshot on the manager's
+// workers and returns its rows in grid order. It backs /v1/{graph}/rank/batch
+// and warming: one registry snapshot and one CSR are shared across every
+// configuration, and each score vector lands in the cache. sw must have
+// passed Validate and ValidateWith. Configurations that ctx keeps from
+// finishing come back as skipped rows.
+func (m *Manager) RunSync(ctx context.Context, snap *registry.Snapshot, sw SweepSpec) []ConfigResult {
 	sw = sw.withDefaults()
 	specs := sw.Expand()
-	if sem == nil {
-		sem = make(chan struct{}, DefaultWorkers)
-	}
+	results := make([]ConfigResult, len(specs))
+	m.fanOut(ctx, len(specs), m.sweepRows(snap, sw, specs), sweepSkip(specs), func(i int, res ConfigResult) {
+		results[i] = res
+	})
+	return results
+}
+
+// sweepRows binds a sweep's configurations to their snapshot. Row i solves
+// specs[i] through the rank cache and builds its retained row: solve
+// diagnostics when the row led a fresh solve, then the top-k and the
+// correlations the sweep asked for.
+func (m *Manager) sweepRows(snap *registry.Snapshot, sw SweepSpec, specs []rankspec.Spec) rowFunc {
 	var deg []float64
 	if sw.Correlate {
 		deg = rankspec.DegreeVector(snap.Graph)
 	}
-	results := make([]ConfigResult, len(specs))
-	var wg sync.WaitGroup
-	for i, cfg := range specs {
-		// Select on ctx while waiting for a slot (the semaphore may be
-		// shared with other in-flight batches): a disconnected client must
-		// neither block here nor burn a solve once a slot frees up.
-		cancelled := ctx.Err() != nil
-		if !cancelled {
-			select {
-			case <-ctx.Done():
-				cancelled = true
-			case sem <- struct{}{}:
-			}
+	return func(ctx context.Context, i int) ConfigResult {
+		started := time.Now()
+		cfg := specs[i]
+		// Cache operations are keyed by snapshot epoch (a reload invalidates
+		// by changing the key); the wire-visible Config string stays
+		// epoch-less so rows are comparable across reloads.
+		scores, st, err := rankspec.Solve(ctx, m.opts.Cache, m.opts.Telemetry, snap, cfg.CacheKeyFor(snap), cfg, nil)
+		res := ConfigResult{Config: string(cfg.CacheKey()), Spec: cfg, Cached: err == nil && st == nil}
+		if err != nil {
+			res.Error = err.Error()
+			res.ElapsedMs = time.Since(started).Seconds() * 1000
+			return res
 		}
-		if cancelled {
-			results[i] = ConfigResult{Config: string(cfg.CacheKey()), Spec: cfg, Skipped: true, Error: "cancelled"}
-			continue
+		if st != nil {
+			res.Iterations, res.Residual, res.Converged = st.Iterations, st.Residual, st.Converged
 		}
-		wg.Add(1)
-		go func(i int, cfg rankspec.Spec) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				results[i] = ConfigResult{Config: string(cfg.CacheKey()), Spec: cfg, Skipped: true, Error: "cancelled"}
-				return
-			}
-			results[i] = runConfig(ctx, snap, cfg, sw, cache, deg, tel)
-		}(i, cfg)
+		if sw.TopK > 0 {
+			res.Top = rankspec.TopEntries(snap.Graph, scores, sw.TopK)
+		}
+		if sw.Correlate && snap.Significance != nil {
+			rho := stats.Spearman(scores, snap.Significance)
+			res.Spearman = &rho
+			dr := stats.Spearman(scores, deg)
+			res.DegreeSpearman = &dr
+		}
+		res.ElapsedMs = time.Since(started).Seconds() * 1000
+		return res
 	}
-	wg.Wait()
-	return results
+}
+
+// sweepSkip builds the skipped row of a sweep's configuration i.
+func sweepSkip(specs []rankspec.Spec) func(i int) ConfigResult {
+	return func(i int) ConfigResult {
+		return ConfigResult{Config: string(specs[i].CacheKey()), Spec: specs[i], Skipped: true, Error: "cancelled"}
+	}
 }
 
 // Get returns the status of one job.
@@ -622,10 +543,12 @@ func (m *Manager) List() []Status {
 	return out
 }
 
-// Cancel requests cancellation of a running job. Configurations already
-// executing finish (a power-iteration solve is not interruptible); queued
-// configurations are dropped. Cancelling a finished job is a no-op; the
-// returned status reflects the job at call time.
+// Cancel requests cancellation of a running job. Queued configurations and
+// those already solving land as skipped rows at once; a solve no other
+// request waits for stops at its solver's next context poll (HITS and degree
+// centrality do not poll and finish in the background). Cancelling a
+// finished job is a no-op; the returned status reflects the job at call
+// time.
 func (m *Manager) Cancel(id string) (Status, error) {
 	m.prune()
 	m.mu.Lock()
@@ -729,19 +652,20 @@ func (m *Manager) Stats() Stats {
 }
 
 // closeSettle bounds how long Close waits, after cancelling jobs on grace
-// expiry, for workers to observe the cancellation. A power-iteration solve
-// is not interruptible, so waiting for full completion could hold process
-// exit hostage for minutes on a large graph; after the settle window Close
-// returns and any still-running solves are abandoned to process exit (or,
-// in a library embedder, finish harmlessly in the background).
+// expiry, for workers to observe the cancellation. Rows leave their solves
+// at once, but a job still resolving its graph cannot be interrupted, so
+// waiting for full completion could hold process exit hostage on a large
+// graph; after the settle window Close returns and any still-running work is
+// abandoned to process exit (or, in a library embedder, finishes harmlessly
+// in the background).
 const closeSettle = time.Second
 
 // Close stops accepting submissions, stops the janitor, and waits for
 // running jobs to drain. If ctx expires first, every remaining job is
 // cancelled, Close waits up to closeSettle for the in-flight
 // configurations to wind down, and returns ctx.Err() — it does not block
-// indefinitely on a non-interruptible solve. Close is idempotent only in
-// its first call; callers own calling it once.
+// indefinitely on work that ignores cancellation. Close is idempotent
+// only in its first call; callers own calling it once.
 func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()
 	if !m.closed {

@@ -6,11 +6,8 @@ import (
 	"fmt"
 	"time"
 
-	"d2pr/internal/pprcache"
-	"d2pr/internal/rankcache"
 	"d2pr/internal/rankspec"
 	"d2pr/internal/registry"
-	"d2pr/internal/telemetry"
 )
 
 // AlgoPPR is the Status.Algo value reported by PPR-cohort jobs,
@@ -111,14 +108,9 @@ func (sp PPRBatchSpec) Expand() []rankspec.PPRSpec {
 
 // SubmitPPR validates and enqueues a PPR cohort, returning the queued job's
 // status. The cohort executes on the same worker pool, job table, TTL
-// retention, and streaming plumbing as parameter sweeps.
-func (m *Manager) SubmitPPR(spec PPRBatchSpec) (Status, error) {
-	return m.SubmitPPRTraced(spec, "")
-}
-
-// SubmitPPRTraced is SubmitPPR with a request ID attached to the job record
-// (see SubmitTraced).
-func (m *Manager) SubmitPPRTraced(spec PPRBatchSpec, requestID string) (Status, error) {
+// retention, and streaming plumbing as parameter sweeps; requestID is as in
+// Submit.
+func (m *Manager) SubmitPPR(spec PPRBatchSpec, requestID string) (Status, error) {
 	if m.opts.PPRCache == nil {
 		return Status{}, errors.New("jobs: manager has no PPR cache configured")
 	}
@@ -126,82 +118,48 @@ func (m *Manager) SubmitPPRTraced(spec PPRBatchSpec, requestID string) (Status, 
 	if err := spec.Validate(); err != nil {
 		return Status{}, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		requestID: requestID,
-		pprSpec:   &spec,
-		pprSpecs:  spec.Expand(),
-		ctx:       ctx,
-		cancel:    cancel,
-		state:     StateQueued,
-		created:   time.Now(),
-	}
-	return m.enqueue(j)
-}
-
-// runPPR executes a cohort job: resolve the graph once, bound-check the
-// seeds against it, then fan the seeds out over the shared worker pool.
-func (m *Manager) runPPR(j *job) {
-	snap, err := m.opts.Resolve(j.pprSpec.Graph)
-	if err == nil {
-		err = j.pprSpec.ValidateWith(snap)
-	}
-	if err != nil {
-		m.finishJob(j, err.Error())
-		return
-	}
-	m.fanOut(j, len(j.pprSpecs), func(i int) ConfigResult {
-		spec := j.pprSpecs[i]
-		if m.hookBeforePPRConfig != nil {
-			m.hookBeforePPRConfig(spec)
-		}
-		return runPPRConfig(j.ctx, snap, spec, m.opts.PPRCache, m.opts.Telemetry)
-	}, func(i int) ConfigResult {
-		spec := j.pprSpecs[i]
-		seed := spec.Seed
-		return ConfigResult{Config: string(spec.CacheKey()), Seed: &seed, PPRSpec: &spec, Skipped: true, Error: "cancelled"}
-	})
-}
-
-// runPPRConfig executes one seed through the PPR cache and builds its
-// retained result row. ctx bounds this seed's wait and (if it is the last
-// interested party) its solve. The cached compact rows are expanded to full
-// ranking entries here (O(k)); the cache itself never stores degrees or
-// ranks. tel, when non-nil, receives the push statistics from inside the
-// compute closure; the probe is read only on the leader-success path, as in
-// runConfig.
-func runPPRConfig(ctx context.Context, snap *registry.Snapshot, spec rankspec.PPRSpec, cache *rankcache.Cache[[]pprcache.Entry], tel *telemetry.Registry) ConfigResult {
-	started := time.Now()
-	// Epoch-keyed like runConfig: the cache key carries the snapshot epoch,
-	// the wire-visible Config string does not.
-	key := spec.CacheKeyFor(snap)
-	var probe telemetry.SolveStats
-	rows, cached, err := cache.Get(ctx, key, func(solveCtx context.Context) ([]pprcache.Entry, error) {
-		entries, st, cerr := spec.ComputeStats(solveCtx, snap)
-		if cerr != nil {
-			if tel != nil {
-				tel.RecordSolveError(snap.Name)
+	specs := spec.Expand()
+	return m.enqueue(&job{
+		requestID: requestID, graph: spec.Graph, algo: AlgoPPR, total: len(specs),
+		bind: func(snap *registry.Snapshot) (rowFunc, error) {
+			if err := spec.ValidateWith(snap); err != nil {
+				return nil, err
 			}
-			return nil, cerr
-		}
-		if tel != nil {
-			tel.RecordSolve(snap.Name, st)
-		}
-		probe = st
-		return entries, nil
+			return m.pprRows(snap, specs), nil
+		},
+		skip: func(i int) ConfigResult {
+			res := pprRow(specs[i])
+			res.Skipped, res.Error = true, "cancelled"
+			return res
+		},
 	})
-	seed := spec.Seed
-	res := ConfigResult{Config: string(spec.CacheKey()), Seed: &seed, PPRSpec: &spec, Cached: cached}
-	if err != nil {
-		res.Error = err.Error()
-	} else {
-		if !cached {
-			res.Pushes = probe.Pushes
-			res.Residual = probe.Residual
-			res.Converged = probe.Converged
+}
+
+// pprRow returns the identity of a cohort row: its config string and seed.
+func pprRow(spec rankspec.PPRSpec) ConfigResult {
+	return ConfigResult{Config: string(spec.CacheKey()), Seed: &spec.Seed, PPRSpec: &spec}
+}
+
+// pprRows binds a cohort's seeds to their snapshot. Row i solves specs[i]
+// through the PPR cache, epoch-keyed like a sweep row, and expands the cached
+// compact rows to full ranking entries (O(k)); the cache itself never stores
+// degrees or ranks.
+func (m *Manager) pprRows(snap *registry.Snapshot, specs []rankspec.PPRSpec) rowFunc {
+	return func(ctx context.Context, i int) ConfigResult {
+		started := time.Now()
+		spec := specs[i]
+		rows, st, err := rankspec.Solve(ctx, m.opts.PPRCache, m.opts.Telemetry, snap, spec.CacheKeyFor(snap), spec, nil)
+		res := pprRow(spec)
+		res.Cached = err == nil && st == nil
+		if err != nil {
+			res.Error = err.Error()
+		} else {
+			if st != nil {
+				res.Pushes, res.Residual, res.Converged = st.Pushes, st.Residual, st.Converged
+			}
+			res.Top = rankspec.PPREntries(snap.Graph, rows)
 		}
-		res.Top = rankspec.PPREntries(snap.Graph, rows)
+		res.ElapsedMs = time.Since(started).Seconds() * 1000
+		return res
 	}
-	res.ElapsedMs = time.Since(started).Seconds() * 1000
-	return res
 }

@@ -8,7 +8,6 @@ import (
 
 	"d2pr/internal/pprcache"
 	"d2pr/internal/rankcache"
-	"d2pr/internal/rankspec"
 	"d2pr/internal/registry"
 )
 
@@ -67,7 +66,7 @@ func TestPPRBatchRunsToCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.SubmitPPR(PPRBatchSpec{Graph: "g", Seeds: []int32{0, 3, 5}, K: 4})
+	st, err := m.SubmitPPR(PPRBatchSpec{Graph: "g", Seeds: []int32{0, 3, 5}, K: 4}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +129,12 @@ func TestPPRBatchRunsToCompletion(t *testing.T) {
 func TestPPRBatchWarmsCacheForRepeatCohort(t *testing.T) {
 	m, _ := testPPRManager(t, Options{Workers: 2, TTL: time.Minute})
 	spec := PPRBatchSpec{Graph: "g", Seeds: []int32{1, 2}}
-	st, err := m.SubmitPPR(spec)
+	st, err := m.SubmitPPR(spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitTerminal(t, m, st.ID)
-	st2, err := m.SubmitPPR(spec)
+	st2, err := m.SubmitPPR(spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestPPRBatchWarmsCacheForRepeatCohort(t *testing.T) {
 func TestPPRBatchFailuresSurface(t *testing.T) {
 	m, _ := testPPRManager(t, Options{Workers: 1, TTL: time.Minute})
 	// Unknown graph: the job fails at resolve time.
-	st, err := m.SubmitPPR(PPRBatchSpec{Graph: "missing", Seeds: []int32{0}})
+	st, err := m.SubmitPPR(PPRBatchSpec{Graph: "missing", Seeds: []int32{0}}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestPPRBatchFailuresSurface(t *testing.T) {
 	}
 	// Seed beyond the real node count: accepted at submit (the bound needs
 	// the graph), failed at run.
-	st, err = m.SubmitPPR(PPRBatchSpec{Graph: "g", Seeds: []int32{0, 99}})
+	st, err = m.SubmitPPR(PPRBatchSpec{Graph: "g", Seeds: []int32{0, 99}}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestPPRBatchFailuresSurface(t *testing.T) {
 
 func TestPPRBatchRequiresCache(t *testing.T) {
 	m, _ := testManager(t, testRegistry(t), Options{}) // no PPRCache
-	if _, err := m.SubmitPPR(PPRBatchSpec{Graph: "g", Seeds: []int32{0}}); err == nil {
+	if _, err := m.SubmitPPR(PPRBatchSpec{Graph: "g", Seeds: []int32{0}}, ""); err == nil {
 		t.Fatal("SubmitPPR without a PPR cache must fail")
 	}
 }
@@ -185,7 +184,7 @@ func TestPPRBatchCancelMidCohort(t *testing.T) {
 	started := make(chan string)
 	release := make(chan struct{})
 	var once sync.Once
-	m.hookBeforePPRConfig = func(rankspec.PPRSpec) {
+	m.hookBeforeRow = func(int) {
 		once.Do(func() {
 			started <- "first"
 			<-release
@@ -195,7 +194,7 @@ func TestPPRBatchCancelMidCohort(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = int32(i)
 	}
-	st, err := m.SubmitPPR(PPRBatchSpec{Graph: "g", Seeds: seeds})
+	st, err := m.SubmitPPR(PPRBatchSpec{Graph: "g", Seeds: seeds}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,21 +85,26 @@ func (sw SweepSpec) Validate() error {
 	if n := sw.GridSize(); n > MaxGridSize {
 		return fmt.Errorf("jobs: sweep expands to %d configurations (max %d)", n, MaxGridSize)
 	}
-	// Validating one corner of the grid checks algo and seeds; the remaining
-	// corners only vary in p/β/α, which are checked per-axis below.
-	probe := rankspec.Spec{Graph: sw.Graph, Algo: sw.Algo, Alpha: sw.Alphas[0], Beta: sw.Betas[0], P: sw.Ps[0], Seeds: sw.Seeds}
-	if err := probe.Validate(-1); err != nil {
+	// Every grid point shares the algo and seeds and varies only in p, β and
+	// α, so Spec.Validate at one corner, then at that corner moved along each
+	// axis in turn, covers every point.
+	pt := rankspec.Spec{Graph: sw.Graph, Algo: sw.Algo, Alpha: sw.Alphas[0], Beta: sw.Betas[0], P: sw.Ps[0], Seeds: sw.Seeds}
+	if err := pt.Validate(-1); err != nil {
 		return fmt.Errorf("jobs: %w", err)
 	}
-	for _, b := range sw.Betas {
-		if b < 0 || b > 1 {
-			return fmt.Errorf("jobs: beta %v out of [0, 1]", b)
+	pt.Seeds = nil // checked at the corner
+	for _, axis := range []struct {
+		dst  *float64
+		vals []float64
+	}{{&pt.P, sw.Ps}, {&pt.Beta, sw.Betas}, {&pt.Alpha, sw.Alphas}} {
+		corner := *axis.dst
+		for _, v := range axis.vals {
+			*axis.dst = v
+			if err := pt.Validate(-1); err != nil {
+				return fmt.Errorf("jobs: %w", err)
+			}
 		}
-	}
-	for _, a := range sw.Alphas {
-		if a <= 0 || a >= 1 {
-			return fmt.Errorf("jobs: alpha %v out of (0, 1)", a)
-		}
+		*axis.dst = corner
 	}
 	return nil
 }

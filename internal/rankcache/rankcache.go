@@ -3,8 +3,7 @@
 // configuration (graph, algorithm/transition kind, p, β, solver options), and
 // per-seed personalized top-k rows keyed by the personalized configuration.
 // Concurrent Gets for one key share one compute (single flight), so N
-// identical requests cost one solve, and Warm computes a configured parameter
-// sweep in the background.
+// identical requests cost one solve.
 //
 // The constructor fixes what a full cache does with a new value:
 //
@@ -359,47 +358,6 @@ func (c *Cache[V]) Stats() Stats {
 	st.Cap = c.capacity
 	st.StaleLen = c.stale.order.Len()
 	return st
-}
-
-// Job is one warming unit: a key and how to compute it.
-type Job[V any] struct {
-	Key     Key
-	Compute ComputeFunc[V]
-}
-
-// Warm computes the given jobs in the background with the given parallelism
-// (min 1) and returns a channel that closes when the sweep finishes. Jobs
-// whose keys are already resident are skipped; individual job errors are
-// dropped — warming is best-effort by design, a failed entry simply stays
-// cold.
-func (c *Cache[V]) Warm(jobs []Job[V], parallelism int) <-chan struct{} {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	done := make(chan struct{})
-	work := make(chan Job[V])
-	var wg sync.WaitGroup
-	wg.Add(parallelism)
-	for i := 0; i < parallelism; i++ {
-		go func() {
-			defer wg.Done()
-			for j := range work {
-				if _, ok := c.Lookup(j.Key); ok {
-					continue
-				}
-				_, _, _ = c.Get(context.Background(), j.Key, j.Compute)
-			}
-		}()
-	}
-	go func() {
-		for _, j := range jobs {
-			work <- j
-		}
-		close(work)
-		wg.Wait()
-		close(done)
-	}()
-	return done
 }
 
 // entry is one cached value with its key.

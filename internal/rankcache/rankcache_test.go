@@ -571,30 +571,6 @@ func TestSketchEstimateAndAging(t *testing.T) {
 	}
 }
 
-func TestWarm(t *testing.T) {
-	c := NewLRU[[]float64](16)
-	var calls int32
-	var jobs []Job[[]float64]
-	for i := 0; i < 8; i++ {
-		jobs = append(jobs, Job[[]float64]{
-			Key: Key(fmt.Sprintf("w%d", i)),
-			Compute: func(context.Context) ([]float64, error) {
-				atomic.AddInt32(&calls, 1)
-				return []float64{1}, nil
-			},
-		})
-	}
-	// Duplicate job for an already-warm key must be skipped.
-	get(c, "w0", constant(0))
-	<-c.Warm(jobs, 3)
-	if calls != 7 {
-		t.Errorf("warm computed %d entries, want 7 (w0 already resident)", calls)
-	}
-	if c.Len() != 8 {
-		t.Errorf("len = %d, want 8", c.Len())
-	}
-}
-
 // TestDefaultCapacity: a non-positive capacity selects the constructor's
 // default, and any other capacity is kept as given.
 func TestDefaultCapacity(t *testing.T) {

@@ -260,6 +260,52 @@ func (s Spec) ComputeStats(ctx context.Context, snap *registry.Snapshot) ([]floa
 	return nil, st, fmt.Errorf("unknown algo %q", s.Algo)
 }
 
+// Gate runs on a cache miss before the compute, under the solve context. It
+// returns what to release once the compute ends and how long it waited for
+// the slot; its error fails the solve without counting as a solve error.
+type Gate func(ctx context.Context, graph string) (release func(), wait time.Duration, err error)
+
+// Solve resolves spec through cache under key (spec's CacheKeyFor(snap)): a
+// hit or a piggyback on an in-flight solve returns nil stats, and a miss runs
+// gate (if non-nil), then spec.ComputeStats, and returns the solve's stats.
+// The compute reports to tel itself, so a solve every requester abandoned is
+// still counted: its stats, with the gate's wait, go to RecordSolve, and only
+// the spec's own error reaches RecordSolveError.
+func Solve[V any, S interface {
+	ComputeStats(context.Context, *registry.Snapshot) (V, telemetry.SolveStats, error)
+}](ctx context.Context, cache *rankcache.Cache[V], tel *telemetry.Registry, snap *registry.Snapshot, key rankcache.Key, spec S, gate Gate) (V, *telemetry.SolveStats, error) {
+	// probe is written inside the compute and read only when this call led a
+	// successful solve: the cache's done-channel close orders that write
+	// before Get returns, whereas after a hit, a piggyback or an error an
+	// abandoned compute may still be running.
+	var probe telemetry.SolveStats
+	val, cached, err := cache.Get(ctx, key, func(solveCtx context.Context) (V, error) {
+		var wait time.Duration
+		if gate != nil {
+			release, w, err := gate(solveCtx, snap.Name)
+			if err != nil {
+				var zero V
+				return zero, err
+			}
+			defer release()
+			wait = w
+		}
+		v, st, err := spec.ComputeStats(solveCtx, snap)
+		if err != nil {
+			tel.RecordSolveError(snap.Name)
+			return v, err
+		}
+		st.AdmissionWait = wait
+		tel.RecordSolve(snap.Name, st)
+		probe = st
+		return v, nil
+	})
+	if err != nil || cached {
+		return val, nil, err
+	}
+	return val, &probe, nil
+}
+
 // Entry is one row of a top-k ranking table.
 type Entry struct {
 	Rank   int     `json:"rank"`

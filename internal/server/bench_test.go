@@ -6,7 +6,7 @@
 //
 //	BenchmarkSweep20Sequential vs. BenchmarkSweep20Batch — a 20-point
 //	p-sweep as one /v1/{graph}/rank/batch request (one snapshot, one CSR,
-//	request-local worker pool) must measurably beat 20 sequential cold
+//	the shared job workers) must measurably beat 20 sequential cold
 //	/v1/{graph}/rank round trips.
 //
 //	BenchmarkMiddlewareRecord — the per-request observability overhead
@@ -97,7 +97,7 @@ func BenchmarkSweep20Sequential(b *testing.B) {
 
 // BenchmarkSweep20Batch runs the same sweep as one /rank/batch request: one
 // registry snapshot, one CSR, configurations solved concurrently on the
-// request-local worker pool.
+// shared job workers.
 func BenchmarkSweep20Batch(b *testing.B) {
 	h := benchHandler(b)
 	b.ResetTimer()
@@ -116,9 +116,9 @@ func BenchmarkSweep20Batch(b *testing.B) {
 	}
 }
 
-// BenchmarkSweep20BatchSerial runs the batch execution path with a
-// one-worker pool, separating it from the concurrency win the default pool
-// adds on multi-core hosts. Every configuration solves through the same
+// BenchmarkSweep20BatchSerial runs the batch execution path on a one-worker
+// job manager, separating it from the concurrency win the default pool adds
+// on multi-core hosts. Every configuration solves through the same
 // Spec.ComputeStats path as a /rank request, so against
 // BenchmarkSweep20Sequential the difference is the per-request HTTP and
 // handler work one batch saves.
@@ -131,12 +131,15 @@ func BenchmarkSweep20BatchSerial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cache := rankcache.NewLRU[[]float64](4)
-	serialSem := make(chan struct{}, 1)
+	m, err := jobs.New(jobs.Options{Workers: 1, Resolve: reg.Get, Cache: rankcache.NewLRU[[]float64](4)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close(context.Background())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sw := jobs.SweepSpec{Graph: snap.Name, Ps: sweepPs(i), TopK: 10}
-		results := jobs.RunSync(context.Background(), snap, sw, cache, serialSem)
+		results := m.RunSync(context.Background(), snap, sw)
 		for _, row := range results {
 			if row.Error != "" {
 				b.Fatal(row.Error)

@@ -53,7 +53,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("%w %q", registry.ErrUnknownGraph, spec.Graph))
 		return
 	}
-	st, err := s.jobs.SubmitTraced(spec, requestIDFrom(r))
+	st, err := s.jobs.Submit(spec, requestIDFrom(r))
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, jobs.ErrClosed) {
@@ -159,7 +159,8 @@ type BatchResponse struct {
 
 // handleRankBatch runs a small sweep synchronously: the registry snapshot is
 // resolved once and its CSR shared across every configuration, configurations
-// execute concurrently on a request-local worker pool, and each score vector
+// execute concurrently on the shared job workers (-job-workers) under the
+// request deadline but outside the admission budget, and each score vector
 // lands in the rank cache exactly as a /rank request's would.
 func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 	snap, ok := s.snapshot(w, r)
@@ -194,7 +195,7 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The request deadline bounds the whole batch: configurations the
-	// deadline keeps from running come back as skipped rows, exactly like a
+	// deadline keeps from finishing come back as skipped rows, exactly like a
 	// cancelled async job's.
 	ctx, cancel, err := s.requestCtx(r)
 	if err != nil {
@@ -202,8 +203,6 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	// Share the job manager's semaphore: JobWorkers caps total in-flight
-	// sweep configurations across async jobs AND concurrent batches.
-	results := jobs.RunSyncTraced(ctx, snap, spec, s.cache, s.jobs.Sem(), s.tel)
+	results := s.jobs.RunSync(ctx, snap, spec)
 	writeJSON(w, http.StatusOK, BatchResponse{Graph: snap.Name, Count: len(results), Results: results})
 }

@@ -1,21 +1,16 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
-	"d2pr/internal/faultinject"
 	"d2pr/internal/jobs"
-	"d2pr/internal/pprcache"
 	"d2pr/internal/rankspec"
 	"d2pr/internal/registry"
-	"d2pr/internal/telemetry"
 )
 
 // pprCacheHeader reports whether a /ppr response was served from the
@@ -47,6 +42,9 @@ func (s *Server) parsePPRQuery(r *http.Request, snap *registry.Snapshot) (ranksp
 	seed, err := strconv.Atoi(seedStr)
 	if err != nil {
 		return rankspec.PPRSpec{}, fmt.Errorf("bad seed %q", seedStr)
+	}
+	if seed != int(int32(seed)) { // would wrap onto an existing node
+		return rankspec.PPRSpec{}, fmt.Errorf("%w: %d not in [0, %d)", errSeedRange, seed, snap.Graph.NumNodes())
 	}
 	spec := rankspec.NewPPR(snap.Name, int32(seed))
 	spec.Epsilon = s.pprEps
@@ -96,44 +94,14 @@ func (s *Server) servePPR(w http.ResponseWriter, r *http.Request, snap *registry
 		return
 	}
 	defer cancel()
-	// probe follows the same discipline as Server.scores: written inside the
-	// closure, read only on the leader-success path.
-	var probe telemetry.SolveStats
-	rows, cached, err := s.ppr.Get(ctx, spec.CacheKeyFor(snap), func(solveCtx context.Context) ([]pprcache.Entry, error) {
-		waitStart := time.Now()
-		release, aerr := s.adm.Acquire(solveCtx, snap.Name)
-		wait := time.Since(waitStart)
-		if aerr != nil {
-			return nil, aerr
-		}
-		defer release()
-		if err := faultinject.Fire(faultinject.PointPPRCompute, snap.Name); err != nil {
-			return nil, err
-		}
-		if s.hookSolve != nil {
-			s.hookSolve(snap.Name)
-		}
-		entries, st, cerr := spec.ComputeStats(solveCtx, snap)
-		if cerr != nil {
-			s.tel.RecordSolveError(snap.Name)
-			return nil, cerr
-		}
-		st.AdmissionWait = wait
-		s.tel.RecordSolve(snap.Name, st)
-		probe = st
-		return entries, nil
-	})
+	rows, st, err := rankspec.Solve(ctx, s.ppr, s.tel, snap, spec.CacheKeyFor(snap), spec, s.pprGate)
 	if err != nil {
 		s.writeComputeError(w, snap.Name, err)
 		return
 	}
-	status := "miss"
-	var st *telemetry.SolveStats
+	status, cached := "miss", st == nil
 	if cached {
 		status = "hit"
-	} else {
-		cp := probe
-		st = &cp
 	}
 	w.Header().Set(pprCacheHeader, status)
 	noteCompute(w, r, snap.Name, status, st)
@@ -184,14 +152,22 @@ func (s *Server) handlePPRPost(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var body pprBody
-	if err := decodeStrictJSON(w, r, &body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	spec, err := s.parsePPRBody(w, r, snap)
+	if err != nil {
+		writePPRSpecError(w, err)
 		return
 	}
+	s.servePPR(w, r, snap, spec)
+}
+
+// parsePPRBody is parsePPRQuery for the POST /v1/{graph}/ppr JSON body.
+func (s *Server) parsePPRBody(w http.ResponseWriter, r *http.Request, snap *registry.Snapshot) (rankspec.PPRSpec, error) {
+	var body pprBody
+	if err := decodeStrictJSON(w, r, &body); err != nil {
+		return rankspec.PPRSpec{}, err
+	}
 	if body.Seed == nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing seed"))
-		return
+		return rankspec.PPRSpec{}, fmt.Errorf("missing seed")
 	}
 	spec := rankspec.NewPPR(snap.Name, *body.Seed)
 	spec.Epsilon = s.pprEps
@@ -204,11 +180,7 @@ func (s *Server) handlePPRPost(w http.ResponseWriter, r *http.Request) {
 	if body.K != 0 {
 		spec.K = body.K
 	}
-	if err := s.checkPPRSpec(spec, snap); err != nil {
-		writePPRSpecError(w, err)
-		return
-	}
-	s.servePPR(w, r, snap, spec)
+	return spec, s.checkPPRSpec(spec, snap)
 }
 
 // handlePPRBatch submits a seed cohort as an asynchronous job: the response
@@ -240,7 +212,7 @@ func (s *Server) handlePPRBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	st, err := s.jobs.SubmitPPRTraced(spec, requestIDFrom(r))
+	st, err := s.jobs.SubmitPPR(spec, requestIDFrom(r))
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, jobs.ErrClosed) {

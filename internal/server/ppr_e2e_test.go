@@ -110,6 +110,7 @@ func TestE2EPPRServing(t *testing.T) {
 		{"/v1/web/ppr?seed=abc", 400},         // malformed seed
 		{"/v1/web/ppr?seed=99", 404},          // seed beyond the 12-node graph
 		{"/v1/web/ppr?seed=-3", 404},          // negative seed: no such node
+		{"/v1/web/ppr?seed=4294967296", 404},  // 2³²: no such node, not node 0
 		{"/v1/web/ppr?seed=0&eps=0.5", 400},   // eps out of range
 		{"/v1/web/ppr?seed=0&eps=bogus", 400}, // malformed eps
 		{"/v1/web/ppr?seed=0&k=0", 400},       // k out of range
@@ -242,11 +243,11 @@ func TestE2EPPRBatchLifecycle(t *testing.T) {
 		if len(line) == 0 {
 			continue
 		}
-		var probe map[string]json.RawMessage
-		if err := json.Unmarshal(line, &probe); err != nil {
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(line, &fields); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", line, err)
 		}
-		if _, ok := probe["job"]; ok {
+		if _, ok := fields["job"]; ok {
 			statusLines++
 			continue
 		}

@@ -115,6 +115,10 @@ type Server struct {
 	logger        *slog.Logger
 	slowThreshold time.Duration
 
+	// rankGate and pprGate run before a /rank… or /ppr miss's compute (see
+	// solveGate). They are built once so that a hit allocates no closure.
+	rankGate, pprGate rankspec.Gate
+
 	// hookSolve, when non-nil, runs inside the compute closure after the
 	// admission slot is acquired and before the solve — a test seam for
 	// deterministic budget-saturation tests.
@@ -157,6 +161,8 @@ func NewMulti(reg *registry.Registry, cfg Config) (*Server, error) {
 	// d2pr_panics_total.
 	s.cache.SetOnPanic(func(any) { s.tel.RecordPanic() })
 	s.ppr.SetOnPanic(func(any) { s.tel.RecordPanic() })
+	s.rankGate = s.solveGate(faultinject.PointRankCompute)
+	s.pprGate = s.solveGate(faultinject.PointPPRCompute)
 	mgr, err := jobs.New(jobs.Options{
 		Workers:   cfg.JobWorkers,
 		TTL:       cfg.JobTTL,
@@ -249,18 +255,28 @@ func (s *Server) Handler() http.Handler {
 
 // Warm precomputes d2pr scores for every registered graph at each
 // de-coupling weight in ps (β = beta, default solver options), loading
-// graphs as needed. It runs in the background with the given parallelism and
-// returns a channel that closes when the sweep completes. Each compute goes
-// through the snapshot's cached engine, so warming also pre-builds the pull
-// topology later live requests reuse.
-func (s *Server) Warm(ps []float64, beta float64, parallelism int) <-chan struct{} {
+// graphs as needed. It validates the grid, then runs one synchronous sweep
+// per graph in the background on the job workers, so -job-workers bounds
+// warming together with jobs and batches; the returned channel closes when
+// the last sweep completes. Each compute goes through the snapshot's cached
+// engine, so warming also pre-builds the pull topology later live requests
+// reuse.
+func (s *Server) Warm(ps []float64, beta float64) (<-chan struct{}, error) {
+	names := s.reg.Names()
+	sweep := func(name string) jobs.SweepSpec {
+		return jobs.SweepSpec{Graph: name, Ps: ps, Betas: []float64{beta}}
+	}
+	if err := sweep(names[0]).Validate(); err != nil {
+		return nil, err
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		// Warming is best-effort infrastructure: a panic here (a corrupt
-		// graph tripping the solver, say) must not kill the process, and a
+		// graph tripping the loader, say) must not kill the process, and a
 		// graph that fails to load is simply skipped — it will load, or
-		// degrade, on its first live request.
+		// degrade, on its first live request. A row's own solve error or
+		// panic lands in its discarded result row.
 		defer func() {
 			if p := recover(); p != nil {
 				s.tel.RecordPanic()
@@ -269,32 +285,13 @@ func (s *Server) Warm(ps []float64, beta float64, parallelism int) <-chan struct
 				}
 			}
 		}()
-		var warmJobs []rankcache.Job[[]float64]
-		for _, name := range s.reg.Names() {
-			snap, err := s.reg.Get(name)
-			if err != nil {
-				continue
-			}
-			for _, p := range ps {
-				spec := rankspec.New(name)
-				spec.P, spec.Beta = p, beta
-				warmJobs = append(warmJobs, rankcache.Job[[]float64]{
-					Key: spec.CacheKeyFor(snap),
-					Compute: func(ctx context.Context) ([]float64, error) {
-						scores, st, err := spec.ComputeStats(ctx, snap)
-						if err != nil {
-							s.tel.RecordSolveError(snap.Name)
-							return nil, err
-						}
-						s.tel.RecordSolve(snap.Name, st)
-						return scores, nil
-					},
-				})
+		for _, name := range names {
+			if snap, err := s.reg.Get(name); err == nil {
+				s.jobs.RunSync(context.Background(), snap, sweep(name))
 			}
 		}
-		<-s.cache.Warm(warmJobs, parallelism)
 	}()
-	return done
+	return done, nil
 }
 
 // parseRankQuery extracts and validates the ranking parameters. Seed bounds
@@ -368,44 +365,14 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 // context, so queue waiting is abandoned only when every requester for the
 // key is gone. When the budget sheds and an evicted copy of the vector
 // exists, the stale copy is served instead of the error.
-//
-// probe is written inside the compute closure and read only on the
-// leader-success path (err == nil && !cached): the cache's done-channel close
-// establishes the happens-before, and on every other outcome the closure may
-// still be running on an abandoned solve, so the probe is never touched.
 func (s *Server) scores(ctx context.Context, snap *registry.Snapshot, spec rankspec.Spec) ([]float64, string, *telemetry.SolveStats, error) {
 	key := spec.CacheKeyFor(snap)
-	var probe telemetry.SolveStats
-	val, cached, err := s.cache.Get(ctx, key, func(solveCtx context.Context) ([]float64, error) {
-		waitStart := time.Now()
-		release, aerr := s.adm.Acquire(solveCtx, snap.Name)
-		wait := time.Since(waitStart)
-		if aerr != nil {
-			return nil, aerr
-		}
-		defer release()
-		if err := faultinject.Fire(faultinject.PointRankCompute, snap.Name); err != nil {
-			return nil, err
-		}
-		if s.hookSolve != nil {
-			s.hookSolve(snap.Name)
-		}
-		scores, st, cerr := spec.ComputeStats(solveCtx, snap)
-		if cerr != nil {
-			s.tel.RecordSolveError(snap.Name)
-			return nil, cerr
-		}
-		st.AdmissionWait = wait
-		s.tel.RecordSolve(snap.Name, st)
-		probe = st
-		return scores, nil
-	})
+	val, st, err := rankspec.Solve(ctx, s.cache, s.tel, snap, key, spec, s.rankGate)
 	switch {
-	case err == nil && cached:
+	case err == nil && st == nil:
 		return val, "hit", nil, nil
 	case err == nil:
-		st := probe
-		return val, "miss", &st, nil
+		return val, "miss", st, nil
 	case errors.Is(err, admission.ErrQueueFull):
 		if stale, ok := s.cache.LookupStale(key); ok {
 			return stale, "stale", nil, nil
@@ -425,6 +392,35 @@ func (s *Server) scores(ctx context.Context, snap *registry.Snapshot, spec ranks
 		}
 	}
 	return nil, "", nil, err
+}
+
+// solveGate returns the gate a /rank… or /ppr miss passes before its
+// compute: it claims one of the graph's admission slots, fires point's fault
+// injection and runs hookSolve. The slot is released if either of the last
+// two fails or panics.
+func (s *Server) solveGate(point faultinject.Point) rankspec.Gate {
+	return func(ctx context.Context, graph string) (func(), time.Duration, error) {
+		waitStart := time.Now()
+		release, err := s.adm.Acquire(ctx, graph)
+		wait := time.Since(waitStart)
+		if err != nil {
+			return nil, wait, err
+		}
+		passed := false
+		defer func() {
+			if !passed {
+				release()
+			}
+		}()
+		if err := faultinject.Fire(point, graph); err != nil {
+			return nil, wait, err
+		}
+		if s.hookSolve != nil {
+			s.hookSolve(graph)
+		}
+		passed = true
+		return release, wait, nil
+	}
 }
 
 // rankScores runs the full interactive compute path for a ranking handler:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -388,7 +389,15 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestWarm(t *testing.T) {
 	s, _ := multiServer(t)
-	<-s.Warm([]float64{0, 0.5, 1}, 0, 2)
+	// A value no request could carry (-warm p=0,NaN) is refused up front.
+	if _, err := s.Warm([]float64{0, math.NaN()}, 0); err == nil {
+		t.Error("warm accepted p = NaN")
+	}
+	done, err := s.Warm([]float64{0, 0.5, 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-done
 	if got := s.Cache().Len(); got != 6 {
 		t.Errorf("cache len after warm = %d, want 6 (2 graphs × 3 p)", got)
 	}

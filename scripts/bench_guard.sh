@@ -1,94 +1,104 @@
 #!/usr/bin/env bash
-# bench_guard.sh — warm-solve perf regression gate.
+# bench_guard.sh — paired warm-solve perf regression gate.
 #
-# Re-runs the warm solver benchmarks and compares their ns_per_arc metric
-# (per-arc sweep cost, reported by every warm bench in
-# internal/core/engine_bench_test.go) against the committed BENCH_core.json
-# baseline. Fails when any guarded bench is more than THRESHOLD_PCT percent
-# slower than its committed value.
+# Builds the internal/core test binary twice with `go test -c`: once from a
+# base commit, checked out into a temporary git worktree outside this
+# checkout, and once from this checkout (HEAD). It then runs the two binaries
+# alternately for RUNS rounds over the guarded benchmarks, each run taking
+# 30 samples of BENCHTIME, and compares their ns_per_arc metric (per-arc
+# sweep cost, reported by every warm bench in
+# internal/core/engine_bench_test.go). It fails when HEAD's minimum exceeds
+# the base's minimum by more than THRESHOLD_PCT percent on any guarded bench.
 #
-# Shared-runner noise is the enemy of a gate like this, so the guard takes
-# the MINIMUM across RUNS independent re-runs of each bench — the min is a
-# far more stable estimator of the true per-arc cost than the mean, because
-# interference only ever adds time. The committed baselines are themselves
-# min-of-N (see docs/performance.md for the methodology).
+# Both sides run in the same minutes on the same host, so the gate measures
+# the code, not the hour: an absolute baseline (the committed BENCH_core.json
+# rows, kept as a record) moves with co-tenant load and differs from one
+# runner to the next. The minimum is the estimator because interference only
+# ever adds time, and many short samples (one solve each by default) give it
+# quiet windows to find; the GC is off so that no sample pays for another's
+# garbage, and which side runs first flips every round.
 #
 # Usage:
-#   scripts/bench_guard.sh                      # defaults below
-#   RUNS=5 THRESHOLD_PCT=10 scripts/bench_guard.sh
-#   BASELINE=old/BENCH_core.json scripts/bench_guard.sh
+#   BASE=origin/main scripts/bench_guard.sh
+#   BASE=<sha> RUNS=20 BENCHTIME=1x THRESHOLD_PCT=10 scripts/bench_guard.sh
 #
-# Guarded benches: the warm serving path (factored d2pr transition), the
-# implicit-uniform path, and the float32 tier. Cold-solve and parallel-sweep
-# benches are excluded — their times are dominated by allocation and
-# scheduling, which swing too much across runners to gate on.
+# BASE is any commit-ish; it is required. Guarded benches: the warm serving
+# path (factored d2pr transition), the implicit-uniform path, and the float32
+# tier. Cold-solve and parallel-sweep benches are excluded — their times are
+# dominated by allocation and scheduling, which swing too much to gate on.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RUNS="${RUNS:-3}"
-THRESHOLD_PCT="${THRESHOLD_PCT:-15}"
-BASELINE="${BASELINE:-BENCH_core.json}"
-BENCHTIME="${BENCHTIME:-1s}"
+BASE="${BASE:?bench_guard: set BASE to the commit to compare against}"
+RUNS="${RUNS:-20}"
+BENCHTIME="${BENCHTIME:-1x}"
+THRESHOLD_PCT="${THRESHOLD_PCT:-10}"
 
-GUARDED='BenchmarkCoreSolveWarm$|BenchmarkCoreSolveWarmUniform$|BenchmarkCoreSolveWarmFloat32$'
+GUARDED='^BenchmarkCoreSolveWarm(|Uniform|Float32)$'
 
-if [[ ! -f "$BASELINE" ]]; then
-  echo "bench_guard: baseline $BASELINE not found" >&2
-  exit 2
-fi
-
-raw="$(mktemp)"
-trap 'rm -f "$raw"' EXIT
-
-echo "bench_guard: $RUNS runs of {${GUARDED}} at -benchtime $BENCHTIME, gate +${THRESHOLD_PCT}%"
-go test ./internal/core -run '^$' -bench "$GUARDED" \
-  -benchtime "$BENCHTIME" -count "$RUNS" | tee "$raw"
-
-# Min observed ns_per_arc per bench across all runs, then compare with the
-# baseline values extracted from the committed JSON.
-awk -v baseline="$BASELINE" -v thresh="$THRESHOLD_PCT" '
-BEGIN {
-  # Pull {"name": "...", ... "ns_per_arc": X} pairs out of the baseline.
-  # The file is generated by scripts/bench.sh with one benchmark per line,
-  # so line-oriented matching is safe. POSIX awk only (runners ship mawk).
-  while ((getline line < baseline) > 0) {
-    if (match(line, /"name": "[^"]+"/) == 0) continue
-    nm = substr(line, RSTART + 9, RLENGTH - 10)
-    if (match(line, /"ns_per_arc": [0-9.eE+-]+/) == 0) continue
-    v = substr(line, RSTART + 14, RLENGTH - 14) + 0
-    # COUNT>1 baselines repeat each bench; keep the min (same estimator
-    # the measurement side uses).
-    if (!(nm in base) || v < base[nm]) base[nm] = v
-  }
-  close(baseline)
+tmp="$(mktemp -d)"
+cleanup() {
+  git worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
+  rm -rf "$tmp"
 }
-/^Benchmark/ {
-  name = $1
+trap cleanup EXIT
+
+base_sha="$(git rev-parse --verify "$BASE^{commit}")"
+git worktree add --quiet --detach "$tmp/base" "$base_sha"
+(cd "$tmp/base" && go test -c -o "$tmp/base.test" ./internal/core)
+go test -c -o "$tmp/head.test" ./internal/core
+
+echo "bench_guard: base ${base_sha:0:12} vs HEAD, $RUNS alternating rounds of $GUARDED, 30 samples of $BENCHTIME each, gate +${THRESHOLD_PCT}%"
+raw="$tmp/raw"
+run() { # run <side> <tree>: one round of the guarded benches on one side
+  (cd "$2/internal/core" && GOGC=off "$tmp/$1.test" -test.run '^$' -test.bench "$GUARDED" \
+    -test.benchtime "$BENCHTIME" -test.count 30 -test.timeout 10m) |
+    sed -n "s/^Benchmark/$1 Benchmark/p" >>"$raw"
+}
+for ((i = 1; i <= RUNS; i++)); do
+  if ((i % 2)); then
+    run base "$tmp/base"
+    run head .
+  else
+    run head .
+    run base "$tmp/base"
+  fi
+done
+
+# Min ns_per_arc per (side, bench), then HEAD against the base. POSIX awk
+# only (runners ship mawk).
+awk -v thresh="$THRESHOLD_PCT" '
+{
+  side = $1
+  name = $2
   sub(/-[0-9]+$/, "", name)
-  for (i = 3; i < NF; i++)
+  for (i = 4; i < NF; i++)
     if ($(i + 1) == "ns_per_arc") {
       v = $i + 0
-      if (!(name in min) || v < min[name]) min[name] = v
+      k = side SUBSEP name
+      if (!(k in min) || v < min[k]) min[k] = v
+      names[name] = 1
     }
 }
 END {
   fails = 0
   checked = 0
-  for (name in min) {
-    if (!(name in base)) {
-      printf "bench_guard: %-34s %8.3f ns/arc  (no committed baseline, skipped)\n", name, min[name]
+  for (name in names) {
+    b = "base" SUBSEP name
+    h = "head" SUBSEP name
+    if (!(b in min) || !(h in min)) {
+      printf "bench_guard: %-30s measured on one side only, skipped\n", name
       continue
     }
     checked++
-    limit = base[name] * (1 + thresh / 100)
-    delta = (min[name] / base[name] - 1) * 100
+    delta = (min[h] / min[b] - 1) * 100
     verdict = "ok"
-    if (min[name] > limit) { verdict = "REGRESSION"; fails++ }
-    printf "bench_guard: %-34s %8.3f ns/arc  baseline %8.3f  (%+6.1f%%)  %s\n", \
-      name, min[name], base[name], delta, verdict
+    if (min[h] > min[b] * (1 + thresh / 100)) { verdict = "REGRESSION"; fails++ }
+    printf "bench_guard: %-30s base %7.3f  head %7.3f ns/arc  (%+6.1f%%)  %s\n", \
+      name, min[b], min[h], delta, verdict
   }
   if (checked == 0) {
-    print "bench_guard: no guarded bench had both a measurement and a baseline" > "/dev/stderr"
+    print "bench_guard: no guarded bench was measured on both sides" > "/dev/stderr"
     exit 2
   }
   if (fails > 0) {
