@@ -30,7 +30,7 @@
 //
 // Personalized PageRank requests (/v1/{graph}/ppr) run forward push per
 // seed and cache the top-k per (seed, α, ε, k) in a dedicated admitting
-// cache sized by -ppr-cache-size; -ppr-eps sets the default push accuracy.
+// cache sized by -ppr-cache-size.
 //
 // Parameter sweeps — asynchronous jobs, /rank/batch requests and -warm —
 // run on a worker pool sized by -job-workers; finished job results are
@@ -91,7 +91,6 @@ func main() {
 		jobWorkers  = flag.Int("job-workers", 0, "concurrent sweep configurations across all jobs (0 = default 4)")
 		jobTTL      = flag.Duration("job-ttl", 0, "retention of finished job results (0 = default 15m)")
 		pprCache    = flag.Int("ppr-cache-size", 0, "max resident personalized top-k results (0 = default 4096)")
-		pprEps      = flag.Float64("ppr-eps", 0, "default forward-push residual threshold for /ppr (0 = default 1e-7)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 		float32Tier = flag.Bool("float32", false, "serve d2pr/pagerank power-iteration solves from the float32 score tier (~1e-6 absolute accuracy, roughly half the memory traffic)")
 
@@ -163,7 +162,6 @@ func main() {
 		JobWorkers:           *jobWorkers,
 		JobTTL:               *jobTTL,
 		PPRCacheSize:         *pprCache,
-		PPREps:               *pprEps,
 		RequestTimeout:       *reqTimeout,
 		MaxRequestTimeout:    *maxReqTimeout,
 		MaxConcurrent:        *maxConcurrent,

@@ -224,10 +224,6 @@ func blockBounds(offsets []int64, n int) []int32 {
 // Graph returns the graph the engine was built for.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
-// BuildTime returns how long the engine construction (transpose, locality
-// relabeling, block layout) took.
-func (e *Engine) BuildTime() time.Duration { return e.buildTime }
-
 // EngineStats describes the engine's memory layout and one-off build costs —
 // the operator-facing answer to "which layout is this graph serving, and
 // what did it cost to build".

@@ -183,6 +183,9 @@ func TestEngineSolveWrongGraph(t *testing.T) {
 // Counted allocations stay O(1) and allocated bytes stay within a small
 // multiple of the score vector, far below the per-arc footprint.
 func TestWarmUniformSolveAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool.Put drops one item in four at random, so the pool does not keep its buffers and the allocation budgets do not apply")
+	}
 	const n, avgDeg = 2000, 10
 	g := powerLawGraph(t, n, avgDeg, 8)
 	e := EngineFor(g)

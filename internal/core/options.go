@@ -111,25 +111,6 @@ func (o Options) withDefaults(n int) (Options, error) {
 	return o, nil
 }
 
-// teleportInto writes the normalized teleport distribution into t (length n,
-// caller-provided so the solver can recycle the buffer).
-func (o Options) teleportInto(t []float64) {
-	if o.Teleport == nil {
-		u := 1 / float64(len(t))
-		for i := range t {
-			t[i] = u
-		}
-		return
-	}
-	var s float64
-	for _, v := range o.Teleport {
-		s += v
-	}
-	for i, v := range o.Teleport {
-		t[i] = v / s
-	}
-}
-
 // Result reports the outcome of a power-iteration solve.
 type Result struct {
 	// Scores is the stationary distribution; it sums to 1.

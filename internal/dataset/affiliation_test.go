@@ -257,15 +257,6 @@ func TestRatingAndCountScales(t *testing.T) {
 	if stats.Spearman(s, r) != 1 {
 		t.Error("RatingScale must preserve ranks")
 	}
-	c := CountScale(s, 100)
-	if stats.Spearman(s, c) != 1 {
-		t.Error("CountScale must preserve ranks")
-	}
-	for _, v := range c {
-		if v < 0 {
-			t.Errorf("negative count %v", v)
-		}
-	}
 	const mid = 2.5
 	constant := RatingScale([]float64{4, 4}, 0, 5)
 	if constant[0] != mid || constant[1] != mid {

@@ -6,9 +6,8 @@
 // story for why node degree and node significance relate differently across
 // applications.
 //
-// The package also provides the classic random-graph models (Erdős–Rényi,
-// Barabási–Albert, Watts–Strogatz, Chung–Lu) used as substrates in tests and
-// benchmarks.
+// The package also provides the Barabási–Albert and Chung–Lu random-graph
+// models used as substrates in tests and benchmarks.
 package dataset
 
 import (
@@ -18,37 +17,6 @@ import (
 	"d2pr/internal/dataset/rng"
 	"d2pr/internal/graph"
 )
-
-// ErdosRenyi returns a G(n, m) undirected random graph with exactly m
-// distinct edges (no self-loops, no duplicates). It panics if m exceeds the
-// number of possible edges.
-func ErdosRenyi(n, m int, seed uint64) *graph.Graph {
-	maxEdges := n * (n - 1) / 2
-	if m > maxEdges {
-		panic(fmt.Sprintf("dataset: ErdosRenyi(%d, %d): at most %d edges possible", n, m, maxEdges))
-	}
-	r := rng.New(seed)
-	b := graph.NewBuilder(graph.Undirected).EnsureNodes(n).Duplicates(graph.DupError)
-	seen := make(map[uint64]struct{}, m)
-	for added := 0; added < m; {
-		u := int32(r.Intn(n))
-		v := int32(r.Intn(n))
-		if u == v {
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		key := uint64(u)<<32 | uint64(uint32(v))
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		b.AddEdge(u, v)
-		added++
-	}
-	return b.MustBuild()
-}
 
 // BarabasiAlbert returns an undirected preferential-attachment graph: nodes
 // arrive one at a time and connect to k existing nodes chosen proportionally
@@ -90,62 +58,6 @@ func BarabasiAlbert(n, k int, seed uint64) *graph.Graph {
 			b.AddEdge(u, v)
 			endpoints = append(endpoints, u, v)
 		}
-	}
-	return b.MustBuild()
-}
-
-// WattsStrogatz returns a small-world ring lattice over n nodes where each
-// node connects to its k nearest neighbors on each side and every edge is
-// rewired with probability beta. Degrees are nearly homogeneous — the
-// comparable-neighbor-degree regime of the paper's Group-B graphs.
-func WattsStrogatz(n, k int, beta float64, seed uint64) *graph.Graph {
-	if k < 1 || n < 2*k+1 {
-		panic(fmt.Sprintf("dataset: WattsStrogatz(%d, %d): need n > 2k", n, k))
-	}
-	r := rng.New(seed)
-	type edge struct{ u, v int32 }
-	seen := make(map[edge]struct{}, n*k)
-	addKey := func(u, v int32) edge {
-		if u > v {
-			u, v = v, u
-		}
-		return edge{u, v}
-	}
-	edges := make([]edge, 0, n*k)
-	for u := 0; u < n; u++ {
-		for d := 1; d <= k; d++ {
-			v := (u + d) % n
-			e := addKey(int32(u), int32(v))
-			if _, dup := seen[e]; !dup {
-				seen[e] = struct{}{}
-				edges = append(edges, e)
-			}
-		}
-	}
-	// Rewire.
-	for i := range edges {
-		if r.Float64() >= beta {
-			continue
-		}
-		u := edges[i].u
-		for tries := 0; tries < 32; tries++ {
-			w := int32(r.Intn(n))
-			if w == u {
-				continue
-			}
-			e := addKey(u, w)
-			if _, dup := seen[e]; dup {
-				continue
-			}
-			delete(seen, addKey(edges[i].u, edges[i].v))
-			seen[e] = struct{}{}
-			edges[i] = e
-			break
-		}
-	}
-	b := graph.NewBuilder(graph.Undirected).EnsureNodes(n)
-	for _, e := range edges {
-		b.AddEdge(e.u, e.v)
 	}
 	return b.MustBuild()
 }

@@ -6,29 +6,7 @@ import (
 
 	"d2pr/internal/dataset/rng"
 	"d2pr/internal/graph"
-	"d2pr/internal/stats"
 )
-
-func TestErdosRenyi(t *testing.T) {
-	g := ErdosRenyi(100, 300, 1)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 100 || g.NumEdges() != 300 {
-		t.Errorf("n=%d m=%d, want 100/300", g.NumNodes(), g.NumEdges())
-	}
-	// Determinism.
-	h := ErdosRenyi(100, 300, 1)
-	if stats.Spearman(floats(g.Degrees()), floats(h.Degrees())) != 1 {
-		t.Error("same seed must reproduce the same graph")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("impossible edge count must panic")
-		}
-	}()
-	ErdosRenyi(3, 10, 1)
-}
 
 func TestBarabasiAlbert(t *testing.T) {
 	g := BarabasiAlbert(500, 3, 2)
@@ -54,31 +32,6 @@ func TestBarabasiAlbert(t *testing.T) {
 		}
 	}()
 	BarabasiAlbert(3, 3, 1)
-}
-
-func TestWattsStrogatz(t *testing.T) {
-	g := WattsStrogatz(200, 3, 0.1, 3)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 200 {
-		t.Fatalf("nodes = %d", g.NumNodes())
-	}
-	if g.NumEdges() != 600 {
-		t.Errorf("edges = %d, want nk=600", g.NumEdges())
-	}
-	// Degrees nearly homogeneous.
-	s := graph.ComputeStats(g)
-	if s.DegreeStdDev > 1.5 {
-		t.Errorf("WS degree σ = %v, want small", s.DegreeStdDev)
-	}
-	// β=0 is the pure ring lattice: all degrees exactly 2k.
-	ring := WattsStrogatz(50, 2, 0, 1)
-	for u := 0; u < 50; u++ {
-		if ring.Degree(int32(u)) != 4 {
-			t.Fatalf("ring degree(%d) = %d, want 4", u, ring.Degree(int32(u)))
-		}
-	}
 }
 
 func TestChungLuExpectedDegrees(t *testing.T) {
@@ -120,14 +73,6 @@ func TestChungLuEmptyAndZeroWeights(t *testing.T) {
 	if g.NumEdges() != 0 {
 		t.Error("zero weights must give no edges")
 	}
-}
-
-func floats(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, v := range xs {
-		out[i] = float64(v)
-	}
-	return out
 }
 
 func TestModelsDeterminism(t *testing.T) {

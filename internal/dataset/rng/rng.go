@@ -3,15 +3,14 @@
 // sampled centralities, Monte-Carlo walks).
 //
 // It is a splitmix64-seeded xoshiro256** generator. We implement it directly
-// rather than using math/rand so that (a) every experiment is reproducible
-// bit-for-bit from its seed across Go releases, and (b) independent
-// sub-streams can be forked cheaply for parallel generation.
+// rather than using math/rand so that every experiment is reproducible
+// bit-for-bit from its seed across Go releases.
 package rng
 
 import "math"
 
 // RNG is a xoshiro256** pseudo-random generator. It is not safe for
-// concurrent use; fork independent streams with Split.
+// concurrent use; give each goroutine its own generator from New.
 type RNG struct {
 	s0, s1, s2, s3 uint64
 }
@@ -51,12 +50,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Split forks an independent generator stream from r. The fork is seeded
-// from r's output, so Split advances r.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64())
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
@@ -92,11 +85,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Int31n returns a uniform int32 in [0, n).
-func (r *RNG) Int31n(n int32) int32 {
-	return int32(r.Intn(int(n)))
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -110,15 +98,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle randomly permutes the first n elements using the provided swap
-// function (Fisher–Yates).
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
 func (r *RNG) NormFloat64() float64 {
 	for {
@@ -127,16 +106,6 @@ func (r *RNG) NormFloat64() float64 {
 		s := u*u + v*v
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
 		}
 	}
 }
@@ -175,54 +144,6 @@ func (r *RNG) Poisson(lambda float64) int {
 		return 0
 	}
 	return int(x)
-}
-
-// Binomial returns a Binomial(n, p) variate by inversion for small n and a
-// normal approximation otherwise.
-func (r *RNG) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if n < 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	mean := float64(n) * p
-	sd := math.Sqrt(mean * (1 - p))
-	x := math.Round(mean + sd*r.NormFloat64())
-	if x < 0 {
-		x = 0
-	}
-	if x > float64(n) {
-		x = float64(n)
-	}
-	return int(x)
-}
-
-// WeightedChoice returns an index in [0, len(weights)) drawn proportionally
-// to weights, which must be non-negative with a positive sum. O(n); use
-// NewAlias for repeated draws from the same distribution.
-func (r *RNG) WeightedChoice(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }
 
 // Alias is Walker's alias table: O(1) sampling from a fixed discrete

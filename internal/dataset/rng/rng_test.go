@@ -27,15 +27,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := New(1)
-	s1 := r.Split()
-	s2 := r.Split()
-	if s1.Uint64() == s2.Uint64() {
-		t.Error("split streams should differ")
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(7)
 	var sum float64
@@ -113,22 +104,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(13)
-	var sum float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		x := r.ExpFloat64()
-		if x < 0 {
-			t.Fatalf("negative exponential %v", x)
-		}
-		sum += x
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean = %v, want ≈1", mean)
-	}
-}
-
 func TestParetoTail(t *testing.T) {
 	r := New(17)
 	const n = 100000
@@ -162,47 +137,6 @@ func TestPoissonMean(t *testing.T) {
 	}
 	if r.Poisson(0) != 0 || r.Poisson(-1) != 0 {
 		t.Error("non-positive λ must yield 0")
-	}
-}
-
-func TestBinomialMean(t *testing.T) {
-	r := New(23)
-	for _, tc := range []struct {
-		n int
-		p float64
-	}{{10, 0.3}, {500, 0.1}} {
-		var sum float64
-		const trials = 20000
-		for i := 0; i < trials; i++ {
-			k := r.Binomial(tc.n, tc.p)
-			if k < 0 || k > tc.n {
-				t.Fatalf("Binomial out of range: %d", k)
-			}
-			sum += float64(k)
-		}
-		want := float64(tc.n) * tc.p
-		if mean := sum / trials; math.Abs(mean-want) > 0.05*want {
-			t.Errorf("Binomial(%d,%v) mean = %v, want %v", tc.n, tc.p, mean, want)
-		}
-	}
-	if r.Binomial(5, 0) != 0 || r.Binomial(5, 1) != 5 || r.Binomial(0, 0.5) != 0 {
-		t.Error("binomial edge cases wrong")
-	}
-}
-
-func TestWeightedChoice(t *testing.T) {
-	r := New(29)
-	weights := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	const n = 40000
-	for i := 0; i < n; i++ {
-		counts[r.WeightedChoice(weights)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight index drawn %d times", counts[1])
-	}
-	if frac := float64(counts[2]) / n; math.Abs(frac-0.75) > 0.02 {
-		t.Errorf("weight-3 fraction = %v, want 0.75", frac)
 	}
 }
 
@@ -249,19 +183,4 @@ func TestAliasEmptyPanics(t *testing.T) {
 		}
 	}()
 	NewAlias(nil).Draw(New(1))
-}
-
-func TestShuffle(t *testing.T) {
-	r := New(41)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, 8)
-	for _, v := range xs {
-		seen[v] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("value %d lost in shuffle", i)
-		}
-	}
 }

@@ -108,14 +108,3 @@ func RatingScale(s []float64, lo, hi float64) []float64 {
 	}
 	return out
 }
-
-// CountScale maps a significance vector onto non-negative integer-like
-// counts via exp scaling (citation/listen-count presentation). Monotone.
-func CountScale(s []float64, base float64) []float64 {
-	z := zscores(s)
-	out := make([]float64, len(s))
-	for i, v := range z {
-		out[i] = math.Round(base * math.Exp(v))
-	}
-	return out
-}

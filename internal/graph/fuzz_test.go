@@ -53,36 +53,6 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary asserts that arbitrary bytes never panic the binary loader
-// — it must reject corruption gracefully (the checksum test covers targeted
-// corruption; the fuzzer covers structural garbage).
-func FuzzReadBinary(f *testing.F) {
-	// Seed with a valid snapshot and a few mutations of it.
-	g := NewBuilder(Undirected).Weighted().
-		AddWeightedEdge(0, 1, 2).AddWeightedEdge(1, 2, 3).MustBuild()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	truncated := valid[:len(valid)/2]
-	f.Add(truncated)
-	mutated := append([]byte(nil), valid...)
-	mutated[10] ^= 0x40
-	f.Add(mutated)
-	f.Add([]byte("D2PRGRF1 but then garbage"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted binary graph fails validation: %v", err)
-		}
-	})
-}
-
 // FuzzReadScores asserts the significance parser never panics.
 func FuzzReadScores(f *testing.F) {
 	f.Add("0\t1.5\n1\t2\n")

@@ -95,16 +95,6 @@ func (g *Graph) Neighbors(u int32) []int32 {
 	return g.targets[g.offsets[u]:g.offsets[u+1]]
 }
 
-// WeightsOf returns the weight slice parallel to Neighbors(u), or nil for
-// unweighted graphs. The returned slice aliases internal storage and must not
-// be modified.
-func (g *Graph) WeightsOf(u int32) []float64 {
-	if g.weights == nil {
-		return nil
-	}
-	return g.weights[g.offsets[u]:g.offsets[u+1]]
-}
-
 // ArcRange returns the half-open range [lo, hi) of arc indices for node u.
 // Arc indices index the flat Targets/Weights arrays; they are the natural
 // key for per-edge transition probability tables.

@@ -113,16 +113,6 @@ func Median(xs []float64) float64 {
 	return (cp[mid-1] + cp[mid]) / 2
 }
 
-// DegreeHistogram returns a map from degree value to the number of nodes with
-// that degree.
-func DegreeHistogram(g *Graph) map[int]int {
-	h := make(map[int]int)
-	for u := 0; u < g.NumNodes(); u++ {
-		h[g.Degree(int32(u))]++
-	}
-	return h
-}
-
 // TopDegreeNodes returns up to k node ids sorted by decreasing degree,
 // breaking ties by ascending node id. It is used by the Table-2 experiment to
 // pick the extreme-degree rows the paper shows.

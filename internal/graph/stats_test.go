@@ -92,15 +92,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := NewBuilder(Undirected).EnsureNodes(4).AddEdge(0, 1).AddEdge(0, 2).MustBuild()
-	h := DegreeHistogram(g)
-	want := map[int]int{2: 1, 1: 2, 0: 1}
-	if !reflect.DeepEqual(h, want) {
-		t.Errorf("histogram = %v, want %v", h, want)
-	}
-}
-
 func TestTopBottomDegreeNodes(t *testing.T) {
 	// Degrees: 0→3, 1→1, 2→2, 3→2, 4→0 (isolated).
 	g := NewBuilder(Undirected).EnsureNodes(5).

@@ -37,78 +37,6 @@ func Transpose(g *Graph) *Graph {
 	return t
 }
 
-// AsUndirected returns an undirected version of g: every directed arc u→v
-// becomes an undirected edge {u,v}; duplicate edges arising from reciprocal
-// arcs are merged with summed weights. If g is already undirected the result
-// is g itself.
-func AsUndirected(g *Graph) *Graph {
-	if g.kind == Undirected {
-		return g
-	}
-	b := NewBuilder(Undirected).EnsureNodes(g.NumNodes()).AllowSelfLoops()
-	if g.weights != nil {
-		b.Weighted()
-	}
-	n := g.NumNodes()
-	for u := int32(0); int(u) < n; u++ {
-		lo, hi := g.offsets[u], g.offsets[u+1]
-		for k := lo; k < hi; k++ {
-			v := g.targets[k]
-			// Add each unordered pair once per stored arc direction; DupSum
-			// merges reciprocal arcs.
-			if u <= v {
-				b.AddWeightedEdge(u, v, g.ArcWeight(k))
-			} else {
-				b.AddWeightedEdge(v, u, g.ArcWeight(k))
-			}
-		}
-	}
-	return b.MustBuild()
-}
-
-// Subgraph returns the induced subgraph on the given nodes, together with the
-// mapping from new node ids to original ids (newToOld). Nodes not present in
-// keep are dropped along with their incident edges. The keep slice may be in
-// any order; new ids follow its order after de-duplication.
-func Subgraph(g *Graph, keep []int32) (*Graph, []int32) {
-	oldToNew := make(map[int32]int32, len(keep))
-	newToOld := make([]int32, 0, len(keep))
-	for _, u := range keep {
-		if _, ok := oldToNew[u]; ok {
-			continue
-		}
-		oldToNew[u] = int32(len(newToOld))
-		newToOld = append(newToOld, u)
-	}
-	b := NewBuilder(g.kind).EnsureNodes(len(newToOld)).AllowSelfLoops()
-	if g.weights != nil {
-		b.Weighted()
-	}
-	for newU, oldU := range newToOld {
-		lo, hi := g.offsets[oldU], g.offsets[oldU+1]
-		for k := lo; k < hi; k++ {
-			oldV := g.targets[k]
-			newV, ok := oldToNew[oldV]
-			if !ok {
-				continue
-			}
-			if g.kind == Undirected {
-				// Each undirected edge appears twice in storage; emit once.
-				if int32(newU) > newV {
-					continue
-				}
-				if int32(newU) == newV {
-					// self-loop stored once
-					b.AddWeightedEdge(int32(newU), newV, g.ArcWeight(k))
-					continue
-				}
-			}
-			b.AddWeightedEdge(int32(newU), newV, g.ArcWeight(k))
-		}
-	}
-	return b.MustBuild(), newToOld
-}
-
 // ConnectedComponents returns, for each node, the id of its weakly connected
 // component, plus the number of components. Component ids are dense and
 // assigned in order of the smallest node id in the component.
@@ -155,38 +83,6 @@ func ConnectedComponents(g *Graph) (comp []int32, count int) {
 		}
 	}
 	return comp, count
-}
-
-// LargestComponent returns the induced subgraph on the largest weakly
-// connected component and the new→old id mapping. Ties are broken by the
-// component containing the smallest node id.
-func LargestComponent(g *Graph) (*Graph, []int32) {
-	comp, count := ConnectedComponents(g)
-	if count <= 1 {
-		// Whole graph; still return an explicit mapping for a uniform API.
-		ids := make([]int32, g.NumNodes())
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		return g, ids
-	}
-	sizes := make([]int, count)
-	for _, c := range comp {
-		sizes[c]++
-	}
-	best := 0
-	for c := 1; c < count; c++ {
-		if sizes[c] > sizes[best] {
-			best = c
-		}
-	}
-	keep := make([]int32, 0, sizes[best])
-	for u, c := range comp {
-		if int(c) == best {
-			keep = append(keep, int32(u))
-		}
-	}
-	return Subgraph(g, keep)
 }
 
 // ProjectBipartite builds the co-occurrence projection the paper's data

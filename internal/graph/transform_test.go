@@ -59,60 +59,6 @@ func TestTransposeDegreeConservation(t *testing.T) {
 	}
 }
 
-func TestAsUndirected(t *testing.T) {
-	g := NewBuilder(Directed).Weighted().
-		AddWeightedEdge(0, 1, 2).AddWeightedEdge(1, 0, 3). // reciprocal
-		AddWeightedEdge(1, 2, 5).MustBuild()
-	u := AsUndirected(g)
-	if err := u.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if u.Directed() {
-		t.Fatal("result must be undirected")
-	}
-	if u.NumEdges() != 2 {
-		t.Errorf("edges = %d, want 2 (reciprocal pair merged)", u.NumEdges())
-	}
-	if w, _ := u.EdgeWeight(0, 1); w != 5 {
-		t.Errorf("merged weight = %v, want 2+3=5", w)
-	}
-	// Undirected input returns the same graph.
-	if AsUndirected(u) != u {
-		t.Error("AsUndirected on undirected graph must be identity")
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	g := NewBuilder(Undirected).
-		AddEdge(0, 1).AddEdge(1, 2).AddEdge(2, 3).AddEdge(3, 0).AddEdge(0, 2).MustBuild()
-	sub, mapping := Subgraph(g, []int32{0, 2, 3})
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumNodes() != 3 {
-		t.Fatalf("nodes = %d, want 3", sub.NumNodes())
-	}
-	want := []int32{0, 2, 3}
-	if !reflect.DeepEqual(mapping, want) {
-		t.Errorf("mapping = %v, want %v", mapping, want)
-	}
-	// Edges among {0,2,3}: 2-3, 3-0, 0-2 → 3 edges; 0-1 and 1-2 dropped.
-	if sub.NumEdges() != 3 {
-		t.Errorf("edges = %d, want 3", sub.NumEdges())
-	}
-}
-
-func TestSubgraphDuplicateKeep(t *testing.T) {
-	g := NewBuilder(Undirected).AddEdge(0, 1).MustBuild()
-	sub, mapping := Subgraph(g, []int32{1, 1, 0})
-	if sub.NumNodes() != 2 || len(mapping) != 2 {
-		t.Fatalf("dedup failed: %d nodes, mapping %v", sub.NumNodes(), mapping)
-	}
-	if mapping[0] != 1 || mapping[1] != 0 {
-		t.Errorf("mapping order = %v, want [1 0]", mapping)
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := NewBuilder(Undirected).EnsureNodes(7).
 		AddEdge(0, 1).AddEdge(1, 2).
@@ -138,25 +84,6 @@ func TestConnectedComponentsDirectedWeak(t *testing.T) {
 	_, n := ConnectedComponents(g)
 	if n != 1 {
 		t.Errorf("weak components = %d, want 1", n)
-	}
-}
-
-func TestLargestComponent(t *testing.T) {
-	g := NewBuilder(Undirected).EnsureNodes(8).
-		AddEdge(0, 1).AddEdge(1, 2).AddEdge(2, 3). // size 4
-		AddEdge(5, 6).MustBuild()                  // size 2 (+ isolated 4, 7)
-	lc, mapping := LargestComponent(g)
-	if lc.NumNodes() != 4 {
-		t.Fatalf("largest component size = %d, want 4", lc.NumNodes())
-	}
-	if !reflect.DeepEqual(mapping, []int32{0, 1, 2, 3}) {
-		t.Errorf("mapping = %v", mapping)
-	}
-	// Single-component graph returns itself.
-	tri := NewBuilder(Undirected).AddEdge(0, 1).AddEdge(1, 2).AddEdge(0, 2).MustBuild()
-	same, _ := LargestComponent(tri)
-	if same != tri {
-		t.Error("single-component input should be returned as-is")
 	}
 }
 
@@ -210,18 +137,6 @@ func TestStripWeights(t *testing.T) {
 	// Idempotent on unweighted graphs.
 	if StripWeights(u) != u {
 		t.Error("StripWeights on unweighted graph must be identity")
-	}
-}
-
-func TestReweight(t *testing.T) {
-	g := NewBuilder(Undirected).Weighted().
-		AddWeightedEdge(0, 1, 2).AddWeightedEdge(1, 2, 3).MustBuild()
-	r := Reweight(g, func(u, v int32, w float64) float64 { return w * 10 })
-	if w, _ := r.EdgeWeight(0, 1); w != 20 {
-		t.Errorf("reweighted = %v, want 20", w)
-	}
-	if w, _ := g.EdgeWeight(0, 1); w != 2 {
-		t.Errorf("original mutated: %v", w)
 	}
 }
 

@@ -17,28 +17,6 @@ func StripWeights(g *Graph) *Graph {
 	}
 }
 
-// Reweight returns a view of g whose arc weights are produced by fn, which
-// receives (src, dst, oldWeight) for every stored arc. Offsets and targets
-// are shared with g; the weight array is fresh. Callers must keep undirected
-// weights symmetric: fn(u, v, w) should equal fn(v, u, w).
-func Reweight(g *Graph, fn func(u, v int32, w float64) float64) *Graph {
-	n := g.NumNodes()
-	out := &Graph{
-		kind:     g.kind,
-		offsets:  g.offsets,
-		targets:  g.targets,
-		weights:  make([]float64, len(g.targets)),
-		numEdges: g.numEdges,
-	}
-	for u := int32(0); int(u) < n; u++ {
-		lo, hi := g.offsets[u], g.offsets[u+1]
-		for k := lo; k < hi; k++ {
-			out.weights[k] = fn(u, g.targets[k], g.ArcWeight(k))
-		}
-	}
-	return out
-}
-
 // CommonNeighborWeights returns a weighted view of the (undirected) graph g
 // where every edge {u,v} is weighted by |N(u) ∩ N(v)| + 1. This is how the
 // paper derives the weighted listener-listener graph ("edge weights denote

@@ -29,8 +29,8 @@ type PPRResponse struct {
 }
 
 // parsePPRQuery extracts and validates the personalized-ranking parameters
-// from the URL query. seed is required; alpha, eps, and k default to the
-// server's serving configuration. Malformed values are plain errors (400);
+// from the URL query. seed is required; alpha, eps, and k default to
+// rankspec.NewPPR's. Malformed values are plain errors (400);
 // an out-of-range seed is reported via errSeedRange so the caller can 404
 // it, matching /v1/{graph}/node/{id}.
 func (s *Server) parsePPRQuery(r *http.Request, snap *registry.Snapshot) (rankspec.PPRSpec, error) {
@@ -47,7 +47,6 @@ func (s *Server) parsePPRQuery(r *http.Request, snap *registry.Snapshot) (ranksp
 		return rankspec.PPRSpec{}, fmt.Errorf("%w: %d not in [0, %d)", errSeedRange, seed, snap.Graph.NumNodes())
 	}
 	spec := rankspec.NewPPR(snap.Name, int32(seed))
-	spec.Epsilon = s.pprEps
 	if v := vals.Get("alpha"); v != "" {
 		if spec.Alpha, err = strconv.ParseFloat(v, 64); err != nil {
 			return spec, fmt.Errorf("bad alpha %q", v)
@@ -170,7 +169,6 @@ func (s *Server) parsePPRBody(w http.ResponseWriter, r *http.Request, snap *regi
 		return rankspec.PPRSpec{}, fmt.Errorf("missing seed")
 	}
 	spec := rankspec.NewPPR(snap.Name, *body.Seed)
-	spec.Epsilon = s.pprEps
 	if body.Alpha != 0 {
 		spec.Alpha = body.Alpha
 	}

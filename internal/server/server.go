@@ -75,9 +75,6 @@ type Config struct {
 	// PPRCacheSize bounds the number of resident personalized top-k results.
 	// 0 means rankcache.DefaultAdmittingCapacity.
 	PPRCacheSize int
-	// PPREps is the forward-push residual threshold applied when a PPR
-	// request omits eps. 0 means core.DefaultPPREpsilon.
-	PPREps float64
 	// MaxConcurrent bounds concurrently-running interactive solves per
 	// graph (admission control; cache hits and piggybacks are exempt).
 	// 0 means admission.DefaultMaxConcurrent.
@@ -104,13 +101,12 @@ type Config struct {
 
 // Server serves ranking queries over a registry of named graphs.
 type Server struct {
-	reg    *registry.Registry
-	cache  *rankcache.Cache[[]float64]
-	ppr    *rankcache.Cache[[]pprcache.Entry]
-	pprEps float64
-	jobs   *jobs.Manager
-	adm    *admission.Controller
-	tel    *telemetry.Registry
+	reg   *registry.Registry
+	cache *rankcache.Cache[[]float64]
+	ppr   *rankcache.Cache[[]pprcache.Entry]
+	jobs  *jobs.Manager
+	adm   *admission.Controller
+	tel   *telemetry.Registry
 
 	logger        *slog.Logger
 	slowThreshold time.Duration
@@ -135,17 +131,10 @@ func NewMulti(reg *registry.Registry, cfg Config) (*Server, error) {
 	if reg.Has("jobs") {
 		return nil, errors.New(`server: graph name "jobs" is reserved for the job routes`)
 	}
-	if cfg.PPREps == 0 {
-		cfg.PPREps = core.DefaultPPREpsilon
-	}
-	if cfg.PPREps < 0 || cfg.PPREps > 1e-2 {
-		return nil, fmt.Errorf("server: ppr eps %v out of (0, 1e-2]", cfg.PPREps)
-	}
 	s := &Server{
-		reg:    reg,
-		cache:  rankcache.NewLRU[[]float64](cfg.CacheSize),
-		ppr:    rankcache.NewAdmitting[[]pprcache.Entry](cfg.PPRCacheSize),
-		pprEps: cfg.PPREps,
+		reg:   reg,
+		cache: rankcache.NewLRU[[]float64](cfg.CacheSize),
+		ppr:   rankcache.NewAdmitting[[]pprcache.Entry](cfg.PPRCacheSize),
 		adm: admission.New(admission.Config{
 			MaxConcurrent: cfg.MaxConcurrent,
 			MaxQueue:      cfg.MaxQueue,

@@ -88,33 +88,3 @@ func quantileSorted(xs []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return xs[lo]*(1-frac) + xs[hi]*frac
 }
-
-// PermutationPValue estimates the two-sided permutation p-value for the null
-// hypothesis ρ = 0: the fraction of label permutations whose |ρ| reaches the
-// observed |ρ|. permutations ≤ 0 defaults to 1000.
-func PermutationPValue(xs, ys []float64, permutations int, seed uint64) (float64, error) {
-	checkSameLen("PermutationPValue", xs, ys)
-	n := len(xs)
-	if n < 3 {
-		return 0, fmt.Errorf("stats: permutation test needs ≥ 3 observations, got %d", n)
-	}
-	if permutations <= 0 {
-		permutations = 1000
-	}
-	observed := math.Abs(Spearman(xs, ys))
-	if math.IsNaN(observed) {
-		return 0, fmt.Errorf("stats: observed correlation is undefined")
-	}
-	r := rng.New(seed)
-	perm := make([]float64, n)
-	copy(perm, ys)
-	extreme := 1 // add-one smoothing: p-values never report exactly 0
-	for p := 0; p < permutations; p++ {
-		r.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		rho := Spearman(xs, perm)
-		if !math.IsNaN(rho) && math.Abs(rho) >= observed {
-			extreme++
-		}
-	}
-	return float64(extreme) / float64(permutations+1), nil
-}

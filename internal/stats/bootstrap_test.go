@@ -86,34 +86,6 @@ func TestSpearmanBootstrapValidation(t *testing.T) {
 	}
 }
 
-func TestPermutationPValue(t *testing.T) {
-	// Strong relation → tiny p-value.
-	xs, ys := correlatedSample(200, 0.2, 8)
-	p, err := PermutationPValue(xs, ys, 500, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p > 0.01 {
-		t.Errorf("p = %v for a strong relation, want < 0.01", p)
-	}
-	// Independent samples → p should be large-ish.
-	r := rng.New(10)
-	zs := make([]float64, 200)
-	for i := range zs {
-		zs[i] = r.NormFloat64()
-	}
-	p, err = PermutationPValue(xs, zs, 500, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.01 {
-		t.Errorf("p = %v for independent samples, suspiciously small", p)
-	}
-	if _, err := PermutationPValue(xs[:2], ys[:2], 100, 1); err == nil {
-		t.Error("n < 3 must error")
-	}
-}
-
 func TestQuantileSorted(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if got := quantileSorted(xs, 0); got != 1 {

@@ -40,181 +40,3 @@ func Spearman(xs, ys []float64) float64 {
 	checkSameLen("Spearman", xs, ys)
 	return Pearson(Ranks(xs), Ranks(ys))
 }
-
-// KendallTauB returns Kendall's τ-b of the paired samples, with the standard
-// tie correction. O(n log n) via merge-sort inversion counting on y after
-// sorting by x.
-func KendallTauB(xs, ys []float64) float64 {
-	checkSameLen("KendallTauB", xs, ys)
-	n := len(xs)
-	if n < 2 {
-		return math.NaN()
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	// Sort by x ascending, tie-break by y ascending.
-	sortIdx(idx, func(a, b int) bool {
-		if xs[a] != xs[b] {
-			return xs[a] < xs[b]
-		}
-		return ys[a] < ys[b]
-	})
-	// Tie counts.
-	var n1, n2, n3 float64 // Σ t(t-1)/2 over x-ties, y-ties, joint ties
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		t := float64(j - i + 1)
-		n1 += t * (t - 1) / 2
-		// joint ties within this x-tie block
-		for a := i; a <= j; {
-			b := a
-			for b+1 <= j && ys[idx[b+1]] == ys[idx[a]] {
-				b++
-			}
-			u := float64(b - a + 1)
-			n3 += u * (u - 1) / 2
-			a = b + 1
-		}
-		i = j + 1
-	}
-	ysorted := make([]float64, n)
-	for i, id := range idx {
-		ysorted[i] = ys[id]
-	}
-	// y tie count over the whole sample.
-	{
-		cp := make([]float64, n)
-		copy(cp, ysorted)
-		sortFloats(cp)
-		for i := 0; i < n; {
-			j := i
-			for j+1 < n && cp[j+1] == cp[i] {
-				j++
-			}
-			t := float64(j - i + 1)
-			n2 += t * (t - 1) / 2
-			i = j + 1
-		}
-	}
-	swaps := countInversions(ysorted)
-	n0 := float64(n) * float64(n-1) / 2
-	// Concordant minus discordant = n0 - n1 - n2 + n3 - 2*swaps
-	num := n0 - n1 - n2 + n3 - 2*float64(swaps)
-	den := math.Sqrt((n0 - n1) * (n0 - n2))
-	if den == 0 {
-		return math.NaN()
-	}
-	return num / den
-}
-
-// countInversions counts pairs i<j with xs[i] > xs[j] using merge sort.
-// It modifies a copy, not the input.
-func countInversions(xs []float64) int64 {
-	buf := make([]float64, len(xs))
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	return mergeCount(cp, buf)
-}
-
-func mergeCount(xs, buf []float64) int64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	mid := n / 2
-	inv := mergeCount(xs[:mid], buf[:mid]) + mergeCount(xs[mid:], buf[mid:])
-	i, j, k := 0, mid, 0
-	for i < mid && j < n {
-		if xs[i] <= xs[j] {
-			buf[k] = xs[i]
-			i++
-		} else {
-			buf[k] = xs[j]
-			j++
-			inv += int64(mid - i)
-		}
-		k++
-	}
-	for i < mid {
-		buf[k] = xs[i]
-		i++
-		k++
-	}
-	for j < n {
-		buf[k] = xs[j]
-		j++
-		k++
-	}
-	copy(xs, buf[:n])
-	return inv
-}
-
-// TopKOverlap returns |topK(xs) ∩ topK(ys)| / k: the fraction of the k
-// highest-scored items shared by the two score vectors. A recommendation-
-// accuracy style summary used in the examples.
-func TopKOverlap(xs, ys []float64, k int) float64 {
-	checkSameLen("TopKOverlap", xs, ys)
-	if k <= 0 {
-		return 0
-	}
-	a := TopK(xs, k)
-	b := TopK(ys, k)
-	set := make(map[int]struct{}, len(a))
-	for _, i := range a {
-		set[i] = struct{}{}
-	}
-	shared := 0
-	for _, i := range b {
-		if _, ok := set[i]; ok {
-			shared++
-		}
-	}
-	den := k
-	if len(a) < den {
-		den = len(a)
-	}
-	if den == 0 {
-		return 0
-	}
-	return float64(shared) / float64(den)
-}
-
-// NDCG returns the normalized discounted cumulative gain at k of the ranking
-// induced by scores against the (non-negative) relevance vector rel. NDCG=1
-// means the score ordering is relevance-optimal in its top k.
-func NDCG(scores, rel []float64, k int) float64 {
-	checkSameLen("NDCG", scores, rel)
-	if k <= 0 || len(scores) == 0 {
-		return 0
-	}
-	order := TopK(scores, k)
-	var dcg float64
-	for pos, i := range order {
-		dcg += rel[i] / math.Log2(float64(pos)+2)
-	}
-	ideal := TopK(rel, k)
-	var idcg float64
-	for pos, i := range ideal {
-		idcg += rel[i] / math.Log2(float64(pos)+2)
-	}
-	if idcg == 0 {
-		return 0
-	}
-	return dcg / idcg
-}
-
-// sortIdx sorts idx in place with the provided less function.
-func sortIdx(idx []int, less func(a, b int) bool) {
-	quickSortIdx(idx, less)
-}
-
-func quickSortIdx(idx []int, less func(a, b int) bool) {
-	// Delegate to the standard library; kept behind a seam so the package
-	// has a single sorting entry point.
-	sortSliceStable(idx, less)
-}

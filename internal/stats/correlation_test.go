@@ -54,14 +54,6 @@ func TestRanksSumInvariant(t *testing.T) {
 	}
 }
 
-func TestRanksAscending(t *testing.T) {
-	got := RanksAscending([]float64{10, 20, 5})
-	want := []float64{2, 3, 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RanksAscending = %v, want %v", got, want)
-	}
-}
-
 func TestPearsonKnown(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	yPos := []float64{2, 4, 6, 8, 10}
@@ -128,65 +120,6 @@ func TestSpearmanWithTies(t *testing.T) {
 	}
 }
 
-// naiveKendall is the O(n²) reference implementation of τ-b.
-func naiveKendall(xs, ys []float64) float64 {
-	n := len(xs)
-	var conc, disc, tx, ty float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx := xs[i] - xs[j]
-			dy := ys[i] - ys[j]
-			switch {
-			case dx == 0 && dy == 0:
-				tx++
-				ty++
-			case dx == 0:
-				tx++
-			case dy == 0:
-				ty++
-			case dx*dy > 0:
-				conc++
-			default:
-				disc++
-			}
-		}
-	}
-	n0 := float64(n*(n-1)) / 2
-	den := math.Sqrt((n0 - tx) * (n0 - ty))
-	if den == 0 {
-		return math.NaN()
-	}
-	return (conc - disc) / den
-}
-
-func TestKendallAgainstNaive(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(40)
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		for i := range xs {
-			xs[i] = float64(r.Intn(8)) // deliberately tie-heavy
-			ys[i] = float64(r.Intn(8))
-		}
-		return almostEq(KendallTauB(xs, ys), naiveKendall(xs, ys), 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(23))}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestKendallKnown(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	if got := KendallTauB(x, x); !almostEq(got, 1, 1e-12) {
-		t.Errorf("τ of identical = %v", got)
-	}
-	rev := []float64{5, 4, 3, 2, 1}
-	if got := KendallTauB(x, rev); !almostEq(got, -1, 1e-12) {
-		t.Errorf("τ of reversed = %v", got)
-	}
-}
-
 func TestTopK(t *testing.T) {
 	s := []float64{0.1, 0.9, 0.5, 0.9, 0.2}
 	got := TopK(s, 3)
@@ -196,35 +129,6 @@ func TestTopK(t *testing.T) {
 	}
 	if got := TopK(s, 99); len(got) != 5 {
 		t.Errorf("TopK overflow = %d items", len(got))
-	}
-}
-
-func TestTopKOverlap(t *testing.T) {
-	a := []float64{10, 9, 8, 1, 1}
-	b := []float64{10, 9, 1, 8, 1}
-	if got := TopKOverlap(a, b, 2); got != 1 {
-		t.Errorf("overlap@2 = %v, want 1", got)
-	}
-	if got := TopKOverlap(a, b, 3); !almostEq(got, 2.0/3, 1e-12) {
-		t.Errorf("overlap@3 = %v, want 2/3", got)
-	}
-	if got := TopKOverlap(a, b, 0); got != 0 {
-		t.Errorf("overlap@0 = %v, want 0", got)
-	}
-}
-
-func TestNDCG(t *testing.T) {
-	rel := []float64{3, 2, 1, 0}
-	perfect := []float64{10, 8, 5, 1}
-	if got := NDCG(perfect, rel, 4); !almostEq(got, 1, 1e-12) {
-		t.Errorf("perfect NDCG = %v, want 1", got)
-	}
-	worst := []float64{1, 5, 8, 10}
-	if got := NDCG(worst, rel, 4); got >= 1 || got <= 0 {
-		t.Errorf("reversed NDCG = %v, want in (0,1)", got)
-	}
-	if got := NDCG(perfect, []float64{0, 0, 0, 0}, 4); got != 0 {
-		t.Errorf("zero-relevance NDCG = %v, want 0", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package stats implements the rank statistics the paper's evaluation is
-// built on: fractional (average-tie) ranking, Spearman's rank correlation,
-// Pearson correlation, Kendall's τ-b, plus top-k agreement measures and basic
-// descriptive statistics.
+// built on: fractional (average-tie) ranking, Spearman's rank correlation and
+// Pearson correlation.
 //
 // Tie handling matters here: node degrees are small integers, so degree
 // vectors contain enormous tie groups, and the Table-1 correlations are
@@ -39,16 +38,6 @@ func Ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return ranks
-}
-
-// RanksAscending is Ranks with the opposite orientation: the smallest value
-// gets rank 1.
-func RanksAscending(xs []float64) []float64 {
-	neg := make([]float64, len(xs))
-	for i, x := range xs {
-		neg[i] = -x
-	}
-	return Ranks(neg)
 }
 
 // RankOf returns the 1-based competition rank ("standard" rank: 1 for the
