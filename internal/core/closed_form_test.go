@@ -175,3 +175,56 @@ func TestClosedFormStationary(t *testing.T) {
 	}
 	t.Logf("worst L1 to the closed form: %.2g (float64 paths), %.2g (float32 tier)", worst64, worst32)
 }
+
+// TestFloat32ExtremeP checks the float32 tier where the factored sweep's
+// float32 mirror cur·srcScale leaves float32's range: at p = 20 the factor
+// sums reach 1e54 (the unfitted mirror overflows, and the sweep turns NaN),
+// and at p = −20 they fall to 3e-64 (the mirror underflows, and with it the
+// walk mass). Every p must converge to the float64 answer on both engines.
+// The table pins which p keep the factored sweep, scaled or not, and which
+// fall back to per-arc probabilities; the graph of
+// BenchmarkCoreSolveWarmFloat32 must need no scaling at all.
+func TestFloat32ExtremeP(t *testing.T) {
+	g := closedFormCorpusGraph(t)
+	engines := []*Engine{EngineFor(g), newEngineIdentity(g)}
+	for _, c := range []struct {
+		p        float64
+		factored bool // whether the float32 tier keeps the factored sweep
+	}{
+		{-80, false}, {-40, true}, {-20, true}, {-12, true},
+		{12, true}, {20, true}, {40, false}, {80, false},
+	} {
+		tr := DegreeDecoupled(g, c.p)
+		if tr.rowFactor == nil {
+			t.Fatalf("p=%v: the float64 transition is not factored", c.p)
+		}
+		for i, e := range engines {
+			f := e.fitFloat32(e.flowOf(tr), tr, DefaultAlpha)
+			if got := f.probs == nil; got != c.factored {
+				t.Errorf("p=%v engine %d: factored sweep = %v, want %v", c.p, i, got, c.factored)
+			}
+			f.release(e)
+			r64, err := e.Solve(tr, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r32, err := e.Solve(tr, Options{Float32: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var l1 float64
+			for u, v := range r64.Scores {
+				l1 += math.Abs(v - r32.Scores[u])
+			}
+			if !r32.Converged || !(l1 <= 1e-6) { // also catches NaN
+				t.Errorf("p=%v engine %d: float32 converged=%v after %d iterations, L1 to float64 = %.3g, want ≤ 1e-6",
+					c.p, i, r32.Converged, r32.Iterations, l1)
+			}
+		}
+	}
+	bench := powerLawGraph(t, benchNodes, benchAvgDeg, 42)
+	tr := DegreeDecoupled(bench, 1)
+	if k, ok := mirrorShift32(tr.srcScale, (1-DefaultAlpha)/float64(bench.NumNodes())); k != 0 || !ok {
+		t.Errorf("the float32 bench graph needs mirror shift %d (fits: %v), want the unscaled factored sweep", k, ok)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -353,6 +354,9 @@ func (e *Engine) SolveContext(ctx context.Context, t *Transition, opts Options) 
 		return nil, err
 	}
 	f := e.flowOf(t)
+	if opts.Float32 {
+		f = e.fitFloat32(f, t, opts.Alpha)
+	}
 	res, err := e.power(ctx, f, opts)
 	f.release(e)
 	return res, err
@@ -390,9 +394,74 @@ func (e *Engine) flowOf(t *Transition) flow {
 		e.permuteFactors(*rfp, *ssp, t)
 		return flow{rowFactor: *rfp, srcScale: *ssp, rowFactorBuf: rfp, srcScaleBuf: ssp}
 	}
+	return e.arcFlow(t)
+}
+
+// arcFlow returns t's per-arc probabilities scattered into a pooled
+// pull-order buffer.
+func (e *Engine) arcFlow(t *Transition) flow {
 	pp := e.getM()
 	e.scatterFlow(*pp, t.arcProbs())
 	return flow{probs: *pp, probsBuf: pp}
+}
+
+// minNormal32 is float32's smallest normal number, 2⁻¹²⁶.
+const minNormal32 = 0x1p-126
+
+// fitFloat32 adapts a flow to the float32 tier, whose factored sweep stores
+// the mirror cur[u]·srcScale[u] in float32. At large |p| the factor sums
+// leave float32's range: the mirror overflows to +Inf (and the sweep to NaN)
+// or flushes to 0, dropping the walk mass. A factored flow whose mirror fits
+// is returned as is; one that fits after scaling srcScale by 2^k and
+// rowFactor by 2^−k is returned scaled (powers of two scale exactly, so the
+// per-arc products are unchanged); any other falls back to the per-arc
+// probabilities, which float32 holds at every p. f's buffers are released
+// when it is replaced.
+func (e *Engine) fitFloat32(f flow, t *Transition, alpha float64) flow {
+	if f.rowFactor == nil {
+		return f
+	}
+	// Every iterate is at least (1−α)·tele, so (1−α)/n bounds the scores
+	// of a uniform teleport from below; smaller personalized scores carry
+	// too little mass for a subnormal mirror to matter.
+	k, ok := mirrorShift32(f.srcScale, (1-alpha)/float64(e.n))
+	switch {
+	case !ok:
+		f.release(e)
+		return e.arcFlow(t)
+	case k == 0:
+		return f
+	}
+	rfp, ssp := getNT[float64](e), getNT[float64](e)
+	rf, ss := *rfp, *ssp
+	up, down := math.Ldexp(1, k), math.Ldexp(1, -k)
+	for i := range rf {
+		rf[i] = f.rowFactor[i] * down
+		ss[i] = f.srcScale[i] * up
+	}
+	f.release(e)
+	return flow{rowFactor: rf, srcScale: ss, rowFactorBuf: rfp, srcScaleBuf: ssp}
+}
+
+// mirrorShift32 returns the exponent k for which every mirror
+// cur·srcScale[u]·2^k with cur in [lo, 1] lies in float32's normal range:
+// 0 when the unscaled mirror already does, and ok = false when srcScale
+// spreads too wide for any k.
+func mirrorShift32(srcScale []float64, lo float64) (k int, ok bool) {
+	smin, smax := math.Inf(1), 0.0
+	for _, s := range srcScale {
+		if s > 0 {
+			smin, smax = min(smin, s), max(smax, s)
+		}
+	}
+	if smax == 0 || (smax <= math.MaxFloat32 && lo*smin >= minNormal32) {
+		return 0, true
+	}
+	// Put the largest mirror just below 2¹²⁶, two binades under float32's
+	// overflow, which leaves the widest room below it.
+	_, exp := math.Frexp(smax) // smax·2^−exp lies in [0.5, 1)
+	k = 126 - exp
+	return k, math.Ldexp(lo*smin, k) >= minNormal32
 }
 
 // release returns the pooled buffers f borrowed from e.

@@ -2,8 +2,8 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -27,16 +27,27 @@ func (o Options) CacheKey() string {
 	if o.MaxIter == 0 {
 		o.MaxIter = DefaultMaxIter
 	}
-	var b strings.Builder
 	if o.Float32 && o.Tol < Float32MinTol {
 		o.Tol = Float32MinTol // mirror the solver's clamp so keys canonicalize
 	}
-	fmt.Fprintf(&b, "alpha=%g|tol=%g|maxiter=%d", o.Alpha, o.Tol, o.MaxIter)
+	// strconv's shortest 'g' form is fmt's %g, byte for byte.
+	var b strings.Builder
+	var num [32]byte
+	b.Grow(64)
+	b.WriteString("alpha=")
+	b.Write(strconv.AppendFloat(num[:0], o.Alpha, 'g', -1, 64))
+	b.WriteString("|tol=")
+	b.Write(strconv.AppendFloat(num[:0], o.Tol, 'g', -1, 64))
+	b.WriteString("|maxiter=")
+	b.Write(strconv.AppendInt(num[:0], int64(o.MaxIter), 10))
 	if o.Float32 {
 		b.WriteString("|f32")
 	}
 	if o.Teleport != nil {
-		fmt.Fprintf(&b, "|tele=%016x", teleportDigest(o.Teleport))
+		b.WriteString("|tele=")
+		hex := strconv.AppendUint(num[:0], teleportDigest(o.Teleport), 16)
+		b.WriteString("0000000000000000"[len(hex):]) // zero-pad to 16 digits
+		b.Write(hex)
 	}
 	return b.String()
 }

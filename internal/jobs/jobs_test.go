@@ -13,6 +13,7 @@ import (
 	"d2pr/internal/rankcache"
 	"d2pr/internal/rankspec"
 	"d2pr/internal/registry"
+	"d2pr/internal/stats"
 	"d2pr/internal/telemetry"
 )
 
@@ -34,9 +35,9 @@ func testRegistry(t *testing.T) *registry.Registry {
 	return reg
 }
 
-func testManager(t *testing.T, reg *registry.Registry, opts Options) (*Manager, *rankcache.Cache[[]float64]) {
+func testManager(t *testing.T, reg *registry.Registry, opts Options) (*Manager, *rankcache.Cache[rankspec.Ranking]) {
 	t.Helper()
-	cache := rankcache.NewLRU[[]float64](64)
+	cache := rankcache.NewLRU[rankspec.Ranking](64)
 	opts.Resolve = reg.Get
 	opts.Cache = cache
 	m, err := New(opts)
@@ -180,8 +181,17 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 		}
 		// The job's solve must be findable by a later synchronous request
 		// deriving the epoch-qualified key from the same spec and snapshot.
-		if _, hit := cache.Lookup(row.Spec.CacheKeyFor(snap)); !hit {
+		rk, hit := cache.Lookup(row.Spec.CacheKeyFor(snap))
+		if !hit {
 			t.Errorf("config %s not resident in the rank cache", row.Config)
+			continue
+		}
+		// The sweep ranks its reference vectors once; ρ must not move a bit.
+		if row.Spearman != nil && *row.Spearman != stats.Spearman(rk.Scores, snap.Significance) {
+			t.Errorf("config %s: spearman %v, want %v", row.Config, *row.Spearman, stats.Spearman(rk.Scores, snap.Significance))
+		}
+		if deg := rankspec.DegreeVector(snap.Graph); row.DegreeSpearman != nil && *row.DegreeSpearman != stats.Spearman(rk.Scores, deg) {
+			t.Errorf("config %s: degree spearman %v, want %v", row.Config, *row.DegreeSpearman, stats.Spearman(rk.Scores, deg))
 		}
 	}
 	// Six grid points, but the three β = 1 rows share one solve.

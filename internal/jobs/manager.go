@@ -52,7 +52,7 @@ type Options struct {
 	// Resolve materializes a graph by registry name. Required.
 	Resolve func(name string) (*registry.Snapshot, error)
 	// Cache receives every computed score vector. Required.
-	Cache *rankcache.Cache[[]float64]
+	Cache *rankcache.Cache[rankspec.Ranking]
 	// PPRCache receives every computed personalized top-k. Required only for
 	// SubmitPPR; a manager built without one rejects PPR cohorts.
 	PPRCache *rankcache.Cache[[]pprcache.Entry]
@@ -476,10 +476,15 @@ func (m *Manager) RunSync(ctx context.Context, snap *registry.Snapshot, sw Sweep
 // specs[i] through the rank cache and builds its retained row: solve
 // diagnostics when the row led a fresh solve, then the top-k and the
 // correlations the sweep asked for.
+//
+// Spearman's ρ is the Pearson correlation of fractional ranks, so the
+// significance and degree vectors, which every row correlates against, are
+// ranked once here, and each row ranks its own scores once for both.
 func (m *Manager) sweepRows(snap *registry.Snapshot, sw SweepSpec, specs []rankspec.Spec) rowFunc {
-	var deg []float64
-	if sw.Correlate {
-		deg = rankspec.DegreeVector(snap.Graph)
+	var sigRanks, degRanks []float64
+	if sw.Correlate && snap.Significance != nil {
+		sigRanks = stats.Ranks(snap.Significance)
+		degRanks = stats.Ranks(rankspec.DegreeVector(snap.Graph))
 	}
 	return func(ctx context.Context, i int) ConfigResult {
 		started := time.Now()
@@ -487,8 +492,9 @@ func (m *Manager) sweepRows(snap *registry.Snapshot, sw SweepSpec, specs []ranks
 		// Cache operations are keyed by snapshot epoch (a reload invalidates
 		// by changing the key); the wire-visible Config string stays
 		// epoch-less so rows are comparable across reloads.
-		scores, st, err := rankspec.Solve(ctx, m.opts.Cache, m.opts.Telemetry, snap, cfg.CacheKeyFor(snap), cfg, nil)
-		res := ConfigResult{Config: string(cfg.CacheKey()), Spec: cfg, Cached: err == nil && st == nil}
+		key := cfg.CacheKey()
+		rk, st, err := rankspec.Solve(ctx, m.opts.Cache, m.opts.Telemetry, snap, rankspec.EpochKey(key, snap.Epoch), cfg, nil)
+		res := ConfigResult{Config: string(key), Spec: cfg, Cached: err == nil && st == nil}
 		if err != nil {
 			res.Error = err.Error()
 			res.ElapsedMs = time.Since(started).Seconds() * 1000
@@ -498,12 +504,13 @@ func (m *Manager) sweepRows(snap *registry.Snapshot, sw SweepSpec, specs []ranks
 			res.Iterations, res.Residual, res.Converged = st.Iterations, st.Residual, st.Converged
 		}
 		if sw.TopK > 0 {
-			res.Top = rankspec.TopEntries(snap.Graph, scores, sw.TopK)
+			res.Top = rk.Top(snap.Graph, sw.TopK)
 		}
-		if sw.Correlate && snap.Significance != nil {
-			rho := stats.Spearman(scores, snap.Significance)
+		if sigRanks != nil {
+			ranks := stats.Ranks(rk.Scores)
+			rho := stats.Pearson(ranks, sigRanks)
 			res.Spearman = &rho
-			dr := stats.Spearman(scores, deg)
+			dr := stats.Pearson(ranks, degRanks)
 			res.DegreeSpearman = &dr
 		}
 		res.ElapsedMs = time.Since(started).Seconds() * 1000

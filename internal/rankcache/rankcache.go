@@ -1,5 +1,5 @@
 // Package rankcache is the serving layer's result cache. One generic Cache
-// fronts both query shapes: global score vectors keyed by the full ranking
+// fronts both query shapes: global rankings keyed by the full ranking
 // configuration (graph, algorithm/transition kind, p, β, solver options), and
 // per-seed personalized top-k rows keyed by the personalized configuration.
 // Concurrent Gets for one key share one compute (single flight), so N
@@ -26,6 +26,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -42,8 +43,19 @@ type Key string
 // that ignore p/β (degree, hits) should pass zeros so equivalent requests
 // collide.
 func NewKey(graphName, algo string, p, beta float64, optsKey string) Key {
+	// strconv's shortest 'g' form is fmt's %g, byte for byte.
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|p=%g|beta=%g|%s", graphName, algo, p, beta, optsKey)
+	var num [32]byte
+	b.Grow(len(graphName) + len(algo) + len(optsKey) + 48)
+	b.WriteString(graphName)
+	b.WriteByte('|')
+	b.WriteString(algo)
+	b.WriteString("|p=")
+	b.Write(strconv.AppendFloat(num[:0], p, 'g', -1, 64))
+	b.WriteString("|beta=")
+	b.Write(strconv.AppendFloat(num[:0], beta, 'g', -1, 64))
+	b.WriteByte('|')
+	b.WriteString(optsKey)
 	return Key(b.String())
 }
 

@@ -90,7 +90,7 @@ func (s PPRSpec) CacheKey() pprcache.Key {
 // Spec.CacheKeyFor): cache operations key by epoch so a reload swap
 // invalidates personalized results computed on the replaced graph.
 func (s PPRSpec) CacheKeyFor(snap *registry.Snapshot) pprcache.Key {
-	return s.CacheKey() + pprcache.Key("|epoch="+strconv.FormatUint(snap.Epoch, 10))
+	return EpochKey(s.CacheKey(), snap.Epoch)
 }
 
 // Compute runs the forward-push solve on the snapshot's graph and keeps the
@@ -108,6 +108,11 @@ func (s PPRSpec) Compute(ctx context.Context, snap *registry.Snapshot) ([]pprcac
 // AlgoPPRName is the SolveStats.Algo value for forward-push solves,
 // distinguishing them from the iterative algorithms in per-graph telemetry.
 const AlgoPPRName = "ppr"
+
+// compute is the cached value Solve computes for a spec: its top-k rows.
+func (s PPRSpec) compute(ctx context.Context, snap *registry.Snapshot) ([]pprcache.Entry, telemetry.SolveStats, error) {
+	return s.ComputeStats(ctx, snap)
+}
 
 // ComputeStats is Compute plus per-solve telemetry: push count, un-pushed
 // residual mass (as Residual), and engine-build vs. solve wall-clock. The

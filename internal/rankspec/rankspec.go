@@ -176,7 +176,20 @@ func (s Spec) CacheKey() rankcache.Key {
 // config strings keep the epoch-less CacheKey so response shapes are stable
 // across reloads.
 func (s Spec) CacheKeyFor(snap *registry.Snapshot) rankcache.Key {
-	return s.CacheKey() + rankcache.Key("|epoch="+strconv.FormatUint(snap.Epoch, 10))
+	return EpochKey(s.CacheKey(), snap.Epoch)
+}
+
+// EpochKey scopes an epoch-less key to one snapshot epoch, as CacheKeyFor
+// does. A caller that also needs the epoch-less key derives it once and
+// extends it here.
+func EpochKey(key rankcache.Key, epoch uint64) rankcache.Key {
+	var b strings.Builder
+	var num [20]byte
+	b.Grow(len(key) + len("|epoch=") + len(num))
+	b.WriteString(string(key))
+	b.WriteString("|epoch=")
+	b.Write(strconv.AppendUint(num[:0], epoch, 10))
+	return rankcache.Key(b.String())
 }
 
 // isFinite reports whether f is neither NaN nor ±Inf.
@@ -200,6 +213,20 @@ func fillIterative(st *telemetry.SolveStats, res *core.Result) {
 	st.Iterations = res.Iterations
 	st.Residual = res.Residual
 	st.Converged = res.Converged
+}
+
+// compute is what Solve caches for a spec: ComputeStats plus the ranking's
+// best-ranked prefix, selected once after the solve. The selection counts
+// in the solve stage.
+func (s Spec) compute(ctx context.Context, snap *registry.Snapshot) (Ranking, telemetry.SolveStats, error) {
+	scores, st, err := s.ComputeStats(ctx, snap)
+	if err != nil {
+		return Ranking{}, st, err
+	}
+	start := time.Now()
+	r := newRanking(scores)
+	st.Solve += time.Since(start)
+	return r, st, nil
 }
 
 // ComputeStats is Compute plus per-solve telemetry: which solver ran, how
@@ -265,15 +292,19 @@ func (s Spec) ComputeStats(ctx context.Context, snap *registry.Snapshot) ([]floa
 // the slot; its error fails the solve without counting as a solve error.
 type Gate func(ctx context.Context, graph string) (release func(), wait time.Duration, err error)
 
+// computer is a spec that Solve can resolve: Spec caches a Ranking, PPRSpec
+// its top-k rows.
+type computer[V any] interface {
+	compute(context.Context, *registry.Snapshot) (V, telemetry.SolveStats, error)
+}
+
 // Solve resolves spec through cache under key (spec's CacheKeyFor(snap)): a
 // hit or a piggyback on an in-flight solve returns nil stats, and a miss runs
-// gate (if non-nil), then spec.ComputeStats, and returns the solve's stats.
+// gate (if non-nil), then the spec's compute, and returns the solve's stats.
 // The compute reports to tel itself, so a solve every requester abandoned is
 // still counted: its stats, with the gate's wait, go to RecordSolve, and only
 // the spec's own error reaches RecordSolveError.
-func Solve[V any, S interface {
-	ComputeStats(context.Context, *registry.Snapshot) (V, telemetry.SolveStats, error)
-}](ctx context.Context, cache *rankcache.Cache[V], tel *telemetry.Registry, snap *registry.Snapshot, key rankcache.Key, spec S, gate Gate) (V, *telemetry.SolveStats, error) {
+func Solve[V any, S computer[V]](ctx context.Context, cache *rankcache.Cache[V], tel *telemetry.Registry, snap *registry.Snapshot, key rankcache.Key, spec S, gate Gate) (V, *telemetry.SolveStats, error) {
 	// probe is written inside the compute and read only when this call led a
 	// successful solve: the cache's done-channel close orders that write
 	// before Get returns, whereas after a hit, a piggyback or an error an
@@ -290,7 +321,7 @@ func Solve[V any, S interface {
 			defer release()
 			wait = w
 		}
-		v, st, err := spec.ComputeStats(solveCtx, snap)
+		v, st, err := spec.compute(solveCtx, snap)
 		if err != nil {
 			tel.RecordSolveError(snap.Name)
 			return v, err
@@ -334,6 +365,45 @@ func TopEntries(g *graph.Graph, scores []float64, k int) []Entry {
 		out[i] = Entry{
 			Rank: i + 1, Node: int32(u), Degree: g.Degree(int32(u)), Score: scores[u],
 		}
+	}
+	return out
+}
+
+// PrefixLen is how many best-ranked node ids a Ranking keeps with its
+// scores. The paper's tables and the serving defaults read at most this
+// many rows, so those reads cost O(k) on a cache hit.
+const PrefixLen = 100
+
+// Ranking is the rank cache's value: a score vector and the ids of its
+// min(n, PrefixLen) best nodes in TopKHeap's order (score descending, ties
+// by ascending id). It is shared by every reader; neither slice may be
+// modified.
+type Ranking struct {
+	Scores []float64
+	Best   []int32
+}
+
+// newRanking selects the best-ranked prefix of scores.
+func newRanking(scores []float64) Ranking {
+	idx := stats.TopKHeap(scores, PrefixLen)
+	best := make([]int32, len(idx))
+	for i, u := range idx {
+		best[i] = int32(u)
+	}
+	return Ranking{Scores: scores, Best: best}
+}
+
+// Top returns the k best rows, equal to TopEntries(g, r.Scores, k): read off
+// the prefix in O(k) when it holds them, else by the bounded selection over
+// every score.
+func (r Ranking) Top(g *graph.Graph, k int) []Entry {
+	if k > len(r.Best) && len(r.Best) < len(r.Scores) {
+		return TopEntries(g, r.Scores, k)
+	}
+	best := r.Best[:max(0, min(k, len(r.Best)))]
+	out := make([]Entry, len(best))
+	for i, u := range best {
+		out[i] = Entry{Rank: i + 1, Node: u, Degree: g.Degree(u), Score: r.Scores[u]}
 	}
 	return out
 }

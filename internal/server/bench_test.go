@@ -31,6 +31,7 @@ import (
 	"d2pr/internal/dataset"
 	"d2pr/internal/jobs"
 	"d2pr/internal/rankcache"
+	"d2pr/internal/rankspec"
 	"d2pr/internal/registry"
 )
 
@@ -131,7 +132,7 @@ func BenchmarkSweep20BatchSerial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := jobs.New(jobs.Options{Workers: 1, Resolve: reg.Get, Cache: rankcache.NewLRU[[]float64](4)})
+	m, err := jobs.New(jobs.Options{Workers: 1, Resolve: reg.Get, Cache: rankcache.NewLRU[rankspec.Ranking](4)})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func FuzzParseRankQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, query string) {
 		r := httptest.NewRequest("GET", "/v1/default/rank", nil)
 		r.URL.RawQuery = query
-		spec, err := parseRankQuery(r, snap)
+		spec, err := parseRankQuery(r.URL.Query(), snap)
 		if err != nil {
 			return
 		}
@@ -91,7 +91,7 @@ func FuzzParsePPRQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, query string) {
 		r := httptest.NewRequest("GET", "/v1/default/ppr", nil)
 		r.URL.RawQuery = query
-		spec, err := s.parsePPRQuery(r, snap)
+		spec, err := s.parsePPRQuery(r.URL.Query(), snap)
 		if err != nil {
 			return
 		}

@@ -197,7 +197,7 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 	// The request deadline bounds the whole batch: configurations the
 	// deadline keeps from finishing come back as skipped rows, exactly like a
 	// cancelled async job's.
-	ctx, cancel, err := s.requestCtx(r)
+	ctx, cancel, err := s.requestCtx(r, r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

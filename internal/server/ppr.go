@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"d2pr/internal/jobs"
@@ -29,12 +30,11 @@ type PPRResponse struct {
 }
 
 // parsePPRQuery extracts and validates the personalized-ranking parameters
-// from the URL query. seed is required; alpha, eps, and k default to
-// rankspec.NewPPR's. Malformed values are plain errors (400);
+// from the request's query values. seed is required; alpha, eps, and k
+// default to rankspec.NewPPR's. Malformed values are plain errors (400);
 // an out-of-range seed is reported via errSeedRange so the caller can 404
 // it, matching /v1/{graph}/node/{id}.
-func (s *Server) parsePPRQuery(r *http.Request, snap *registry.Snapshot) (rankspec.PPRSpec, error) {
-	vals := r.URL.Query()
+func (s *Server) parsePPRQuery(vals url.Values, snap *registry.Snapshot) (rankspec.PPRSpec, error) {
 	seedStr := vals.Get("seed")
 	if seedStr == "" {
 		return rankspec.PPRSpec{}, fmt.Errorf("missing seed")
@@ -80,20 +80,22 @@ func (s *Server) checkPPRSpec(spec rankspec.PPRSpec, snap *registry.Snapshot) er
 }
 
 // servePPR resolves one personalized request through the PPR cache and
-// writes the response. A warm request touches no solver state: the cached
-// compact rows are expanded to k response entries and encoded — O(k) work
-// and allocation end to end. Cold requests run under the request deadline
-// and the graph's admission budget (hits and piggybacks are exempt, like
-// /rank); a saturated budget sheds with 429 + Retry-After — the per-seed
-// cache has no stale tier, so there is no degraded fallback here.
-func (s *Server) servePPR(w http.ResponseWriter, r *http.Request, snap *registry.Snapshot, spec rankspec.PPRSpec) {
-	ctx, cancel, err := s.requestCtx(r)
+// writes the response; vals are the request's query values. A warm request
+// touches no solver state: the cached compact rows are expanded to k
+// response entries and encoded — O(k) work and allocation end to end. Cold
+// requests run under the request deadline and the graph's admission budget
+// (hits and piggybacks are exempt, like /rank); a saturated budget sheds
+// with 429 + Retry-After — the per-seed cache has no stale tier, so there
+// is no degraded fallback here.
+func (s *Server) servePPR(w http.ResponseWriter, r *http.Request, vals url.Values, snap *registry.Snapshot, spec rankspec.PPRSpec) {
+	ctx, cancel, err := s.requestCtx(r, vals)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer cancel()
-	rows, st, err := rankspec.Solve(ctx, s.ppr, s.tel, snap, spec.CacheKeyFor(snap), spec, s.pprGate)
+	key := spec.CacheKey()
+	rows, st, err := rankspec.Solve(ctx, s.ppr, s.tel, snap, rankspec.EpochKey(key, snap.Epoch), spec, s.pprGate)
 	if err != nil {
 		s.writeComputeError(w, snap.Name, err)
 		return
@@ -106,7 +108,7 @@ func (s *Server) servePPR(w http.ResponseWriter, r *http.Request, snap *registry
 	noteCompute(w, r, snap.Name, status, st)
 	writeJSON(w, http.StatusOK, PPRResponse{
 		Graph:  snap.Name,
-		Config: string(spec.CacheKey()),
+		Config: string(key),
 		Seed:   spec.Seed,
 		Cached: cached,
 		Top:    rankspec.PPREntries(snap.Graph, rows),
@@ -129,12 +131,13 @@ func (s *Server) handlePPRGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	spec, err := s.parsePPRQuery(r, snap)
+	vals := r.URL.Query()
+	spec, err := s.parsePPRQuery(vals, snap)
 	if err != nil {
 		writePPRSpecError(w, err)
 		return
 	}
-	s.servePPR(w, r, snap, spec)
+	s.servePPR(w, r, vals, snap, spec)
 }
 
 // pprBody is the POST /v1/{graph}/ppr request body. Zero-valued parameters
@@ -156,7 +159,7 @@ func (s *Server) handlePPRPost(w http.ResponseWriter, r *http.Request) {
 		writePPRSpecError(w, err)
 		return
 	}
-	s.servePPR(w, r, snap, spec)
+	s.servePPR(w, r, r.URL.Query(), snap, spec)
 }
 
 // parsePPRBody is parsePPRQuery for the POST /v1/{graph}/ppr JSON body.

@@ -17,7 +17,8 @@
 //	GET    /v1/{graph}/ppr?seed=3       → personalized top-k (forward push)
 //	POST   /v1/{graph}/ppr              → same, JSON body
 //	POST   /v1/{graph}/ppr/batch        → async per-seed cohort job
-//	GET    /v1/{graph}/topk?k=10        → top-k rows via bounded-heap select
+//	GET    /v1/{graph}/topk?k=10        → top-k rows: O(k) off the cached
+//	                                      best-100 prefix, else bounded-heap select
 //	GET    /v1/{graph}/node/{id}        → one node's score, rank, degree
 //	GET    /v1/{graph}/correlate        → Spearman vs. the graph's
 //	                                      significance vector (if any)
@@ -44,6 +45,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -102,7 +104,7 @@ type Config struct {
 // Server serves ranking queries over a registry of named graphs.
 type Server struct {
 	reg   *registry.Registry
-	cache *rankcache.Cache[[]float64]
+	cache *rankcache.Cache[rankspec.Ranking]
 	ppr   *rankcache.Cache[[]pprcache.Entry]
 	jobs  *jobs.Manager
 	adm   *admission.Controller
@@ -133,7 +135,7 @@ func NewMulti(reg *registry.Registry, cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		reg:   reg,
-		cache: rankcache.NewLRU[[]float64](cfg.CacheSize),
+		cache: rankcache.NewLRU[rankspec.Ranking](cfg.CacheSize),
 		ppr:   rankcache.NewAdmitting[[]pprcache.Entry](cfg.PPRCacheSize),
 		adm: admission.New(admission.Config{
 			MaxConcurrent: cfg.MaxConcurrent,
@@ -181,8 +183,27 @@ func New(g *graph.Graph, significance []float64) (*Server, error) {
 	return NewMulti(reg, Config{})
 }
 
-// Cache exposes the result cache (for warming and stats).
-func (s *Server) Cache() *rankcache.Cache[[]float64] { return s.cache }
+// Cache exposes the rank cache's scores and stats.
+func (s *Server) Cache() ScoreCache { return ScoreCache{s.cache} }
+
+// ScoreCache is a read-only view of the rank cache in score vectors; the
+// best-ranked prefix cached with each vector stays inside the server.
+type ScoreCache struct {
+	c *rankcache.Cache[rankspec.Ranking]
+}
+
+// Lookup returns key's cached scores without computing anything; see
+// rankcache.Cache.Lookup.
+func (v ScoreCache) Lookup(key rankcache.Key) ([]float64, bool) {
+	r, ok := v.c.Lookup(key)
+	return r.Scores, ok
+}
+
+// Stats returns the rank cache's counters.
+func (v ScoreCache) Stats() rankcache.Stats { return v.c.Stats() }
+
+// Len returns the number of resident score vectors.
+func (v ScoreCache) Len() int { return v.c.Len() }
 
 // PPRCache exposes the personalized-ranking result cache.
 func (s *Server) PPRCache() *rankcache.Cache[[]pprcache.Entry] { return s.ppr }
@@ -283,11 +304,11 @@ func (s *Server) Warm(ps []float64, beta float64) (<-chan struct{}, error) {
 	return done, nil
 }
 
-// parseRankQuery extracts and validates the ranking parameters. Seed bounds
-// are checked against the materialized graph.
-func parseRankQuery(r *http.Request, snap *registry.Snapshot) (rankspec.Spec, error) {
+// parseRankQuery extracts and validates the ranking parameters from the
+// request's query values. Seed bounds are checked against the materialized
+// graph.
+func parseRankQuery(vals url.Values, snap *registry.Snapshot) (rankspec.Spec, error) {
 	spec := rankspec.New(snap.Name)
-	vals := r.URL.Query()
 	if a := vals.Get("algo"); a != "" {
 		spec.Algo = a
 	}
@@ -332,10 +353,11 @@ const cacheHeader = "X-Cache"
 
 // requestCtx derives a compute request's context: the client's context plus
 // the admission deadline — the -request-timeout default, overridable with a
-// ?timeout= Go duration, capped at -max-request-timeout.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
+// ?timeout= Go duration (from vals, the request's query values), capped at
+// -max-request-timeout.
+func (s *Server) requestCtx(r *http.Request, vals url.Values) (context.Context, context.CancelFunc, error) {
 	var override time.Duration
-	if v := r.URL.Query().Get("timeout"); v != "" {
+	if v := vals.Get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
 			return nil, nil, fmt.Errorf("bad timeout %q (want a positive duration, e.g. 500ms)", v)
@@ -346,24 +368,25 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return ctx, cancel, nil
 }
 
-// scores returns the score vector for a spec together with its cache status
-// ("hit", "miss", or "stale") and, for a miss, the solve-stage stats.
+// ranking returns the ranking for a spec, whose epoch-less cache key is key,
+// together with its cache status ("hit", "miss", or "stale") and, for a
+// miss, the solve-stage stats.
 // Concurrent identical requests share one solve via the cache's single-flight
 // path; only an actual solve claims one of the graph's admission slots — hits
 // and piggybacks never queue. The slot is acquired under the detached solve
 // context, so queue waiting is abandoned only when every requester for the
 // key is gone. When the budget sheds and an evicted copy of the vector
 // exists, the stale copy is served instead of the error.
-func (s *Server) scores(ctx context.Context, snap *registry.Snapshot, spec rankspec.Spec) ([]float64, string, *telemetry.SolveStats, error) {
-	key := spec.CacheKeyFor(snap)
-	val, st, err := rankspec.Solve(ctx, s.cache, s.tel, snap, key, spec, s.rankGate)
+func (s *Server) ranking(ctx context.Context, snap *registry.Snapshot, spec rankspec.Spec, key rankcache.Key) (rankspec.Ranking, string, *telemetry.SolveStats, error) {
+	epochKey := rankspec.EpochKey(key, snap.Epoch)
+	val, st, err := rankspec.Solve(ctx, s.cache, s.tel, snap, epochKey, spec, s.rankGate)
 	switch {
 	case err == nil && st == nil:
 		return val, "hit", nil, nil
 	case err == nil:
 		return val, "miss", st, nil
 	case errors.Is(err, admission.ErrQueueFull):
-		if stale, ok := s.cache.LookupStale(key); ok {
+		if stale, ok := s.cache.LookupStale(epochKey); ok {
 			return stale, "stale", nil, nil
 		}
 		// The cache may still hold the vector under the previous epoch's key:
@@ -371,7 +394,7 @@ func (s *Server) scores(ctx context.Context, snap *registry.Snapshot, spec ranks
 		// shedding — the stale tier's whole purpose — so probe one epoch back
 		// (resident, then stale) before giving up.
 		if snap.Epoch > 1 {
-			prev := spec.CacheKey() + rankcache.Key("|epoch="+strconv.FormatUint(snap.Epoch-1, 10))
+			prev := rankspec.EpochKey(key, snap.Epoch-1)
 			if stale, ok := s.cache.Lookup(prev); ok {
 				return stale, "stale", nil, nil
 			}
@@ -380,7 +403,7 @@ func (s *Server) scores(ctx context.Context, snap *registry.Snapshot, spec ranks
 			}
 		}
 	}
-	return nil, "", nil, err
+	return rankspec.Ranking{}, "", nil, err
 }
 
 // solveGate returns the gate a /rank… or /ppr miss passes before its
@@ -413,24 +436,26 @@ func (s *Server) solveGate(point faultinject.Point) rankspec.Gate {
 }
 
 // rankScores runs the full interactive compute path for a ranking handler:
-// derive the request context, resolve the scores through cache + admission,
-// and map failures to their HTTP status. On success the cache-status header
-// is set and the scores returned; on failure the response has been written.
-func (s *Server) rankScores(w http.ResponseWriter, r *http.Request, snap *registry.Snapshot, spec rankspec.Spec) ([]float64, bool) {
-	ctx, cancel, err := s.requestCtx(r)
+// derive the request context, resolve the ranking through cache + admission,
+// and map failures to their HTTP status. vals are the request's query values
+// and key the spec's epoch-less cache key. On success the cache-status
+// header is set and the ranking returned; on failure the response has been
+// written.
+func (s *Server) rankScores(w http.ResponseWriter, r *http.Request, vals url.Values, snap *registry.Snapshot, spec rankspec.Spec, key rankcache.Key) (rankspec.Ranking, bool) {
+	ctx, cancel, err := s.requestCtx(r, vals)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return nil, false
+		return rankspec.Ranking{}, false
 	}
 	defer cancel()
-	scores, status, st, err := s.scores(ctx, snap, spec)
+	rk, status, st, err := s.ranking(ctx, snap, spec, key)
 	if err != nil {
 		s.writeComputeError(w, snap.Name, err)
-		return nil, false
+		return rankspec.Ranking{}, false
 	}
 	w.Header().Set(cacheHeader, status)
 	noteCompute(w, r, snap.Name, status, st)
-	return scores, true
+	return rk, true
 }
 
 // snapshot resolves the {graph} path component against the registry.
@@ -532,7 +557,8 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	spec, err := parseRankQuery(r, snap)
+	vals := r.URL.Query()
+	spec, err := parseRankQuery(vals, snap)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -540,22 +566,23 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	// Validate top before solving: a malformed request must not cost a
 	// cold solve (or a cache slot).
 	top := 0
-	if topStr := r.URL.Query().Get("top"); topStr != "" {
+	if topStr := vals.Get("top"); topStr != "" {
 		top, err = strconv.Atoi(topStr)
 		if err != nil || top <= 0 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad top %q", topStr))
 			return
 		}
 	}
-	scores, ok := s.rankScores(w, r, snap, spec)
+	key := spec.CacheKey()
+	rk, ok := s.rankScores(w, r, vals, snap, spec, key)
 	if !ok {
 		return
 	}
-	resp := RankResponse{Graph: snap.Name, Config: string(spec.CacheKey())}
+	resp := RankResponse{Graph: snap.Name, Config: string(key)}
 	if top > 0 {
-		resp.Top = rankspec.TopEntries(snap.Graph, scores, top)
+		resp.Top = rk.Top(snap.Graph, top)
 	} else {
-		resp.Scores = scores
+		resp.Scores = rk.Scores
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -565,27 +592,29 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	spec, err := parseRankQuery(r, snap)
+	vals := r.URL.Query()
+	spec, err := parseRankQuery(vals, snap)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	k := 10
-	if kStr := r.URL.Query().Get("k"); kStr != "" {
+	if kStr := vals.Get("k"); kStr != "" {
 		k, err = strconv.Atoi(kStr)
 		if err != nil || k <= 0 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad k %q", kStr))
 			return
 		}
 	}
-	scores, ok := s.rankScores(w, r, snap, spec)
+	key := spec.CacheKey()
+	rk, ok := s.rankScores(w, r, vals, snap, spec, key)
 	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, RankResponse{
 		Graph:  snap.Name,
-		Config: string(spec.CacheKey()),
-		Top:    rankspec.TopEntries(snap.Graph, scores, k),
+		Config: string(key),
+		Top:    rk.Top(snap.Graph, k),
 	})
 }
 
@@ -609,12 +638,13 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown node %q", idStr))
 		return
 	}
-	spec, err := parseRankQuery(r, snap)
+	vals := r.URL.Query()
+	spec, err := parseRankQuery(vals, snap)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	scores, ok := s.rankScores(w, r, snap, spec)
+	rk, ok := s.rankScores(w, r, vals, snap, spec, spec.CacheKey())
 	if !ok {
 		return
 	}
@@ -622,8 +652,8 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		Graph:  snap.Name,
 		Node:   int32(id),
 		Degree: snap.Graph.Degree(int32(id)),
-		Score:  scores[id],
-		Rank:   stats.RankOf(scores, id),
+		Score:  rk.Scores[id],
+		Rank:   stats.RankOf(rk.Scores, id),
 	})
 }
 
@@ -644,19 +674,21 @@ func (s *Server) handleCorrelate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("graph %q has no significance vector", snap.Name))
 		return
 	}
-	spec, err := parseRankQuery(r, snap)
+	vals := r.URL.Query()
+	spec, err := parseRankQuery(vals, snap)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	scores, ok := s.rankScores(w, r, snap, spec)
+	key := spec.CacheKey()
+	rk, ok := s.rankScores(w, r, vals, snap, spec, key)
 	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, CorrelateResponse{
 		Graph:    snap.Name,
-		Config:   string(spec.CacheKey()),
-		Spearman: stats.Spearman(scores, snap.Significance),
-		DegreeR:  stats.Spearman(scores, rankspec.DegreeVector(snap.Graph)),
+		Config:   string(key),
+		Spearman: stats.Spearman(rk.Scores, snap.Significance),
+		DegreeR:  stats.Spearman(rk.Scores, rankspec.DegreeVector(snap.Graph)),
 	})
 }

@@ -28,11 +28,15 @@
 #   BENCHTIME=5x COUNT=3 scripts/bench.sh
 #   OUTDIR=/tmp scripts/bench.sh
 #
-# The JSON shape (both files):
+# The JSON shape (both files); the header records the host, since a speed
+# number means nothing without it:
 #   {
 #     "generated_at": "2026-01-01T00:00:00Z",
 #     "go": "go1.24.x",
 #     "benchtime": "1s",
+#     "cpu": "Intel(R) Xeon(R) Processor",
+#     "nproc": 2,
+#     "gomaxprocs": 2,
 #     "benchmarks": [
 #       {"name": "BenchmarkCoreSolveWarm", "iterations": 97,
 #        "ns_per_op": 11758747, "bytes_per_op": 245826, "allocs_per_op": 2,
@@ -49,6 +53,16 @@ BENCHTIME="${BENCHTIME:-1s}"
 COUNT="${COUNT:-1}"
 OUTDIR="${OUTDIR:-.}"
 
+# The host: CPU model (Linux /proc/cpuinfo), online CPUs, and the GOMAXPROCS
+# the benchmarks run with (the environment's, else the Go default, nproc).
+CPU="$(awk -F': *' '/^model name/ {print $2; exit}' /proc/cpuinfo 2>/dev/null || true)"
+CPU="${CPU:-unknown}"
+CPU="${CPU//\\/\\\\}" # JSON-escape backslashes and quotes
+CPU="${CPU//\"/\\\"}"
+export BENCH_CPU="$CPU"
+NPROC="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
+GOMAXPROCS_USED="${GOMAXPROCS:-$NPROC}"
+
 RAWS=()
 trap 'rm -f "${RAWS[@]}"' EXIT
 
@@ -63,9 +77,12 @@ run_suite() {
 
   awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
       -v gover="$(go env GOVERSION)" \
-      -v benchtime="$BENCHTIME" '
+      -v benchtime="$BENCHTIME" \
+      -v nproc="$NPROC" -v gomaxprocs="$GOMAXPROCS_USED" '
   BEGIN {
-    printf "{\n  \"generated_at\": \"%s\",\n  \"go\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"benchmarks\": [", date, gover, benchtime
+    cpu = ENVIRON["BENCH_CPU"] # not -v, which would expand the escapes
+    printf "{\n  \"generated_at\": \"%s\",\n  \"go\": \"%s\",\n  \"benchtime\": \"%s\",\n", date, gover, benchtime
+    printf "  \"cpu\": \"%s\",\n  \"nproc\": %d,\n  \"gomaxprocs\": %d,\n  \"benchmarks\": [", cpu, nproc, gomaxprocs
     sep = ""
   }
   /^Benchmark/ {
