@@ -1,12 +1,15 @@
 // Benchmarks that regenerate every table and figure of the paper (one
-// Benchmark per artifact), plus the ablation benches from DESIGN.md §4.
+// Benchmark per artifact), plus ablation benches of the design choices:
+// de-coupling through the transition or the teleport, log-space
+// normalization, sequential or parallel sweeps, power iteration or forward
+// push, and D2PR against the classic baselines.
 //
 // Run everything:  go test -bench=. -benchmem
 // One artifact:    go test -bench=BenchmarkFigure2 -benchmem
 //
 // The benches run against scale-0.25 data graphs at tolerance 1e-8 so a full
 // pass stays in CPU-minutes; `cmd/d2pr-experiments -scale 1` reproduces the
-// full-size numbers recorded in EXPERIMENTS.md.
+// artifacts at full size.
 package d2pr_test
 
 import (
@@ -178,8 +181,9 @@ func BenchmarkAblationPush(b *testing.B) {
 		}
 	})
 	b.Run("forward-push", func(b *testing.B) {
+		e := core.EngineFor(g)
 		for i := 0; i < b.N; i++ {
-			if _, err := core.ForwardPush(tr, 0, core.ForwardPushOptions{Epsilon: 1e-8}); err != nil {
+			if _, err := e.SolvePPR(tr, 0, core.ForwardPushOptions{Epsilon: 1e-8}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -235,39 +239,6 @@ func BenchmarkAblationBaselines(b *testing.B) {
 	})
 	run("closeness-sampled", func() ([]float64, error) {
 		return core.ClosenessCentrality(g, 64, 9), nil
-	})
-}
-
-// Ablation: Jacobi power iteration versus alternating-sweep Gauss–Seidel.
-// The "iters" metric shows the sweep-count difference; wall time follows it.
-func BenchmarkAblationGaussSeidel(b *testing.B) {
-	r := benchRunner(b)
-	d, err := r.Graph(dataset.DBLPAuthorAuthor)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := core.DegreeDecoupled(d.Unweighted(), 0.5)
-	b.Run("power-iteration", func(b *testing.B) {
-		var iters int
-		for i := 0; i < b.N; i++ {
-			res, err := core.Solve(tr, core.Options{Tol: 1e-10})
-			if err != nil {
-				b.Fatal(err)
-			}
-			iters = res.Iterations
-		}
-		b.ReportMetric(float64(iters), "iters")
-	})
-	b.Run("gauss-seidel", func(b *testing.B) {
-		var iters int
-		for i := 0; i < b.N; i++ {
-			res, err := core.SolveGaussSeidel(tr, core.Options{Tol: 1e-10})
-			if err != nil {
-				b.Fatal(err)
-			}
-			iters = res.Iterations
-		}
-		b.ReportMetric(float64(iters), "iters")
 	})
 }
 

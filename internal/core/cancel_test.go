@@ -81,22 +81,6 @@ func TestSolveContextCancelsWithinOneIteration(t *testing.T) {
 	}
 }
 
-// TestGaussSeidelContextCancel: the sequential ablation solver honors the
-// same per-sweep poll.
-func TestGaussSeidelContextCancel(t *testing.T) {
-	g := powerLawGraph(t, 500, 5, 9)
-	tr := DegreeDecoupled(g, 1)
-	ctx := errAfter(2)
-	res, err := SolveGaussSeidelContext(ctx, tr, Options{MaxIter: 30, Tol: 1e-300})
-	requireCancelErr(t, err, "after 1/30 sweeps")
-	if res != nil {
-		t.Fatalf("cancelled solve returned a result: %+v", res)
-	}
-	if _, err := SolveGaussSeidel(tr, Options{MaxIter: 30}); err != nil {
-		t.Fatalf("solve after cancellation: %v", err)
-	}
-}
-
 // TestSolvePPRContextCancel: a pre-cancelled context aborts the push loop at
 // its first poll (every 256 dequeues) instead of draining the queue. The
 // tight epsilon forces far more than 256 pushes on this graph, so a

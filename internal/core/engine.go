@@ -12,8 +12,8 @@ import (
 )
 
 // Engine is the per-graph solver substrate, built once per graph and shared
-// by every solver (power iteration, Gauss–Seidel, and the PPR push path). It
-// is organized around memory locality:
+// by both solvers (power iteration and the PPR push path). It is organized
+// around memory locality:
 //
 //   - Pull CSR: arcs into each destination are contiguous (pullOffsets +
 //     pullSources), so a sweep is a streaming pass over destinations with
@@ -76,7 +76,7 @@ type Engine struct {
 	// invOut[u] = 1/outdeg(u) in ORIGINAL id space (0 for dangling nodes) —
 	// the implicit uniform transition for callers that walk the forward
 	// graph (the PPR push path). invOutP is the same table in permuted
-	// space, used by the sweep solvers; it aliases invOut when the
+	// space, used by the power sweep; it aliases invOut when the
 	// relabeling is the identity.
 	invOut  []float64
 	invOutP []float64
@@ -277,8 +277,7 @@ func (e *Engine) Connection() *Transition {
 // engineCacheCap bounds the process-wide engine cache. Serving deployments
 // own their engines through registry snapshots (built with NewEngine, so an
 // engine dies with its snapshot); the global cache covers library callers
-// (Solve, SolveGaussSeidel) without pinning every graph a test run ever
-// builds.
+// (Solve) without pinning every graph a test run ever builds.
 const engineCacheCap = 16
 
 var (

@@ -286,31 +286,3 @@ func TestConcurrentEngineSolves(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestGaussSeidelUniformImplicit: Gauss–Seidel's implicit-uniform path must
-// match its explicit-transition path exactly, and both must still agree
-// with power iteration within tolerance.
-func TestGaussSeidelUniformImplicit(t *testing.T) {
-	g := powerLawGraph(t, 400, 4, 12)
-	explicit := &Transition{g: g, probs: uniformProbs(g)}
-	want, err := SolveGaussSeidel(explicit, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SolveGaussSeidel(Uniform(g), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Scores {
-		if got.Scores[i] != want.Scores[i] {
-			t.Fatalf("score[%d] = %v, explicit GS %v", i, got.Scores[i], want.Scores[i])
-		}
-	}
-	power, err := Solve(Uniform(g), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(got.Scores, power.Scores); d > 1e-8 {
-		t.Errorf("GS vs power iteration: max |Δ| = %g", d)
-	}
-}

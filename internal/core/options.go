@@ -3,8 +3,7 @@
 // degree de-coupled PageRank (D2PR) in its undirected, directed, and weighted
 // (β-blended) forms, the degree-biased-teleportation alternative from the
 // related work, and the baseline significance measures (degree, HITS,
-// closeness, betweenness, Monte-Carlo hitting time) the paper positions
-// itself against.
+// closeness, betweenness) the paper positions itself against.
 //
 // All algorithms operate on *graph.Graph CSR graphs and share one fixpoint:
 //
@@ -115,8 +114,7 @@ func (o Options) withDefaults(n int) (Options, error) {
 type Result struct {
 	// Scores is the stationary distribution; it sums to 1.
 	Scores []float64
-	// Iterations is the number of iterations performed (sweeps, for
-	// SolveGaussSeidel).
+	// Iterations is the number of power iterations performed.
 	Iterations int
 	// Converged reports whether the L1 residual dropped below Tol before
 	// MaxIter was reached.

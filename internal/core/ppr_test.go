@@ -8,52 +8,9 @@ import (
 	"d2pr/internal/graph"
 )
 
-// densePPR solves the personalized PageRank fixpoint
-//
-//	x = (1-α)·e_seed + α·(T·x + danglingMass·e_seed)
-//
-// by dense restart-vector power iteration, written independently of both the
-// engine solver and the push solver: it walks the forward CSR directly and
-// scatters x[u]·prob(u→v) per arc. The reference implementation for the
-// SolvePPR property tests.
-func densePPR(tr *Transition, seed int32, alpha float64) []float64 {
-	g := tr.Graph()
-	n := g.NumNodes()
-	x := make([]float64, n)
-	next := make([]float64, n)
-	x[seed] = 1
-	for iter := 0; iter < 2000; iter++ {
-		for v := range next {
-			next[v] = 0
-		}
-		var dangling float64
-		for u := int32(0); int(u) < n; u++ {
-			lo, hi := g.ArcRange(u)
-			if lo == hi {
-				dangling += x[u]
-				continue
-			}
-			probs := tr.ProbsFrom(u)
-			for k := lo; k < hi; k++ {
-				next[g.ArcTarget(k)] += alpha * x[u] * probs[k-lo]
-			}
-		}
-		next[seed] += (1 - alpha) + alpha*dangling
-		var diff float64
-		for v := range x {
-			diff += math.Abs(next[v] - x[v])
-		}
-		x, next = next, x
-		if diff < 1e-14 {
-			break
-		}
-	}
-	return x
-}
-
 // TestSolvePPRMatchesDense is the property test for the personalized path:
 // across random graph shapes, seeds, alphas and ε, the push solve must meet
-// its exact contract against the independent dense restart-vector solve.
+// its exact contract against the independent dense solve, denseFixpoint.
 // Every unpushed residual r(u) would become a PPR vector of mass r(u), so
 // p̂ ≤ p entrywise and ‖p − p̂‖₁ = ResidualMass, and termination leaves each
 // r(v) below ε·max(deg(v), 1).
@@ -70,7 +27,7 @@ func TestSolvePPRMatchesDense(t *testing.T) {
 		}
 		alpha := 0.5 + 0.4*rng.Float64()
 		seed := int32(rng.Intn(g.NumNodes()))
-		exact := densePPR(tr, seed, alpha)
+		exact := denseFixpoint(tr, alpha, seedVector(g.NumNodes(), seed))
 		var slots int // Σ_v max(deg(v), 1): arcs plus dangling nodes
 		for u := int32(0); int(u) < g.NumNodes(); u++ {
 			slots += max(g.Degree(u), 1)

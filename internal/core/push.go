@@ -233,18 +233,3 @@ func (e *Engine) SolvePPRContext(ctx context.Context, t *Transition, seed int32,
 	e.putPPR(st)
 	return &PPRResult{Scores: p, ResidualMass: residual, Pushes: pushes, Elapsed: time.Since(solveStart)}, nil
 }
-
-// ForwardPush computes an approximate personalized PageRank vector for a
-// single seed. It is the convenience form of Engine.SolvePPR, routing through
-// the per-graph engine cache; callers that hold an engine (the serving layer)
-// should call SolvePPR directly and also get the residual diagnostics.
-func ForwardPush(t *Transition, seed int32, opts ForwardPushOptions) ([]float64, error) {
-	if t.g.NumNodes() == 0 {
-		return nil, ErrEmptyGraph
-	}
-	res, err := EngineFor(t.g).SolvePPR(t, seed, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Scores, nil
-}

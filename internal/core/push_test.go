@@ -16,20 +16,20 @@ func TestForwardPushMatchesPowerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := ForwardPush(tr, seed, ForwardPushOptions{Alpha: 0.85, Epsilon: 1e-9})
+	approx, err := EngineFor(g).SolvePPR(tr, seed, ForwardPushOptions{Alpha: 0.85, Epsilon: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var maxErr float64
 	for i := range exact.Scores {
-		if d := math.Abs(exact.Scores[i] - approx[i]); d > maxErr {
+		if d := math.Abs(exact.Scores[i] - approx.Scores[i]); d > maxErr {
 			maxErr = d
 		}
 	}
 	if maxErr > 1e-5 {
 		t.Errorf("max |exact - push| = %v, want ≤ 1e-5", maxErr)
 	}
-	if rho := stats.Spearman(exact.Scores, approx); rho < 0.999 {
+	if rho := stats.Spearman(exact.Scores, approx.Scores); rho < 0.999 {
 		t.Errorf("rank agreement ρ = %v", rho)
 	}
 }
@@ -44,13 +44,13 @@ func TestForwardPushD2PRTransition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := ForwardPush(tr, seed, ForwardPushOptions{Epsilon: 1e-9})
+	approx, err := EngineFor(g).SolvePPR(tr, seed, ForwardPushOptions{Epsilon: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range exact.Scores {
-		if math.Abs(exact.Scores[i]-approx[i]) > 1e-5 {
-			t.Fatalf("node %d: exact %v push %v", i, exact.Scores[i], approx[i])
+		if math.Abs(exact.Scores[i]-approx.Scores[i]) > 1e-5 {
+			t.Fatalf("node %d: exact %v push %v", i, exact.Scores[i], approx.Scores[i])
 		}
 	}
 }
@@ -58,12 +58,12 @@ func TestForwardPushD2PRTransition(t *testing.T) {
 func TestForwardPushMassBound(t *testing.T) {
 	g := skewedGraph(100, 23)
 	tr := Uniform(g)
-	approx, err := ForwardPush(tr, 0, ForwardPushOptions{Epsilon: 1e-4})
+	approx, err := EngineFor(g).SolvePPR(tr, 0, ForwardPushOptions{Epsilon: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum float64
-	for _, v := range approx {
+	for _, v := range approx.Scores {
 		if v < 0 {
 			t.Fatalf("negative push estimate %v", v)
 		}
@@ -75,6 +75,9 @@ func TestForwardPushMassBound(t *testing.T) {
 	if sum < 0.5 {
 		t.Errorf("push mass = %v, suspiciously small at ε=1e-4", sum)
 	}
+	if d := math.Abs(sum + approx.ResidualMass - 1); d > 1e-12 {
+		t.Errorf("push mass %v + ResidualMass %v misses 1 by %v", sum, approx.ResidualMass, d)
+	}
 }
 
 func TestForwardPushDanglingSeed(t *testing.T) {
@@ -84,28 +87,29 @@ func TestForwardPushDanglingSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := ForwardPush(Uniform(g), 0, ForwardPushOptions{Epsilon: 1e-10})
+	approx, err := EngineFor(g).SolvePPR(Uniform(g), 0, ForwardPushOptions{Epsilon: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if approx[0] < 0.99 {
-		t.Errorf("dangling seed score = %v, want ≈1", approx[0])
+	if approx.Scores[0] < 0.99 {
+		t.Errorf("dangling seed score = %v, want ≈1", approx.Scores[0])
 	}
 }
 
 func TestForwardPushValidation(t *testing.T) {
 	g := skewedGraph(10, 24)
 	tr := Uniform(g)
-	if _, err := ForwardPush(tr, -1, ForwardPushOptions{}); err == nil {
+	e := EngineFor(g)
+	if _, err := e.SolvePPR(tr, -1, ForwardPushOptions{}); err == nil {
 		t.Error("negative seed must error")
 	}
-	if _, err := ForwardPush(tr, 100, ForwardPushOptions{}); err == nil {
+	if _, err := e.SolvePPR(tr, 100, ForwardPushOptions{}); err == nil {
 		t.Error("out-of-range seed must error")
 	}
-	if _, err := ForwardPush(tr, 0, ForwardPushOptions{Alpha: 1.5}); err == nil {
+	if _, err := e.SolvePPR(tr, 0, ForwardPushOptions{Alpha: 1.5}); err == nil {
 		t.Error("alpha ≥ 1 must error")
 	}
-	if _, err := ForwardPush(tr, 0, ForwardPushOptions{Epsilon: -1}); err == nil {
+	if _, err := e.SolvePPR(tr, 0, ForwardPushOptions{Epsilon: -1}); err == nil {
 		t.Error("negative epsilon must error")
 	}
 }

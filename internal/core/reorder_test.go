@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,8 +9,8 @@ import (
 )
 
 // Tests for the locality relabeling (computeOrder) and its central contract:
-// a relabeled engine is invisible — every solver returns bit-identical scores
-// to an identity-ordered engine on the same graph.
+// a relabeled engine is invisible — a solve returns bit-identical scores to
+// an identity-ordered engine's on the same graph.
 
 func TestComputeOrderValidPermutation(t *testing.T) {
 	graphs := map[string]*graph.Graph{
@@ -160,35 +159,6 @@ func TestReorderedEngineBitIdentical(t *testing.T) {
 				if a.Scores[i] != b.Scores[i] {
 					t.Fatalf("%s/%s: score[%d] differs: %v vs %v", name, trName, i, a.Scores[i], b.Scores[i])
 				}
-			}
-		}
-	}
-}
-
-func TestReorderedGaussSeidelBitIdentical(t *testing.T) {
-	// Gauss–Seidel's result depends on update order, so the permuted engine
-	// sweeps through permOf in original id order — making it, too,
-	// bit-identical to the identity engine.
-	for name, g := range reorderTestGraphs(t) {
-		tr := DegreeDecoupled(g, 0.75)
-		opts, err := Options{Tol: 1e-12}.withDefaults(g.NumNodes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := NewEngine(g).gaussSeidel(context.Background(), tr, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := newEngineIdentity(g).gaussSeidel(context.Background(), tr, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Iterations != b.Iterations {
-			t.Fatalf("%s: sweeps %d vs %d", name, a.Iterations, b.Iterations)
-		}
-		for i := range a.Scores {
-			if a.Scores[i] != b.Scores[i] {
-				t.Fatalf("%s: score[%d] differs: %v vs %v", name, i, a.Scores[i], b.Scores[i])
 			}
 		}
 	}

@@ -28,9 +28,9 @@ type Transition struct {
 	// Rank-1 factorization (original id space), set by DegreeDecoupled when
 	// numerically safe: probs[k] = rowFactor[dst(k)] · srcScale[src(k)], with
 	// srcScale[u] = 1/Σ_{v ∈ out(u)} rowFactor[v] (0 for dangling u). The
-	// solvers consume this instead of a per-arc array — the whole O(arcs)
-	// probability stream disappears from the sweep. dp keeps the de-coupling
-	// weight for lazy per-arc materialization (arcProbs).
+	// power solver consumes this instead of a per-arc array — the whole
+	// O(arcs) probability stream disappears from the sweep. dp keeps the
+	// de-coupling weight for lazy per-arc materialization (arcProbs).
 	rowFactor []float64
 	srcScale  []float64
 	dp        float64
@@ -153,8 +153,8 @@ func ConnectionStrength(g *graph.Graph) *Transition {
 // When the unshifted factor table exp(-p·log Θ̂) and every per-source factor
 // sum are positive finite numbers — always, except at extreme p·Θ̂ spreads —
 // the transition is kept in its rank-1 factored form instead of a per-arc
-// array: probs[k] = rowFactor[dst(k)]·srcScale[src(k)]. The solvers run the
-// factored form directly (one per-node table read per arc replaces the
+// array: probs[k] = rowFactor[dst(k)]·srcScale[src(k)]. The power solver runs
+// the factored form directly (one per-node table read per arc replaces the
 // per-arc probability stream), and the per-arc view is materialized lazily,
 // only if a caller actually reads probabilities.
 func DegreeDecoupled(g *graph.Graph, p float64) *Transition {
@@ -173,8 +173,8 @@ func DegreeDecoupled(g *graph.Graph, p float64) *Transition {
 // factoredDecoupled builds the rank-1 form of the D2PR transition, or returns
 // (nil, nil) when the unshifted evaluation is unsafe anywhere: some factor is
 // not a positive finite number, or some source fails factorScale's gate. One
-// bad source rejects the whole factorization, because the solvers consume the
-// factored form for every row or not at all.
+// bad source rejects the whole factorization, because the power solver
+// consumes the factored form for every row or not at all.
 func factoredDecoupled(g *graph.Graph, p float64, logTheta []float64) (rowFactor, srcScale []float64) {
 	n := g.NumNodes()
 	rowFactor = make([]float64, n)

@@ -1,10 +1,10 @@
 // Package dataset generates the synthetic data graphs used throughout the
 // reproduction. The paper evaluates on four real datasets (IMDB+MovieLens,
 // DBLP, Last.fm, Epinions), none of which can be downloaded in this offline
-// module; the substitution — documented in DESIGN.md §3 — is a
-// planted-quality affiliation model that implements the paper's own causal
-// story for why node degree and node significance relate differently across
-// applications.
+// module. The substitution is a planted-quality affiliation model
+// (affiliation.go, with one configuration per paper graph in paper.go) that
+// implements the paper's own causal story for why node degree and node
+// significance relate differently across applications.
 //
 // The package also provides the Barabási–Albert and Chung–Lu random-graph
 // models used as substrates in tests and benchmarks.

@@ -8,14 +8,13 @@ import (
 	"d2pr/internal/stats"
 )
 
-// Ablations compares the design choices DESIGN.md calls out, on the Group-A
-// actor graph where de-coupling matters most:
+// Ablations compares two design choices of the paper on the Group-A actor
+// graph, where de-coupling matters most:
 //
 //  1. D2PR's transition-matrix modification vs the degree-biased
 //     teleportation of the paper's reference [2];
 //  2. D2PR at its operating point vs the classic significance baselines
-//     (degree, HITS authorities, sampled closeness/betweenness);
-//  3. power iteration vs Gauss–Seidel sweeps (solver equivalence+cost).
+//     (degree, HITS authorities, sampled closeness/betweenness).
 //
 // Each correlation carries a 95% bootstrap confidence interval so that
 // "method X beats method Y" claims are separable from sampling noise.
@@ -86,35 +85,5 @@ func Ablations(r *Runner) (*Result, error) {
 	sec.Notes = append(sec.Notes,
 		"transition-matrix de-coupling should dominate; every degree-aligned baseline inherits PageRank's failure on Group-A data")
 	res.Sections = append(res.Sections, sec)
-
-	// 3: solver equivalence and sweep counts.
-	tr := core.DegreeDecoupled(g, 1)
-	power, err := core.Solve(tr, opts)
-	if err != nil {
-		return nil, err
-	}
-	gs, err := core.SolveGaussSeidel(tr, opts)
-	if err != nil {
-		return nil, err
-	}
-	maxDiff := 0.0
-	for i := range power.Scores {
-		d := power.Scores[i] - gs.Scores[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > maxDiff {
-			maxDiff = d
-		}
-	}
-	res.Sections = append(res.Sections, Section{
-		Heading: "solver ablation (same fixpoint, different sweeps)",
-		Columns: []string{"solver", "iterations", "converged"},
-		Rows: [][]string{
-			{"power iteration", fmt.Sprint(power.Iterations), fmt.Sprint(power.Converged)},
-			{"gauss-seidel (alternating)", fmt.Sprint(gs.Iterations), fmt.Sprint(gs.Converged)},
-		},
-		Notes: []string{fmt.Sprintf("max |power − gauss-seidel| = %.3g", maxDiff)},
-	})
 	return res, nil
 }

@@ -1,4 +1,4 @@
-// Serving-layer benchmarks for the ISSUE-1 and ISSUE-2 acceptance criteria:
+// Serving-layer benchmarks:
 //
 //	BenchmarkRankRequestCold vs. BenchmarkRankRequestWarm — a repeat
 //	/v1/{graph}/rank request served from the rank cache must be ≥10×
@@ -9,12 +9,16 @@
 //	the shared job workers) must measurably beat 20 sequential cold
 //	/v1/{graph}/rank round trips.
 //
+//	BenchmarkCorrelateWarm — a warm /v1/{graph}/correlate hit: the cached
+//	scores, correlated by Spearman's ρ against the significance and degree
+//	vectors, which the hit ranks afresh.
+//
 //	BenchmarkMiddlewareRecord — the per-request observability overhead
 //	(request-ID handling, trace context, telemetry record, status
-//	recorder) around a no-op handler, run in parallel; the ISSUE-8 budget
-//	is <2% of a warm request.
+//	recorder) around a no-op handler, run in parallel; its budget is <2%
+//	of a warm request.
 //
-//	go test ./internal/server -bench='BenchmarkRankRequest|BenchmarkSweep20|BenchmarkPPRRequest|BenchmarkMiddleware'
+//	go test ./internal/server -bench='BenchmarkRankRequest|BenchmarkSweep20|BenchmarkPPRRequest|BenchmarkCorrelate|BenchmarkMiddleware'
 //
 // scripts/bench.sh runs exactly these and emits BENCH_serve.json for the
 // perf trajectory across PRs.
@@ -177,6 +181,23 @@ func BenchmarkPPRRequestWarm(b *testing.B) {
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/imdb-actor-actor/ppr?seed=0&k=10", nil))
 		if rec.Code != 200 {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// BenchmarkCorrelateWarm repeats one /correlate configuration; after the
+// first request every iteration is a rank-cache hit plus the two Spearman
+// correlations.
+func BenchmarkCorrelateWarm(b *testing.B) {
+	h := benchHandler(b)
+	const url = "/v1/imdb-actor-actor/correlate?p=0.5"
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", url, nil)) // prime the cache
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		if rec.Code != 200 || rec.Header().Get(cacheHeader) != "hit" {
+			b.Fatalf("status %d, X-Cache %q: %s", rec.Code, rec.Header().Get(cacheHeader), rec.Body.String())
 		}
 	}
 }

@@ -19,8 +19,10 @@ import (
 // requestIDHeader carries the per-request correlation ID. Inbound values are
 // echoed when well-formed; otherwise (including when absent) the server
 // generates one. The ID appears on the response, in every access-log line,
-// and on job records created by the request.
-const requestIDHeader = "X-Request-ID"
+// and on job records created by the request. The name is in canonical form,
+// as net/http writes it on the wire, so Header.Get and Header.Set use it
+// as is instead of canonicalizing a copy on every request.
+const requestIDHeader = "X-Request-Id"
 
 // maxRequestIDLen bounds an inbound request ID. Anything longer (or carrying
 // non-printable bytes) is replaced with a generated ID rather than echoed —

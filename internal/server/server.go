@@ -685,10 +685,13 @@ func (s *Server) handleCorrelate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// Spearman's ρ is the Pearson correlation of fractional ranks, so the
+	// scores are ranked once for both correlations.
+	ranks := stats.Ranks(rk.Scores)
 	writeJSON(w, http.StatusOK, CorrelateResponse{
 		Graph:    snap.Name,
 		Config:   string(key),
-		Spearman: stats.Spearman(rk.Scores, snap.Significance),
-		DegreeR:  stats.Spearman(rk.Scores, rankspec.DegreeVector(snap.Graph)),
+		Spearman: stats.Pearson(ranks, stats.Ranks(snap.Significance)),
+		DegreeR:  stats.Pearson(ranks, stats.Ranks(rankspec.DegreeVector(snap.Graph))),
 	})
 }

@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"d2pr/internal/graph"
+	"d2pr/internal/rankspec"
 	"d2pr/internal/registry"
+	"d2pr/internal/stats"
 )
 
 func testGraph(t *testing.T) *graph.Graph {
@@ -262,13 +264,27 @@ func TestNodeEndpoint(t *testing.T) {
 }
 
 func TestCorrelateEndpoint(t *testing.T) {
-	_, ts := multiServer(t)
+	s, ts := multiServer(t)
 	var resp CorrelateResponse
 	if code := getJSON(t, ts.URL+"/v1/alpha/correlate?p=1", &resp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if resp.Spearman < -1 || resp.Spearman > 1 || resp.DegreeR < -1 || resp.DegreeR > 1 {
-		t.Errorf("correlations out of range: %+v", resp)
+	// Both ρ are exactly stats.Spearman of the cached scores.
+	snap, err := s.reg.Get("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := rankspec.New("alpha")
+	spec.P = 1
+	scores, ok := s.Cache().Lookup(spec.CacheKeyFor(snap))
+	if !ok {
+		t.Fatal("scores not cached")
+	}
+	if want := stats.Spearman(scores, snap.Significance); resp.Spearman != want {
+		t.Errorf("spearman = %v, want %v", resp.Spearman, want)
+	}
+	if want := stats.Spearman(scores, rankspec.DegreeVector(snap.Graph)); resp.DegreeR != want {
+		t.Errorf("degree_spearman = %v, want %v", resp.DegreeR, want)
 	}
 	if code := getJSON(t, ts.URL+"/v1/beta/correlate", nil); code != http.StatusNotFound {
 		t.Errorf("no significance: status %d, want 404", code)

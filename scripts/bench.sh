@@ -6,8 +6,9 @@
 #
 #   BENCH_serve.json — serving layer (internal/server): cold solve, warm
 #                      cache hit, 20-config batch-vs-sequential sweep, warm
-#                      personalized (/ppr) hit, and the parallel telemetry
-#                      middleware overhead (BenchmarkMiddlewareRecord).
+#                      personalized (/ppr) hit, warm /correlate hit, and the
+#                      parallel telemetry middleware overhead
+#                      (BenchmarkMiddlewareRecord).
 #   BENCH_core.json  — solver engine (internal/core) + personalized path
 #                      (internal/rankcache): cold (re-transpose) vs warm
 #                      (cached-engine) solve, implicit-uniform solve, the
@@ -105,5 +106,5 @@ run_suite() {
   echo "wrote $out"
 }
 
-run_suite ./internal/server 'BenchmarkRankRequest|BenchmarkSweep20|BenchmarkPPRRequest|BenchmarkMiddleware' "$OUTDIR/BENCH_serve.json"
+run_suite ./internal/server 'BenchmarkRankRequest|BenchmarkSweep20|BenchmarkPPRRequest|BenchmarkCorrelate|BenchmarkMiddleware' "$OUTDIR/BENCH_serve.json"
 run_suite "./internal/core ./internal/rankcache" 'BenchmarkCore|BenchmarkPPR' "$OUTDIR/BENCH_core.json"
