@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 
 	"d2pr"
 	"d2pr/internal/core"
@@ -126,35 +128,17 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	return graph.WriteScores(stdout, scores)
 }
 
+// parseSeeds parses a comma-separated list of node ids, ignoring spaces
+// around each id. An id outside [0, 2³¹) is an error rather than a wrap
+// onto another node.
 func parseSeeds(s string) ([]int32, error) {
 	var out []int32
-	var cur int64
-	var have bool
-	flush := func() error {
-		if !have {
-			return fmt.Errorf("empty seed in %q", s)
+	for _, part := range strings.Split(s, ",") {
+		id, err := strconv.ParseInt(strings.Trim(part, " "), 10, 32)
+		if err != nil || id < 0 {
+			return nil, fmt.Errorf("bad seed %q in %q", part, s)
 		}
-		out = append(out, int32(cur))
-		cur, have = 0, false
-		return nil
-	}
-	for _, c := range s {
-		switch {
-		case c >= '0' && c <= '9':
-			cur = cur*10 + int64(c-'0')
-			have = true
-		case c == ',':
-			if err := flush(); err != nil {
-				return nil, err
-			}
-		case c == ' ':
-			// permit spaces after commas
-		default:
-			return nil, fmt.Errorf("bad seed list %q", s)
-		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
+		out = append(out, int32(id))
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -81,7 +82,11 @@ func TestRunErrors(t *testing.T) {
 		{"-algo", "bogus", path},             // unknown algorithm
 		{"-algo", "ppr", path},               // ppr without seeds
 		{"-beta", "2", path},                 // invalid beta
-		{filepath.Join(t.TempDir(), "nope")}, // missing file
+		{"-p", "NaN", path},                  // non-finite p
+		{"-p", "-Inf", "-beta", "0.5", path}, // non-finite p in a blend
+		{"-seeds", "4294967296", path},       // wraps to node 0 as an int32
+		{"-algo", "ppr", "-seeds", "4294967299", path}, // wraps to node 3
+		{filepath.Join(t.TempDir(), "nope")},           // missing file
 	}
 	for _, args := range cases {
 		if err := run(args, nil, &bytes.Buffer{}); err == nil {
@@ -107,9 +112,44 @@ func TestParseSeeds(t *testing.T) {
 	if !reflect.DeepEqual(got, []int32{1, 22, 333}) {
 		t.Errorf("got %v", got)
 	}
-	for _, bad := range []string{"", "1,,2", "a", "1;2"} {
-		if _, err := parseSeeds(bad); err == nil {
-			t.Errorf("%q: want error", bad)
+	if got, err := parseSeeds(" 0 ,2147483647"); err != nil || !reflect.DeepEqual(got, []int32{0, 1<<31 - 1}) {
+		t.Errorf("largest id: got %v, %v", got, err)
+	}
+	for _, bad := range []string{
+		"", "1,,2", "a", "1;2", "1 2", "-1", "0,-3",
+		// Ids that wrapped onto nodes 0 and 3 through int32 conversion, and
+		// one past int64.
+		"2147483648", "4294967296", "4294967299", "12345678901234567890",
+	} {
+		if got, err := parseSeeds(bad); err == nil {
+			t.Errorf("%q: want error, got %v", bad, got)
 		}
 	}
+}
+
+// FuzzParseSeeds: an accepted list holds only ids in [0, 2³¹), and joining
+// them again parses to the same ids. Explore further with
+//
+//	go test -run '^$' -fuzz '^FuzzParseSeeds$' -fuzztime 30s ./cmd/d2pr
+func FuzzParseSeeds(f *testing.F) {
+	for _, s := range []string{"", "0", "1,22, 333", "1,,2", " 7 ", "-1", "+5", "2147483647", "4294967299", "1 2"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		seeds, err := parseSeeds(s)
+		if err != nil {
+			return
+		}
+		parts := make([]string, len(seeds))
+		for i, sd := range seeds {
+			if sd < 0 {
+				t.Fatalf("%q: negative seed %d", s, sd)
+			}
+			parts[i] = strconv.Itoa(int(sd))
+		}
+		again, err := parseSeeds(strings.Join(parts, ","))
+		if err != nil || !reflect.DeepEqual(again, seeds) {
+			t.Fatalf("%q: %v joined again parses to %v, %v", s, seeds, again, err)
+		}
+	})
 }

@@ -36,6 +36,8 @@
 package d2pr
 
 import (
+	"errors"
+	"fmt"
 	"math"
 
 	"d2pr/internal/core"
@@ -109,10 +111,12 @@ type Params struct {
 	Options Options
 }
 
-// Rank computes a D2PR-family ranking of g.
+// Rank computes a D2PR-family ranking of g: D2PRBlended at params.P and
+// params.Beta, with the teleport personalized when Seeds is set.
 //
-//   - Params{} is conventional PageRank (connection-strength transitions on
-//     weighted graphs).
+//   - Params{} is conventional PageRank on an unweighted graph. On a weighted
+//     graph it is D2PR at p = 0, which ignores the weights; Params{Beta: 1}
+//     is connection-strength PageRank there.
 //   - Params{P: p} is the paper's D2PR with full de-coupling.
 //   - Params{P: p, Beta: b} is the weighted blend of §3.2.3.
 //   - Params{Seeds: ...} personalizes any of the above.
@@ -122,23 +126,13 @@ func Rank(g *Graph, params Params) (*Result, error) {
 		tele := make([]float64, g.NumNodes())
 		for _, s := range params.Seeds {
 			if s < 0 || int(s) >= g.NumNodes() {
-				return nil, errSeedRange(s, g.NumNodes())
+				return nil, fmt.Errorf("d2pr: seed %d out of range [0, %d)", s, g.NumNodes())
 			}
 			tele[s] = 1
 		}
 		opts.Teleport = tele
 	}
-	if params.Beta != 0 {
-		t, err := core.Blended(g, params.P, params.Beta)
-		if err != nil {
-			return nil, err
-		}
-		return core.Solve(t, opts)
-	}
-	if params.P == 0 && len(params.Seeds) == 0 && !g.Weighted() {
-		return core.PageRank(g, opts)
-	}
-	return core.Solve(core.DegreeDecoupled(g, params.P), opts)
+	return core.D2PRBlended(g, params.P, params.Beta, opts)
 }
 
 // PageRank computes conventional PageRank (weighted graphs use connection
@@ -178,40 +172,6 @@ func TopK(scores []float64, k int) []int { return stats.TopK(scores, k) }
 // CompetitionRanks returns 1-based competition ranks (1 = best) for scores.
 func CompetitionRanks(scores []float64) []int { return stats.CompetitionRanks(scores) }
 
-type seedRangeError struct {
-	seed int32
-	n    int
-}
-
-func (e seedRangeError) Error() string {
-	return "d2pr: seed " + itoa(int(e.seed)) + " out of range [0, " + itoa(e.n) + ")"
-}
-
-func errSeedRange(seed int32, n int) error { return seedRangeError{seed, n} }
-
-// itoa is a minimal integer formatter to keep the façade free of fmt.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [24]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
 // degreeVector returns float64 degrees, a convenience for correlation against
 // rankings.
 func degreeVector(g *Graph) []float64 {
@@ -236,7 +196,7 @@ func DegreeCorrelation(g *Graph, scores []float64) float64 {
 // 2–4 as an API call).
 func OptimalP(g *Graph, significance []float64, lo, hi, step float64, opts Options) (bestP, bestRho float64, err error) {
 	if step <= 0 || hi < lo {
-		return 0, 0, errBadSweep{}
+		return 0, 0, errors.New("d2pr: OptimalP needs step > 0 and hi ≥ lo")
 	}
 	bestRho = math.Inf(-1)
 	for p := lo; p <= hi+1e-12; p += step {
@@ -251,7 +211,3 @@ func OptimalP(g *Graph, significance []float64, lo, hi, step float64, opts Optio
 	}
 	return bestP, bestRho, nil
 }
-
-type errBadSweep struct{}
-
-func (errBadSweep) Error() string { return "d2pr: OptimalP needs step > 0 and hi ≥ lo" }

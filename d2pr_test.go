@@ -88,12 +88,66 @@ func TestRankWithSeeds(t *testing.T) {
 	if res.Scores[5] <= uniform.Scores[5] {
 		t.Error("seeding node 5 must raise its score")
 	}
-	if _, err := Rank(g, Params{Seeds: []int32{42}}); err == nil {
-		t.Error("out-of-range seed must error")
+	_, err = Rank(g, Params{Seeds: []int32{42}})
+	if want := "d2pr: seed 42 out of range [0, 6)"; err == nil || err.Error() != want {
+		t.Errorf("out-of-range seed: err %v, want %q", err, want)
 	}
 	if _, err := Rank(g, Params{Seeds: []int32{-1}}); err == nil {
 		t.Error("negative seed must error")
 	}
+}
+
+// TestRankNonFiniteP checks that Rank rejects a NaN or infinite p instead of
+// returning NaN scores.
+func TestRankNonFiniteP(t *testing.T) {
+	g := fig1(t)
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, beta := range []float64{0, 0.5} {
+			if res, err := Rank(g, Params{P: p, Beta: beta}); err == nil {
+				t.Errorf("p=%v beta=%v: want error, got scores %v", p, beta, res.Scores)
+			}
+		}
+	}
+}
+
+// TestRankDefaultWeighted pins what Params{} means on a weighted graph: D2PR
+// at p = 0, which ignores the weights, and not connection-strength PageRank,
+// which Params{Beta: 1} gives.
+func TestRankDefaultWeighted(t *testing.T) {
+	g, err := FromWeighted(Undirected, []WeightedEdge{
+		{U: 0, V: 1, W: 10}, {U: 0, V: 2, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := Rank(g, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2pr0, err := D2PR(g, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := Rank(g, Params{Beta: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := PageRank(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l1 float64
+	for i := range def.Scores {
+		if def.Scores[i] != d2pr0.Scores[i] || conn.Scores[i] != pr.Scores[i] {
+			t.Fatalf("node %d: Rank(Params{}) %v vs D2PR(0) %v, Rank(Beta 1) %v vs PageRank %v",
+				i, def.Scores[i], d2pr0.Scores[i], conn.Scores[i], pr.Scores[i])
+		}
+		l1 += math.Abs(def.Scores[i] - pr.Scores[i])
+	}
+	if l1 < 0.1 {
+		t.Errorf("Rank(Params{}) lies %v in L1 from PageRank; the weights should separate them", l1)
+	}
+	t.Logf("L1(Rank(Params{}), PageRank) = %.3f", l1)
 }
 
 func TestDegreeCorrelation(t *testing.T) {

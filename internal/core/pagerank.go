@@ -23,19 +23,13 @@ func PageRank(g *graph.Graph, opts Options) (*Result, error) {
 //   - p = 0 reproduces classic unweighted PageRank (Group B),
 //   - p < 0 boosts high-degree destinations (Group C).
 func D2PR(g *graph.Graph, p float64, opts Options) (*Result, error) {
-	if math.IsNaN(p) || math.IsInf(p, 0) {
-		return nil, fmt.Errorf("core: invalid de-coupling weight p = %v", p)
-	}
-	return Solve(DegreeDecoupled(g, p), opts)
+	return D2PRBlended(g, p, 0, opts)
 }
 
 // D2PRBlended computes weighted-graph D2PR per §3.2.3 of the paper:
 // transitions are β·T_conn + (1-β)·T_D. β = 0 is full de-coupling, β = 1 is
 // conventional weighted PageRank.
 func D2PRBlended(g *graph.Graph, p, beta float64, opts Options) (*Result, error) {
-	if math.IsNaN(p) || math.IsInf(p, 0) {
-		return nil, fmt.Errorf("core: invalid de-coupling weight p = %v", p)
-	}
 	t, err := Blended(g, p, beta)
 	if err != nil {
 		return nil, err

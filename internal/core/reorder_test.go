@@ -164,10 +164,8 @@ func TestReorderedEngineBitIdentical(t *testing.T) {
 	}
 }
 
-func TestReorderedTopKAndCacheKeyStable(t *testing.T) {
-	// Downstream artifacts — rankings and cache keys — cannot depend on the
-	// layout either. (Cache keys never see the engine, but the assertion
-	// pins the contract the serving layer relies on.)
+func TestReorderedTopKStable(t *testing.T) {
+	// Downstream rankings cannot depend on the layout either.
 	g := skewedGraph(200, 5)
 	tr := DegreeDecoupled(g, 1)
 	opts := Options{Tol: 1e-12}
@@ -184,9 +182,6 @@ func TestReorderedTopKAndCacheKeyStable(t *testing.T) {
 		if ta[i] != tb[i] {
 			t.Fatalf("top-k differs at %d: %d vs %d", i, ta[i], tb[i])
 		}
-	}
-	if ka, kb := opts.CacheKey(), opts.CacheKey(); ka != kb {
-		t.Fatalf("cache key unstable: %q vs %q", ka, kb)
 	}
 }
 

@@ -283,13 +283,16 @@ func shiftedRow(g *graph.Graph, u int32, p float64, logTheta, probs []float64) {
 //
 //	T(j,i) = β·T_conn(j,i) + (1-β)·T_D(j,i)
 //
-// β = 1 is conventional weighted PageRank, built without reading p; β = 0 is
-// full degree de-coupling. β must lie in [0, 1]. On an unweighted graph the
-// transitions that reduce to the uniform one (β = 1, or p = 0) stay
-// implicit, and β = 0 keeps DegreeDecoupled's factored form. A proper blend
-// is computed in place into a single per-arc buffer (see blendedProbs).
+// β = 1 is conventional weighted PageRank, built without using p; β = 0 is
+// full degree de-coupling. p must be finite and β must lie in [0, 1]. On an
+// unweighted graph the transitions that reduce to the uniform one (β = 1, or
+// p = 0) stay implicit, and β = 0 keeps DegreeDecoupled's factored form. A
+// proper blend is computed in place into a single per-arc buffer (see
+// blendedProbs).
 func Blended(g *graph.Graph, p, beta float64) (*Transition, error) {
 	switch {
+	case math.IsNaN(p) || math.IsInf(p, 0):
+		return nil, fmt.Errorf("core: invalid de-coupling weight p = %v", p)
 	case beta < 0 || beta > 1 || math.IsNaN(beta):
 		return nil, fmt.Errorf("core: beta %v out of range [0, 1]", beta)
 	case beta == 0:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -238,6 +239,20 @@ func TestBlendedBadBeta(t *testing.T) {
 	for _, beta := range []float64{-0.1, 1.1, math.NaN()} {
 		if _, err := Blended(g, 1, beta); err == nil {
 			t.Errorf("beta=%v: want error", beta)
+		}
+	}
+}
+
+// TestBlendedNonFiniteP checks that a NaN or infinite p is an error at every
+// β, as in D2PR, rather than a transition whose solve is all NaN.
+func TestBlendedNonFiniteP(t *testing.T) {
+	g := blendTestGraph(t)
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, beta := range []float64{0, 0.5, 1} {
+			_, err := Blended(g, p, beta)
+			if err == nil || !strings.Contains(err.Error(), "invalid de-coupling weight") {
+				t.Errorf("p=%v beta=%v: err %v, want an invalid de-coupling weight", p, beta, err)
+			}
 		}
 	}
 }

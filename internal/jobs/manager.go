@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"d2pr/internal/pprcache"
 	"d2pr/internal/rankcache"
 	"d2pr/internal/rankspec"
 	"d2pr/internal/registry"
@@ -55,7 +54,7 @@ type Options struct {
 	Cache *rankcache.Cache[rankspec.Ranking]
 	// PPRCache receives every computed personalized top-k. Required only for
 	// SubmitPPR; a manager built without one rejects PPR cohorts.
-	PPRCache *rankcache.Cache[[]pprcache.Entry]
+	PPRCache *rankcache.Cache[[]rankspec.PPRRow]
 	// Telemetry receives per-solve statistics for every fresh solve a job or
 	// batch executes — batch work shows up in the same per-graph
 	// iteration/residual series as interactive traffic — and every row
@@ -73,9 +72,9 @@ const (
 // one seed of a PPR cohort. Exactly one of Spec / PPRSpec is populated,
 // matching the job kind.
 type ConfigResult struct {
-	// Config is the canonical cache key (rankcache for sweeps, pprcache for
-	// cohorts); a later synchronous request with the same configuration is
-	// served from the corresponding cache.
+	// Config is the canonical cache key (Spec.CacheKey for sweeps,
+	// PPRSpec.CacheKey for cohorts); a later synchronous request with the
+	// same configuration is served from the corresponding cache.
 	Config string        `json:"config"`
 	Spec   rankspec.Spec `json:"spec,omitzero"`
 	// Seed and PPRSpec identify a PPR-cohort row.

@@ -10,10 +10,6 @@ import (
 	"d2pr/internal/registry"
 )
 
-// AlgoPPR is the Status.Algo value reported by PPR-cohort jobs,
-// distinguishing them from parameter sweeps in /v1/jobs listings.
-const AlgoPPR = "ppr"
-
 // PPRBatchSpec describes a personalized-ranking cohort: one forward-push
 // solve per seed on one graph, all at the same α/ε/k. It is the batch face
 // of /v1/{graph}/ppr — every computed top-k lands in the PPR cache, so
@@ -120,7 +116,7 @@ func (m *Manager) SubmitPPR(spec PPRBatchSpec, requestID string) (Status, error)
 	}
 	specs := spec.Expand()
 	return m.enqueue(&job{
-		requestID: requestID, graph: spec.Graph, algo: AlgoPPR, total: len(specs),
+		requestID: requestID, graph: spec.Graph, algo: rankspec.AlgoPPR, total: len(specs),
 		bind: func(snap *registry.Snapshot) (rowFunc, error) {
 			if err := spec.ValidateWith(snap); err != nil {
 				return nil, err

@@ -6,22 +6,22 @@ import (
 	"testing"
 	"time"
 
-	"d2pr/internal/pprcache"
 	"d2pr/internal/rankcache"
+	"d2pr/internal/rankspec"
 	"d2pr/internal/registry"
 )
 
 // testPPRManager builds a manager with a PPR cache wired in.
-func testPPRManager(t *testing.T, opts Options) (*Manager, *rankcache.Cache[[]pprcache.Entry]) {
+func testPPRManager(t *testing.T, opts Options) (*Manager, *rankcache.Cache[[]rankspec.PPRRow]) {
 	m, ppr, _ := testPPRManagerReg(t, opts)
 	return m, ppr
 }
 
 // testPPRManagerReg additionally exposes the backing registry, for tests that
 // need the snapshot (epoch-qualified cache keys).
-func testPPRManagerReg(t *testing.T, opts Options) (*Manager, *rankcache.Cache[[]pprcache.Entry], *registry.Registry) {
+func testPPRManagerReg(t *testing.T, opts Options) (*Manager, *rankcache.Cache[[]rankspec.PPRRow], *registry.Registry) {
 	t.Helper()
-	ppr := rankcache.NewAdmitting[[]pprcache.Entry](64)
+	ppr := rankcache.NewAdmitting[[]rankspec.PPRRow](64)
 	opts.PPRCache = ppr
 	reg := testRegistry(t)
 	m, _ := testManager(t, reg, opts)
@@ -70,7 +70,7 @@ func TestPPRBatchRunsToCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Algo != AlgoPPR || st.Total != 3 {
+	if st.Algo != rankspec.AlgoPPR || st.Total != 3 {
 		t.Fatalf("submitted status %+v", st)
 	}
 	st = waitTerminal(t, m, st.ID)

@@ -13,8 +13,8 @@ import (
 
 	"d2pr/internal/core"
 	"d2pr/internal/dataset"
-	"d2pr/internal/pprcache"
 	"d2pr/internal/rankcache"
+	"d2pr/internal/rankspec"
 )
 
 // coldSolve is the computation the cache fronts in the serving layer: a full
@@ -63,7 +63,9 @@ func BenchmarkColdSolve(b *testing.B) {
 func BenchmarkWarmCacheHit(b *testing.B) {
 	_, compute := coldSolve(b)
 	c := rankcache.NewLRU[[]float64](4)
-	key := rankcache.NewKey("imdb-actor-actor", "d2pr", 0.5, 0, core.Options{}.CacheKey())
+	spec := rankspec.New("imdb-actor-actor")
+	spec.P = 0.5
+	key := spec.CacheKey()
 	if _, _, err := c.Get(context.Background(), key, compute); err != nil {
 		b.Fatal(err)
 	}
@@ -80,10 +82,10 @@ func BenchmarkWarmCacheHit(b *testing.B) {
 }
 
 // benchEntries mirrors a top-k serving payload (k=100).
-func benchEntries(seed int) []pprcache.Entry {
-	out := make([]pprcache.Entry, 100)
+func benchEntries(seed int) []rankspec.PPRRow {
+	out := make([]rankspec.PPRRow, 100)
 	for i := range out {
-		out[i] = pprcache.Entry{Node: int32(seed + i), Score: 1 / float64(i+1)}
+		out[i] = rankspec.PPRRow{Node: int32(seed + i), Score: 1 / float64(i+1)}
 	}
 	return out
 }
@@ -91,22 +93,22 @@ func benchEntries(seed int) []pprcache.Entry {
 // BenchmarkPPRWarmSeed measures serving a resident seed from the admitting
 // cache — the warm counterpart of BenchmarkPPRColdSeed (internal/core),
 // which it must beat by ≥100×. The Get itself allocates nothing; the value
-// is the shared immutable []Entry, so the whole warm path is a lock, a
+// is the shared immutable []PPRRow, so the whole warm path is a lock, a
 // hash, a sketch touch, and an LRU bump.
 func BenchmarkPPRWarmSeed(b *testing.B) {
-	c := rankcache.NewAdmitting[[]pprcache.Entry](1024)
-	keys := make([]pprcache.Key, 64)
+	c := rankcache.NewAdmitting[[]rankspec.PPRRow](1024)
+	keys := make([]rankcache.Key, 64)
 	for i := range keys {
-		keys[i] = pprcache.Key(fmt.Sprintf("g/ppr/seed=%d/eps=1e-07/k=100", i))
+		keys[i] = rankcache.Key(fmt.Sprintf("g/ppr/seed=%d/eps=1e-07/k=100", i))
 		seed := i
-		if _, _, err := c.Get(context.Background(), keys[i], func(context.Context) ([]pprcache.Entry, error) { return benchEntries(seed), nil }); err != nil {
+		if _, _, err := c.Get(context.Background(), keys[i], func(context.Context) ([]rankspec.PPRRow, error) { return benchEntries(seed), nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		val, cached, err := c.Get(context.Background(), keys[i%len(keys)], func(context.Context) ([]pprcache.Entry, error) {
+		val, cached, err := c.Get(context.Background(), keys[i%len(keys)], func(context.Context) ([]rankspec.PPRRow, error) {
 			return nil, fmt.Errorf("warm bench must not compute")
 		})
 		if err != nil || !cached || len(val) != 100 {
@@ -120,22 +122,22 @@ func BenchmarkPPRWarmSeed(b *testing.B) {
 // one-off seeds exercising the sketch-vs-victim admission decision on every
 // insert attempt.
 func BenchmarkPPRCacheAdmission(b *testing.B) {
-	c := rankcache.NewAdmitting[[]pprcache.Entry](256)
-	hot := make([]pprcache.Key, 32)
+	c := rankcache.NewAdmitting[[]rankspec.PPRRow](256)
+	hot := make([]rankcache.Key, 32)
 	for i := range hot {
-		hot[i] = pprcache.Key(fmt.Sprintf("hot-%d", i))
+		hot[i] = rankcache.Key(fmt.Sprintf("hot-%d", i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var key pprcache.Key
+		var key rankcache.Key
 		if i%4 != 0 {
 			key = hot[i%len(hot)]
 		} else {
-			key = pprcache.Key(fmt.Sprintf("cold-%d", i))
+			key = rankcache.Key(fmt.Sprintf("cold-%d", i))
 		}
 		seed := i
-		if _, _, err := c.Get(context.Background(), key, func(context.Context) ([]pprcache.Entry, error) { return benchEntries(seed), nil }); err != nil {
+		if _, _, err := c.Get(context.Background(), key, func(context.Context) ([]rankspec.PPRRow, error) { return benchEntries(seed), nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

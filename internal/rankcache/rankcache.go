@@ -1,9 +1,7 @@
 // Package rankcache is the serving layer's result cache. One generic Cache
-// fronts both query shapes: global rankings keyed by the full ranking
-// configuration (graph, algorithm/transition kind, p, β, solver options), and
-// per-seed personalized top-k rows keyed by the personalized configuration.
-// Concurrent Gets for one key share one compute (single flight), so N
-// identical requests cost one solve.
+// fronts both query shapes, global rankings and per-seed personalized top-k
+// rows, each under an opaque Key. Concurrent Gets for one key share one
+// compute (single flight), so N identical requests cost one solve.
 //
 // The constructor fixes what a full cache does with a new value:
 //
@@ -26,38 +24,12 @@ import (
 	"container/list"
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 )
 
-// Key identifies one cached configuration. Build a ranking key with NewKey
-// so the component order (and therefore cache identity) stays canonical;
-// personalized keys come from rankspec.PPRSpec.CacheKey.
+// Key identifies one cached configuration. The cache compares keys and
+// nothing more; rankspec builds them (Spec.CacheKey, PPRSpec.CacheKey).
 type Key string
-
-// NewKey derives the canonical cache key for a ranking configuration.
-// graphName names the registry entry, algo the transition/algorithm kind
-// (e.g. "d2pr", "pagerank"), p and beta the de-coupling parameters, and
-// optsKey the solver-option component (core.Options.CacheKey()). Algorithms
-// that ignore p/β (degree, hits) should pass zeros so equivalent requests
-// collide.
-func NewKey(graphName, algo string, p, beta float64, optsKey string) Key {
-	// strconv's shortest 'g' form is fmt's %g, byte for byte.
-	var b strings.Builder
-	var num [32]byte
-	b.Grow(len(graphName) + len(algo) + len(optsKey) + 48)
-	b.WriteString(graphName)
-	b.WriteByte('|')
-	b.WriteString(algo)
-	b.WriteString("|p=")
-	b.Write(strconv.AppendFloat(num[:0], p, 'g', -1, 64))
-	b.WriteString("|beta=")
-	b.Write(strconv.AppendFloat(num[:0], beta, 'g', -1, 64))
-	b.WriteByte('|')
-	b.WriteString(optsKey)
-	return Key(b.String())
-}
 
 // ComputeFunc produces the value for a key on a cache miss. The context is
 // the solve context: detached from any single requester's lifetime,

@@ -40,25 +40,6 @@ func forEachPolicy(t *testing.T, test func(t *testing.T, newCache newFunc)) {
 	}
 }
 
-func TestNewKeyCanonical(t *testing.T) {
-	a := NewKey("g", "d2pr", 0.5, 0, "alpha=0.85")
-	b := NewKey("g", "d2pr", 0.5, 0, "alpha=0.85")
-	if a != b {
-		t.Errorf("identical configs → different keys: %q vs %q", a, b)
-	}
-	for _, other := range []Key{
-		NewKey("h", "d2pr", 0.5, 0, "alpha=0.85"),
-		NewKey("g", "pagerank", 0.5, 0, "alpha=0.85"),
-		NewKey("g", "d2pr", 1.5, 0, "alpha=0.85"),
-		NewKey("g", "d2pr", 0.5, 1, "alpha=0.85"),
-		NewKey("g", "d2pr", 0.5, 0, "alpha=0.9"),
-	} {
-		if a == other {
-			t.Errorf("distinct configs collide on %q", a)
-		}
-	}
-}
-
 func TestGetComputesOnceAndCaches(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, newCache newFunc) {
 		c := newCache(4)

@@ -32,7 +32,7 @@ func TestStressSingleflightNoEviction(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < iters; i++ {
 				k := rng.Intn(keySpace)
-				key := NewKey("stress", "algo", float64(k), 0, "")
+				key := Key(fmt.Sprintf("stress|%d", k))
 				val, _, err := c.Get(context.Background(), key, func(context.Context) ([]float64, error) {
 					computes[k].Add(1)
 					// Widen the race window so concurrent misses overlap.
@@ -92,7 +92,7 @@ func TestStressSingleflightWithEvictions(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + g)))
 			for i := 0; i < iters; i++ {
 				k := rng.Intn(keySpace)
-				key := NewKey("evict", "algo", float64(k), 0, "")
+				key := Key(fmt.Sprintf("evict|%d", k))
 				val, _, err := c.Get(context.Background(), key, func(context.Context) ([]float64, error) {
 					if inflight[k].Add(1) != 1 {
 						overlaps.Add(1)
@@ -148,7 +148,7 @@ func TestStressErrorsDoNotPoison(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(2000 + g)))
 			for i := 0; i < iters; i++ {
 				k := rng.Intn(keySpace)
-				key := NewKey("err", "algo", float64(k), 0, "")
+				key := Key(fmt.Sprintf("err|%d", k))
 				val, _, err := c.Get(context.Background(), key, func(context.Context) ([]float64, error) {
 					// Fail the first few computes of every key, then succeed.
 					if flips[k].Add(1) <= 2 {
@@ -167,7 +167,7 @@ func TestStressErrorsDoNotPoison(t *testing.T) {
 
 	// After the dust settles every key must be computable.
 	for k := 0; k < keySpace; k++ {
-		key := NewKey("err", "algo", float64(k), 0, "")
+		key := Key(fmt.Sprintf("err|%d", k))
 		val, _, err := c.Get(context.Background(), key, func(context.Context) ([]float64, error) {
 			return []float64{float64(k)}, nil
 		})

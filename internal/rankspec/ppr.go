@@ -8,7 +8,7 @@ import (
 
 	"d2pr/internal/core"
 	"d2pr/internal/graph"
-	"d2pr/internal/pprcache"
+	"d2pr/internal/rankcache"
 	"d2pr/internal/registry"
 	"d2pr/internal/stats"
 	"d2pr/internal/telemetry"
@@ -25,7 +25,7 @@ const DefaultPPRK = 100
 // PPRSpec is one fully-determined personalized-ranking configuration: a seed
 // node on a graph, the push accuracy ε, and the result size k. Like Spec, it
 // is the single source of the cache identity — the synchronous endpoint and
-// the batch cohort path both derive the same pprcache key from the same
+// the batch cohort path both derive the same cache key from the same
 // PPRSpec, so a seed computed by a batch job is found by a later GET.
 type PPRSpec struct {
 	Graph   string  `json:"graph"`
@@ -75,11 +75,11 @@ func (s PPRSpec) Validate(numNodes int) error {
 	return nil
 }
 
-// CacheKey derives the pprcache key. Every field is discriminating — there is
+// CacheKey derives the PPR cache key. Every field is discriminating — there is
 // nothing to canonicalize away: seed and graph pick the personalized vector,
 // α and ε change its values, and k changes how much of it was kept.
-func (s PPRSpec) CacheKey() pprcache.Key {
-	return pprcache.Key(s.Graph +
+func (s PPRSpec) CacheKey() rankcache.Key {
+	return rankcache.Key(s.Graph +
 		"|ppr|seed=" + strconv.Itoa(int(s.Seed)) +
 		"|a=" + strconv.FormatFloat(s.Alpha, 'g', -1, 64) +
 		"|e=" + strconv.FormatFloat(s.Epsilon, 'g', -1, 64) +
@@ -89,7 +89,7 @@ func (s PPRSpec) CacheKey() pprcache.Key {
 // CacheKeyFor is CacheKey scoped to one materialized snapshot (see
 // Spec.CacheKeyFor): cache operations key by epoch so a reload swap
 // invalidates personalized results computed on the replaced graph.
-func (s PPRSpec) CacheKeyFor(snap *registry.Snapshot) pprcache.Key {
+func (s PPRSpec) CacheKeyFor(snap *registry.Snapshot) rankcache.Key {
 	return EpochKey(s.CacheKey(), snap.Epoch)
 }
 
@@ -100,25 +100,21 @@ func (s PPRSpec) CacheKeyFor(snap *registry.Snapshot) pprcache.Key {
 // path — so a cache miss pays only the push itself plus the O(n + k·log k)
 // top-k selection. ctx bounds the solve: the push loop polls it
 // periodically and aborts with the context's error.
-func (s PPRSpec) Compute(ctx context.Context, snap *registry.Snapshot) ([]pprcache.Entry, error) {
+func (s PPRSpec) Compute(ctx context.Context, snap *registry.Snapshot) ([]PPRRow, error) {
 	rows, _, err := s.ComputeStats(ctx, snap)
 	return rows, err
 }
 
-// AlgoPPRName is the SolveStats.Algo value for forward-push solves,
-// distinguishing them from the iterative algorithms in per-graph telemetry.
-const AlgoPPRName = "ppr"
-
 // compute is the cached value Solve computes for a spec: its top-k rows.
-func (s PPRSpec) compute(ctx context.Context, snap *registry.Snapshot) ([]pprcache.Entry, telemetry.SolveStats, error) {
+func (s PPRSpec) compute(ctx context.Context, snap *registry.Snapshot) ([]PPRRow, telemetry.SolveStats, error) {
 	return s.ComputeStats(ctx, snap)
 }
 
 // ComputeStats is Compute plus per-solve telemetry: push count, un-pushed
 // residual mass (as Residual), and engine-build vs. solve wall-clock. The
 // solve stage includes the O(n + k·log k) top-k selection.
-func (s PPRSpec) ComputeStats(ctx context.Context, snap *registry.Snapshot) ([]pprcache.Entry, telemetry.SolveStats, error) {
-	st := telemetry.SolveStats{Algo: AlgoPPRName, Converged: true}
+func (s PPRSpec) ComputeStats(ctx context.Context, snap *registry.Snapshot) ([]PPRRow, telemetry.SolveStats, error) {
+	st := telemetry.SolveStats{Algo: AlgoPPR, Converged: true}
 	buildStart := time.Now()
 	e := snap.Engine()
 	st.EngineBuild = time.Since(buildStart)
@@ -140,22 +136,22 @@ func (s PPRSpec) ComputeStats(ctx context.Context, snap *registry.Snapshot) ([]p
 // topPPREntries keeps the k best (node, score) pairs in rank order, dropping
 // zero-score tail nodes: a push solve leaves almost every node untouched, and
 // an exact zero means "never reached", which is noise in a top-k table.
-func topPPREntries(scores []float64, k int) []pprcache.Entry {
+func topPPREntries(scores []float64, k int) []PPRRow {
 	idx := stats.TopKHeap(scores, k)
-	out := make([]pprcache.Entry, 0, len(idx))
+	out := make([]PPRRow, 0, len(idx))
 	for _, u := range idx {
 		if scores[u] == 0 {
 			break
 		}
-		out = append(out, pprcache.Entry{Node: int32(u), Score: scores[u]})
+		out = append(out, PPRRow{Node: int32(u), Score: scores[u]})
 	}
 	return out
 }
 
 // PPREntries expands compact cached rows into full ranking-table rows,
-// attaching rank numbers and degrees in O(k) — the reason pprcache stores
-// only (node, score).
-func PPREntries(g *graph.Graph, rows []pprcache.Entry) []Entry {
+// attaching rank numbers and degrees in O(k) — the reason the PPR cache
+// stores only (node, score).
+func PPREntries(g *graph.Graph, rows []PPRRow) []Entry {
 	out := make([]Entry, len(rows))
 	for i, r := range rows {
 		out[i] = Entry{Rank: i + 1, Node: r.Node, Degree: g.Degree(r.Node), Score: r.Score}

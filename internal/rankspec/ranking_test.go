@@ -7,9 +7,7 @@ import (
 	"reflect"
 	"testing"
 
-	"d2pr/internal/core"
 	"d2pr/internal/dataset"
-	"d2pr/internal/rankcache"
 	"d2pr/internal/registry"
 )
 
@@ -63,44 +61,37 @@ func TestRankingTopMatchesTopEntries(t *testing.T) {
 // config string changes.
 func TestCacheKeyGolden(t *testing.T) {
 	want := map[string]string{
-		"spec p=-0":                        "g|d2pr|p=-0|beta=0|alpha=0.85|tol=1e-10|maxiter=500",
-		"spec p=1e-07":                     "g|d2pr|p=1e-07|beta=0|alpha=0.85|tol=1e-10|maxiter=500",
-		"spec p=1e+21":                     "g|d2pr|p=1e+21|beta=0|alpha=0.85|tol=1e-10|maxiter=500",
-		"spec p=0.30000000000000004":       "g|d2pr|p=0.30000000000000004|beta=0|alpha=0.85|tol=1e-10|maxiter=500",
-		"spec p=-3.4999999999999996":       "g|d2pr|p=-3.4999999999999996|beta=0|alpha=0.85|tol=1e-10|maxiter=500",
-		"spec beta=0.5 alpha=0.9":          "imdb-actor-actor|d2pr|p=1|beta=0.5|alpha=0.9|tol=1e-10|maxiter=500",
-		"spec beta=1":                      "imdb-actor-actor|d2pr|p=0|beta=1|alpha=0.9|tol=1e-10|maxiter=500",
-		"spec seeds":                       "imdb-actor-actor|d2pr|p=0|beta=1|alpha=0.9|tol=1e-10|maxiter=500|seeds=3,17",
-		"spec algo=pagerank":               "g|pagerank|p=0|beta=0|alpha=0.85|tol=1e-10|maxiter=500",
-		"spec algo=hits":                   "g|hits|p=0|beta=0|alpha=0.85|tol=1e-10|maxiter=500",
-		"spec algo=degree":                 "g|degree|p=0|beta=0|",
-		"spec epoch 1":                     "g|d2pr|p=0|beta=0|alpha=0.85|tol=1e-10|maxiter=500|epoch=1",
-		"spec epoch 12345":                 "g|d2pr|p=0|beta=0|alpha=0.85|tol=1e-10|maxiter=500|epoch=12345",
-		"spec float32 d2pr":                "g|d2pr|p=0.5|beta=0|alpha=0.85|tol=1e-06|maxiter=500|f32",
-		"spec float32 pagerank":            "g|pagerank|p=0|beta=0|alpha=0.85|tol=1e-06|maxiter=500|f32",
-		"ppr default":                      "g|ppr|seed=42|a=0.85|e=1e-07|k=100",
-		"ppr custom":                       "g|ppr|seed=123456|a=0.30000000000000004|e=1e-05|k=10",
-		"ppr epoch 12345":                  "g|ppr|seed=123456|a=0.30000000000000004|e=1e-05|k=10|epoch=12345",
-		"newkey p=-0":                      "g|d2pr|p=-0|beta=0.25|opts",
-		"newkey p=1e-07":                   "g|d2pr|p=1e-07|beta=0.25|opts",
-		"newkey p=1e+21":                   "g|d2pr|p=1e+21|beta=0.25|opts",
-		"newkey p=0.30000000000000004":     "g|d2pr|p=0.30000000000000004|beta=0.25|opts",
-		"newkey p=-3.4999999999999996":     "g|d2pr|p=-3.4999999999999996|beta=0.25|opts",
-		"newkey p=NaN":                     "g|d2pr|p=NaN|beta=0.25|opts",
-		"newkey p=+Inf":                    "g|d2pr|p=+Inf|beta=0.25|opts",
-		"newkey p=-Inf":                    "g|d2pr|p=-Inf|beta=0.25|opts",
-		"newkey p=5e-324":                  "g|d2pr|p=5e-324|beta=0.25|opts",
-		"newkey p=1.7976931348623157e+308": "g|d2pr|p=1.7976931348623157e+308|beta=0.25|opts",
-		"newkey p=1.23456789e+08":          "g|d2pr|p=1.23456789e+08|beta=0.25|opts",
-		"newkey p=1e-05":                   "g|d2pr|p=1e-05|beta=0.25|opts",
-		"newkey p=1e+20":                   "g|d2pr|p=1e+20|beta=0.25|opts",
-		"options zero":                     "alpha=0.85|tol=1e-10|maxiter=500",
-		"options alpha=0.85":               "alpha=0.85|tol=1e-10|maxiter=500",
-		"options custom":                   "alpha=0.30000000000000004|tol=1e-12|maxiter=77",
-		"options float32":                  "alpha=0.85|tol=1e-06|maxiter=500|f32",
-		"options float32 tol":              "alpha=0.85|tol=0.001|maxiter=500|f32",
-		"options teleport":                 "alpha=0.85|tol=1e-10|maxiter=500|tele=7d9e60670b4fbd38",
-		"options teleport padded":          "alpha=0.85|tol=1e-06|maxiter=500|f32|tele=03905aaaea2c45c9",
+		"spec p=-0":                                "g|d2pr|p=-0|beta=0|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec p=1e-07":                             "g|d2pr|p=1e-07|beta=0|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec p=1e+21":                             "g|d2pr|p=1e+21|beta=0|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec p=0.30000000000000004":               "g|d2pr|p=0.30000000000000004|beta=0|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec p=-3.4999999999999996":               "g|d2pr|p=-3.4999999999999996|beta=0|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec beta=0.5 alpha=0.9":                  "imdb-actor-actor|d2pr|p=1|beta=0.5|alpha=0.9|tol=1e-10|maxiter=500",
+		"spec beta=1":                              "imdb-actor-actor|d2pr|p=0|beta=1|alpha=0.9|tol=1e-10|maxiter=500",
+		"spec seeds":                               "imdb-actor-actor|d2pr|p=0|beta=1|alpha=0.9|tol=1e-10|maxiter=500|seeds=3,17",
+		"spec algo=pagerank":                       "g|pagerank|p=0|beta=0|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec algo=hits":                           "g|hits|p=0|beta=0|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec algo=degree":                         "g|degree|p=0|beta=0|",
+		"spec epoch 1":                             "g|d2pr|p=0|beta=0|alpha=0.85|tol=1e-10|maxiter=500|epoch=1",
+		"spec epoch 12345":                         "g|d2pr|p=0|beta=0|alpha=0.85|tol=1e-10|maxiter=500|epoch=12345",
+		"spec float32 d2pr":                        "g|d2pr|p=0.5|beta=0|alpha=0.85|tol=1e-06|maxiter=500|f32",
+		"spec float32 pagerank":                    "g|pagerank|p=0|beta=0|alpha=0.85|tol=1e-06|maxiter=500|f32",
+		"ppr default":                              "g|ppr|seed=42|a=0.85|e=1e-07|k=100",
+		"ppr custom":                               "g|ppr|seed=123456|a=0.30000000000000004|e=1e-05|k=10",
+		"ppr epoch 12345":                          "g|ppr|seed=123456|a=0.30000000000000004|e=1e-05|k=10|epoch=12345",
+		"spec beta=0.25 p=-0":                      "g|d2pr|p=-0|beta=0.25|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec beta=0.25 p=1e-07":                   "g|d2pr|p=1e-07|beta=0.25|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec beta=0.25 p=1e+21":                   "g|d2pr|p=1e+21|beta=0.25|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec beta=0.25 p=0.30000000000000004":     "g|d2pr|p=0.30000000000000004|beta=0.25|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec beta=0.25 p=-3.4999999999999996":     "g|d2pr|p=-3.4999999999999996|beta=0.25|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec beta=0.25 p=NaN":                     "g|d2pr|p=NaN|beta=0.25|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec beta=0.25 p=+Inf":                    "g|d2pr|p=+Inf|beta=0.25|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec beta=0.25 p=-Inf":                    "g|d2pr|p=-Inf|beta=0.25|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec beta=0.25 p=5e-324":                  "g|d2pr|p=5e-324|beta=0.25|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec beta=0.25 p=1.7976931348623157e+308": "g|d2pr|p=1.7976931348623157e+308|beta=0.25|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec beta=0.25 p=1.23456789e+08":          "g|d2pr|p=1.23456789e+08|beta=0.25|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec beta=0.25 p=1e-05":                   "g|d2pr|p=1e-05|beta=0.25|alpha=0.85|tol=1e-10|maxiter=500",
+		"spec beta=0.25 p=1e+20":                   "g|d2pr|p=1e+20|beta=0.25|alpha=0.85|tol=1e-10|maxiter=500",
 	}
 	cases := goldenKeyCases()
 	if len(cases) != len(want) {
@@ -115,8 +106,7 @@ func TestCacheKeyGolden(t *testing.T) {
 
 // goldenKeyCases lists every key builder's output over values whose
 // formatting is easy to get wrong: negative zero, tiny and huge magnitudes,
-// sums that are not short decimals, non-finite values and a zero-padded
-// teleport digest.
+// sums that are not short decimals and non-finite values.
 func goldenKeyCases() [][2]string {
 	var out [][2]string
 	add := func(name string, key string) { out = append(out, [2]string{name, key}) }
@@ -158,16 +148,9 @@ func goldenKeyCases() [][2]string {
 	add("ppr epoch 12345", string(ppr.CacheKeyFor(snapB)))
 
 	for _, p := range append(specPs, math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, math.MaxFloat64, 123456789, 1e-5, 1e20) {
-		add(fmt.Sprintf("newkey p=%v", p), string(rankcache.NewKey("g", "d2pr", p, 0.25, "opts")))
+		s := New("g")
+		s.P, s.Beta = p, 0.25
+		add(fmt.Sprintf("spec beta=0.25 p=%v", p), string(s.CacheKey()))
 	}
-
-	add("options zero", core.Options{}.CacheKey())
-	add("options alpha=0.85", core.Options{Alpha: 0.85}.CacheKey())
-	add("options custom", core.Options{Alpha: sum, Tol: 1e-12, MaxIter: 77}.CacheKey())
-	add("options float32", core.Options{Float32: true}.CacheKey())
-	add("options float32 tol", core.Options{Float32: true, Tol: 1e-3}.CacheKey())
-	add("options teleport", core.Options{Teleport: []float64{1, 2, 3}}.CacheKey())
-	// [1, 8] has a teleport digest below 2⁶⁰, so its hex form is zero-padded.
-	add("options teleport padded", core.Options{Teleport: []float64{1, 8}, Float32: true}.CacheKey())
 	return out
 }

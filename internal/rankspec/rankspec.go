@@ -2,9 +2,11 @@
 // serving layer (internal/server) and the sweep-job subsystem (internal/jobs):
 // one Spec names a graph, an algorithm, and its parameters, and knows how to
 // derive its rankcache key and how to compute its score vector over a
-// registry snapshot. Centralizing this plumbing guarantees that a score
-// computed by a background job is found by a later synchronous request — both
-// sides derive the identical cache identity from the identical Spec.
+// registry snapshot. It is the only package that knows what a cache key
+// holds and what a cached value is (Ranking, PPRRow). Centralizing this
+// plumbing guarantees that a score computed by a background job is found by
+// a later synchronous request — both sides derive the identical cache
+// identity from the identical Spec.
 package rankspec
 
 import (
@@ -31,6 +33,11 @@ const (
 	AlgoHITS     = "hits"
 	AlgoDegree   = "degree"
 )
+
+// AlgoPPR names the forward-push personalized solve of a PPRSpec: the
+// SolveStats.Algo of its solves and the Status.Algo of a PPR-cohort job. A
+// Spec does not accept it.
+const AlgoPPR = "ppr"
 
 // Algos lists the supported algorithm names in documentation order.
 func Algos() []string { return []string{AlgoD2PR, AlgoPageRank, AlgoHITS, AlgoDegree} }
@@ -114,8 +121,7 @@ func (s Spec) Validate(numNodes int) error {
 // nodes). The serving compute path always parallelizes the edge sweep
 // (Workers = -1, i.e. GOMAXPROCS): results are identical to the sequential
 // sweep — each destination accumulates in the same order regardless of the
-// partition — so only wall-clock changes, and Options.CacheKey excludes
-// Workers, so cache identities are unaffected.
+// partition — so only wall-clock changes, and CacheKey leaves Workers out.
 func (s Spec) Options(n int) core.Options {
 	o := core.Options{Alpha: s.Alpha, Workers: -1}
 	if float32Applies(s.Algo) && Float32Mode() {
@@ -136,15 +142,14 @@ func (s Spec) Options(n int) core.Options {
 // p/β for everything but d2pr, p for d2pr at β = 1 (pure connection
 // strength, which core.Blended builds without reading p), alpha and seeds
 // additionally for HITS (which only reads Tol/MaxIter), and every solver
-// option for degree centrality.
-// The teleport component of Options.CacheKey depends on n, which is unknown
-// before the graph loads; seeds are appended verbatim instead, which is
-// strictly finer and therefore still correct.
+// option for degree centrality. The solver options follow in the order
+// alpha, tol, maxiter, then "|f32" in the float32 tier, whose tol is the
+// solver's clamp core.Float32MinTol; the seeds come last, verbatim.
 func (s Spec) CacheKey() rankcache.Key {
 	p, beta, alpha, seeds := s.P, s.Beta, s.Alpha, s.Seeds
 	switch s.Algo {
 	case AlgoDegree:
-		return rankcache.NewKey(s.Graph, s.Algo, 0, 0, "")
+		return rankcache.Key(s.Graph + "|" + s.Algo + "|p=0|beta=0|")
 	case AlgoHITS:
 		p, beta, alpha, seeds = 0, 0, core.DefaultAlpha, nil
 	case AlgoPageRank:
@@ -154,19 +159,43 @@ func (s Spec) CacheKey() rankcache.Key {
 			p = 0
 		}
 	}
-	o := core.Options{Alpha: alpha}
-	if float32Applies(s.Algo) && Float32Mode() {
-		o.Float32 = true
+	if alpha == 0 { // the solver reads α = 0 as its default
+		alpha = core.DefaultAlpha
 	}
-	optsKey := o.CacheKey()
-	if len(seeds) > 0 {
-		parts := make([]string, len(seeds))
-		for i, sd := range seeds {
-			parts[i] = strconv.Itoa(int(sd))
+	f32 := float32Applies(s.Algo) && Float32Mode()
+	tol := core.DefaultTol
+	if f32 {
+		tol = core.Float32MinTol
+	}
+	// strconv's shortest 'g' form is fmt's %g, byte for byte.
+	var b strings.Builder
+	var num [32]byte
+	b.Grow(len(s.Graph) + len(s.Algo) + 96 + 12*len(seeds))
+	b.WriteString(s.Graph)
+	b.WriteByte('|')
+	b.WriteString(s.Algo)
+	b.WriteString("|p=")
+	b.Write(strconv.AppendFloat(num[:0], p, 'g', -1, 64))
+	b.WriteString("|beta=")
+	b.Write(strconv.AppendFloat(num[:0], beta, 'g', -1, 64))
+	b.WriteString("|alpha=")
+	b.Write(strconv.AppendFloat(num[:0], alpha, 'g', -1, 64))
+	b.WriteString("|tol=")
+	b.Write(strconv.AppendFloat(num[:0], tol, 'g', -1, 64))
+	b.WriteString("|maxiter=")
+	b.Write(strconv.AppendInt(num[:0], core.DefaultMaxIter, 10))
+	if f32 {
+		b.WriteString("|f32")
+	}
+	for i, sd := range seeds {
+		if i == 0 {
+			b.WriteString("|seeds=")
+		} else {
+			b.WriteByte(',')
 		}
-		optsKey += "|seeds=" + strings.Join(parts, ",")
+		b.Write(strconv.AppendInt(num[:0], int64(sd), 10))
 	}
-	return rankcache.NewKey(s.Graph, s.Algo, p, beta, optsKey)
+	return rankcache.Key(b.String())
 }
 
 // CacheKeyFor is CacheKey scoped to one materialized snapshot: the snapshot's
@@ -381,6 +410,15 @@ const PrefixLen = 100
 type Ranking struct {
 	Scores []float64
 	Best   []int32
+}
+
+// PPRRow is one cached (node, score) pair of a personalized top-k result,
+// in rank order: the PPR cache's value is a []PPRRow. Degrees and rank
+// numbers are derivable in O(k) at serve time (PPREntries), so the cache
+// stores only the 12 bytes per row that a solve produces.
+type PPRRow struct {
+	Node  int32   `json:"node"`
+	Score float64 `json:"score"`
 }
 
 // newRanking selects the best-ranked prefix of scores.

@@ -96,6 +96,17 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	if g1.CacheKey() == g2.CacheKey() {
 		t.Error("graph name must be part of the key")
 	}
+	for name, vary := range map[string]func(*Spec){
+		"algo":  func(s *Spec) { s.Algo = AlgoPageRank },
+		"beta":  func(s *Spec) { s.Beta = 0.5 },
+		"alpha": func(s *Spec) { s.Alpha = 0.9 },
+	} {
+		s := New("t")
+		vary(&s)
+		if s.CacheKey() == base.CacheKey() {
+			t.Errorf("d2pr %s must be part of the key", name)
+		}
+	}
 	s1, s2 := New("t"), New("t")
 	s1.Seeds = []int32{3}
 	if s1.CacheKey() == s2.CacheKey() {

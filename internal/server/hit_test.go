@@ -71,7 +71,7 @@ func TestTopKHitBodyEqualsMiss(t *testing.T) {
 
 // maxHitAllocs bounds the objects a warm /topk hit allocates, middleware
 // included.
-const maxHitAllocs = 40
+const maxHitAllocs = 39
 
 // TestTopKHitAllocations checks maxHitAllocs. sync.Pool drops Puts under
 // -race, which inflates the count there.

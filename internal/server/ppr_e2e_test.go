@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"d2pr/internal/jobs"
+	"d2pr/internal/rankspec"
 	"d2pr/internal/registry"
 )
 
@@ -197,7 +198,7 @@ func TestE2EPPRBatchLifecycle(t *testing.T) {
 	if code != 202 {
 		t.Fatalf("submit: %d", code)
 	}
-	if sub.Job.Algo != jobs.AlgoPPR || sub.Job.Total != 4 {
+	if sub.Job.Algo != rankspec.AlgoPPR || sub.Job.Total != 4 {
 		t.Fatalf("submitted job %+v", sub.Job)
 	}
 	st := pollJob(t, ts.URL, sub.Job.ID)

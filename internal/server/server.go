@@ -55,7 +55,6 @@ import (
 	"d2pr/internal/faultinject"
 	"d2pr/internal/graph"
 	"d2pr/internal/jobs"
-	"d2pr/internal/pprcache"
 	"d2pr/internal/rankcache"
 	"d2pr/internal/rankspec"
 	"d2pr/internal/registry"
@@ -105,7 +104,7 @@ type Config struct {
 type Server struct {
 	reg   *registry.Registry
 	cache *rankcache.Cache[rankspec.Ranking]
-	ppr   *rankcache.Cache[[]pprcache.Entry]
+	ppr   *rankcache.Cache[[]rankspec.PPRRow]
 	jobs  *jobs.Manager
 	adm   *admission.Controller
 	tel   *telemetry.Registry
@@ -136,7 +135,7 @@ func NewMulti(reg *registry.Registry, cfg Config) (*Server, error) {
 	s := &Server{
 		reg:   reg,
 		cache: rankcache.NewLRU[rankspec.Ranking](cfg.CacheSize),
-		ppr:   rankcache.NewAdmitting[[]pprcache.Entry](cfg.PPRCacheSize),
+		ppr:   rankcache.NewAdmitting[[]rankspec.PPRRow](cfg.PPRCacheSize),
 		adm: admission.New(admission.Config{
 			MaxConcurrent: cfg.MaxConcurrent,
 			MaxQueue:      cfg.MaxQueue,
@@ -206,7 +205,7 @@ func (v ScoreCache) Stats() rankcache.Stats { return v.c.Stats() }
 func (v ScoreCache) Len() int { return v.c.Len() }
 
 // PPRCache exposes the personalized-ranking result cache.
-func (s *Server) PPRCache() *rankcache.Cache[[]pprcache.Entry] { return s.ppr }
+func (s *Server) PPRCache() *rankcache.Cache[[]rankspec.PPRRow] { return s.ppr }
 
 // Jobs exposes the sweep-job manager.
 func (s *Server) Jobs() *jobs.Manager { return s.jobs }
