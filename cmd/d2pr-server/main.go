@@ -70,29 +70,27 @@ import (
 	"d2pr/internal/dataset"
 	"d2pr/internal/graph"
 	"d2pr/internal/lifecycle"
-	"d2pr/internal/rankspec"
 	"d2pr/internal/registry"
 	"d2pr/internal/server"
 )
 
 func main() {
 	var (
-		listen      = flag.String("listen", ":8080", "listen address")
-		graphsDir   = flag.String("graphs", "", "directory of edge-list files to register (name = file base name)")
-		directed    = flag.Bool("directed", false, "treat positional edge-list files as directed")
-		weighted    = flag.Bool("weighted", false, "read a weight column from positional edge-list files")
-		sigPath     = flag.String("sig", "", "optional per-node significance file for the positional graph")
-		dataGraph   = flag.String("dataset", "", "also serve one built-in synthetic data graph")
-		datasets    = flag.Bool("datasets", false, "also serve all eight built-in synthetic data graphs")
-		scale       = flag.Float64("scale", 1.0, "synthetic dataset scale")
-		seed        = flag.Uint64("seed", 42, "synthetic dataset seed")
-		cacheSize   = flag.Int("cache-size", 0, "max resident score vectors (0 = default 256)")
-		warm        = flag.String("warm", "", "background-warm d2pr at these de-coupling weights, e.g. p=0,0.5,1")
-		jobWorkers  = flag.Int("job-workers", 0, "concurrent sweep configurations across all jobs (0 = default 4)")
-		jobTTL      = flag.Duration("job-ttl", 0, "retention of finished job results (0 = default 15m)")
-		pprCache    = flag.Int("ppr-cache-size", 0, "max resident personalized top-k results (0 = default 4096)")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-		float32Tier = flag.Bool("float32", false, "serve d2pr/pagerank power-iteration solves from the float32 score tier (~1e-6 absolute accuracy, roughly half the memory traffic)")
+		listen     = flag.String("listen", ":8080", "listen address")
+		graphsDir  = flag.String("graphs", "", "directory of edge-list files to register (name = file base name)")
+		directed   = flag.Bool("directed", false, "treat positional edge-list files as directed")
+		weighted   = flag.Bool("weighted", false, "read a weight column from positional edge-list files")
+		sigPath    = flag.String("sig", "", "optional per-node significance file for the positional graph")
+		dataGraph  = flag.String("dataset", "", "also serve one built-in synthetic data graph")
+		datasets   = flag.Bool("datasets", false, "also serve all eight built-in synthetic data graphs")
+		scale      = flag.Float64("scale", 1.0, "synthetic dataset scale")
+		seed       = flag.Uint64("seed", 42, "synthetic dataset seed")
+		cacheSize  = flag.Int("cache-size", 0, "max resident score vectors (0 = default 256)")
+		warm       = flag.String("warm", "", "background-warm d2pr at these de-coupling weights, e.g. p=0,0.5,1")
+		jobWorkers = flag.Int("job-workers", 0, "concurrent sweep configurations across all jobs (0 = default 4)")
+		jobTTL     = flag.Duration("job-ttl", 0, "retention of finished job results (0 = default 15m)")
+		pprCache   = flag.Int("ppr-cache-size", 0, "max resident personalized top-k results (0 = default 4096)")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 
 		quiet   = flag.Bool("quiet", false, "disable per-request logging")
 		logJSON = flag.Bool("log-json", false, "emit request logs as JSON records instead of logfmt-style text")
@@ -107,11 +105,6 @@ func main() {
 		maxRetries  = flag.Int("max-load-retries", 0, "consecutive load failures before a graph is quarantined (0 = default 5, negative = retry forever)")
 	)
 	flag.Parse()
-
-	if *float32Tier {
-		rankspec.SetFloat32Mode(true)
-		log.Printf("float32 score tier enabled for d2pr/pagerank solves")
-	}
 
 	reg := registry.NewWith(registry.Options{
 		Backoff: lifecycle.Config{MaxRetries: *maxRetries},

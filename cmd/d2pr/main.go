@@ -50,7 +50,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		maxIter  = fs.Int("maxiter", 500, "iteration cap")
 		directed = fs.Bool("directed", false, "treat the edge list as directed")
 		weighted = fs.Bool("weighted", false, "read a weight column")
-		seeds    = fs.String("seeds", "", "comma-separated seed nodes for personalization")
+		seeds    = fs.String("seeds", "", "comma-separated seed nodes for personalization (d2pr and ppr)")
 		top      = fs.Int("top", 0, "print only the top-k nodes as a table")
 		degCorr  = fs.Bool("degcorr", false, "also print Spearman correlation with node degree")
 	)
@@ -59,6 +59,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("want exactly one input file (or '-'), got %d args", fs.NArg())
+	}
+	if *seeds != "" && *algo != "d2pr" && *algo != "ppr" {
+		return fmt.Errorf("-seeds personalizes -algo d2pr and ppr only, not %s", *algo)
 	}
 	var in io.Reader
 	if fs.Arg(0) == "-" {

@@ -84,9 +84,13 @@ func TestRunErrors(t *testing.T) {
 		{"-beta", "2", path},                 // invalid beta
 		{"-p", "NaN", path},                  // non-finite p
 		{"-p", "-Inf", "-beta", "0.5", path}, // non-finite p in a blend
+		{"-alpha", "NaN", path},              // non-finite alpha
+		{"-tol", "NaN", path},                // non-finite tolerance
 		{"-seeds", "4294967296", path},       // wraps to node 0 as an int32
-		{"-algo", "ppr", "-seeds", "4294967299", path}, // wraps to node 3
-		{filepath.Join(t.TempDir(), "nope")},           // missing file
+		{"-algo", "ppr", "-seeds", "4294967299", path},   // wraps to node 3
+		{"-algo", "pagerank", "-seeds", "1", path},       // seeds on an unpersonalized algorithm
+		{"-algo", "hits", "-seeds", "99999999999", path}, // the same, with an id past int32
+		{filepath.Join(t.TempDir(), "nope")},             // missing file
 	}
 	for _, args := range cases {
 		if err := run(args, nil, &bytes.Buffer{}); err == nil {

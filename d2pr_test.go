@@ -110,6 +110,19 @@ func TestRankNonFiniteP(t *testing.T) {
 	}
 }
 
+// TestRankNonFiniteOptions checks that Rank rejects a NaN or infinite α or
+// tolerance instead of returning NaN scores or an unconverged answer.
+func TestRankNonFiniteOptions(t *testing.T) {
+	g := fig1(t)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, opts := range []Options{{Alpha: v}, {Tol: v}} {
+			if res, err := Rank(g, Params{P: 1, Options: opts}); err == nil {
+				t.Errorf("options %+v: want error, got scores %v", opts, res.Scores)
+			}
+		}
+	}
+}
+
 // TestRankDefaultWeighted pins what Params{} means on a weighted graph: D2PR
 // at p = 0, which ignores the weights, and not connection-strength PageRank,
 // which Params{Beta: 1} gives.

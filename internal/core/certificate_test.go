@@ -17,17 +17,14 @@ import (
 // an α-contraction in L1, so ‖r − r*‖₁ ≤ ρ/(1−α) for ρ = ‖F(r) − r‖₁.
 // fixpointPass evaluates F in float64 by scattering over the forward CSR and
 // Transition.ProbsFrom; it shares no code with the engine's sweep, which
-// pulls over a relabeled, blocked CSR, reads factored tables and may store
-// float32.
+// pulls over a relabeled, blocked CSR and reads factored tables.
 //
 // A power solve returns r = x_k for Residual = ‖x_k − x_{k−1}‖₁, and
 // F(x_k) − x_k = F(x_k) − F(x_{k−1}) = α·M·(x_k − x_{k−1}) for the
 // column-stochastic M that folds the dangling mass into t. So ρ ≤ α·Residual
-// in exact arithmetic, and certify allows a slack fixed from unit roundoff u
-// on top: 2¹⁰·u for the float64 tier (u = 2⁻⁵³) and 2·u for the float32 tier
-// (u = 2⁻²⁴), whose stored iterate and teleport each carry up to u of
-// relative rounding.
-const certSlack64, certSlack32 = 0x1p-43, 0x1p-23
+// in exact arithmetic, and certify allows a slack of 2¹⁰·u on top, for the
+// unit roundoff u = 2⁻⁵³.
+const certSlack = 0x1p-43
 
 // fixpointPass sets y = F(x) for the teleport distribution tele, which must
 // sum to 1, and returns ‖y − x‖₁.
@@ -105,15 +102,11 @@ func certify(t *testing.T, path string, tr *Transition, opts Options, res *Resul
 	if alpha == 0 {
 		alpha = DefaultAlpha
 	}
-	slack := certSlack64
-	if opts.Float32 {
-		slack = certSlack32
-	}
 	rho := fixpointPass(tr, alpha, normalizedTeleport(opts.Teleport, n), res.Scores, make([]float64, n))
 	excess = rho - alpha*res.Residual
-	if !res.Converged || !(excess <= slack) { // also catches NaN
+	if !res.Converged || !(excess <= certSlack) { // also catches NaN
 		t.Errorf("%s: ρ = %.3g exceeds α·Residual = %.3g by %.3g, slack %.3g (converged %v after %d iterations)",
-			path, rho, alpha*res.Residual, excess, slack, res.Converged, res.Iterations)
+			path, rho, alpha*res.Residual, excess, certSlack, res.Converged, res.Iterations)
 		return excess, false
 	}
 	return excess, true
@@ -125,9 +118,9 @@ func certify(t *testing.T, path string, tr *Transition, opts Options, res *Resul
 // and at each p the factored D2PR transition (or its per-arc fallback at
 // extreme p) and the per-arc β = 0.5 blend. Each runs with a uniform and a
 // one-node teleport, on reordered and identity engines with 0 and −1
-// workers in both tiers, and through Solve. worst collects the largest
-// excess per tier, float64 first. It reports whether every check passed.
-func certifyGraph(t *testing.T, g *graph.Graph, ps []float64, worst *[2]float64) bool {
+// workers, and through Solve. worst collects the largest excess. It reports
+// whether every check passed.
+func certifyGraph(t *testing.T, g *graph.Graph, ps []float64, worst *float64) bool {
 	t.Helper()
 	type namedTransition struct {
 		name string
@@ -156,11 +149,7 @@ func certifyGraph(t *testing.T, g *graph.Graph, ps []float64, worst *[2]float64)
 		t.Helper()
 		excess, pass := certify(t, path, tr, opts, res, err)
 		ok = ok && pass
-		tier := 0
-		if opts.Float32 {
-			tier = 1
-		}
-		worst[tier] = math.Max(worst[tier], excess)
+		*worst = math.Max(*worst, excess)
 	}
 	for _, tr := range trs {
 		for _, tele := range [][]float64{nil, seedVector(n, int32(n-1))} {
@@ -170,12 +159,9 @@ func certifyGraph(t *testing.T, g *graph.Graph, ps []float64, worst *[2]float64)
 			}
 			for _, en := range engines {
 				for _, workers := range []int{0, -1} {
-					for _, f32 := range []bool{false, true} {
-						opts := Options{Teleport: tele, Workers: workers, Float32: f32}
-						res, err := en.e.Solve(tr.tr, opts)
-						check(fmt.Sprintf("%s/%s/%s/workers=%d/float32=%v", tr.name, teleName, en.name, workers, f32),
-							tr.tr, opts, res, err)
-					}
+					opts := Options{Teleport: tele, Workers: workers}
+					res, err := en.e.Solve(tr.tr, opts)
+					check(fmt.Sprintf("%s/%s/%s/workers=%d", tr.name, teleName, en.name, workers), tr.tr, opts, res, err)
 				}
 			}
 			opts := Options{Teleport: tele}
@@ -188,11 +174,10 @@ func certifyGraph(t *testing.T, g *graph.Graph, ps []float64, worst *[2]float64)
 
 // TestFixpointCertificateCorpus certifies every solve path on the graphs the
 // random corpus of TestSolversAgreeProperty misses: a single node, no arcs,
-// weights near 1e12 (at |p| = 4 the float32 tier rescales the factored
-// tables; at |p| = 40 NaivePow overflows and DegreeDecoupled falls back to
-// per-arc probabilities), a directed cycle with one chord (eigenvalues near
-// the unit circle), and a graph of several sweep blocks, so that −1 workers
-// runs the parallel sweep.
+// weights near 1e12 (at |p| = 40 NaivePow overflows and DegreeDecoupled
+// falls back to per-arc probabilities), a directed cycle with one chord
+// (eigenvalues near the unit circle), and a graph of several sweep blocks,
+// so that −1 workers runs the parallel sweep.
 func TestFixpointCertificateCorpus(t *testing.T) {
 	heavy := graph.NewBuilder(graph.Undirected).Weighted().EnsureNodes(8)
 	for i := int32(0); i < 8; i++ {
@@ -208,7 +193,7 @@ func TestFixpointCertificateCorpus(t *testing.T) {
 	if nb := len(EngineFor(blocks).blocks) - 1; nb < 2 {
 		t.Fatalf("the multi-block graph has %d sweep block(s), want ≥ 2", nb)
 	}
-	var worst [2]float64
+	var worst float64
 	for _, c := range []struct {
 		name string
 		g    *graph.Graph
@@ -224,5 +209,5 @@ func TestFixpointCertificateCorpus(t *testing.T) {
 			certifyGraph(t, c.g, c.ps, &worst)
 		})
 	}
-	t.Logf("worst excess ρ − α·Residual: %.2g (float64 tier), %.2g (float32 tier)", worst[0], worst[1])
+	t.Logf("worst excess ρ − α·Residual: %.2g", worst)
 }

@@ -80,7 +80,7 @@ func closedFormCorpusGraph(t *testing.T) *graph.Graph {
 // fixpoint of r = α·T·r + (1−α)·π for every α. The solve starts at its
 // teleport vector, that is at π, so the test checks the transition build
 // (factored and per-arc), one sweep on identity and reordered engines with
-// 0 and −1 workers in both tiers, and materialization; it does not check
+// 0 and −1 workers, and materialization; it does not check
 // convergence. A sweep that dropped all walk mass would return a multiple
 // of π, which materialization renormalizes to π, so that one failure is
 // invisible here.
@@ -110,8 +110,8 @@ func TestClosedFormStationary(t *testing.T) {
 		name string
 		tr   *Transition
 	}
-	const tol64, tol32 = 1e-12, 1e-6
-	var worst64, worst32 float64
+	const tol = 1e-12
+	var worst float64
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			engines := []namedEngine{{"reordered", EngineFor(c.g)}, {"identity", newEngineIdentity(c.g)}}
@@ -131,7 +131,7 @@ func TestClosedFormStationary(t *testing.T) {
 				if beta == 0 {
 					trs = append(trs, namedTransition{"naive-pow", NaivePow(c.g, p)})
 				}
-				check := func(path string, res *Result, err error, bound float64) {
+				check := func(path string, res *Result, err error) {
 					t.Helper()
 					if err != nil {
 						t.Fatalf("p=%v β=%v %s: %v", p, beta, path, err)
@@ -140,84 +140,21 @@ func TestClosedFormStationary(t *testing.T) {
 					for u, v := range res.Scores {
 						l1 += math.Abs(v - pi[u])
 					}
-					if !(l1 <= bound) { // also catches NaN
-						t.Errorf("p=%v β=%v %s: L1 to closed form = %.3g, want ≤ %g", p, beta, path, l1, bound)
+					if !(l1 <= tol) { // also catches NaN
+						t.Errorf("p=%v β=%v %s: L1 to closed form = %.3g, want ≤ %g", p, beta, path, l1, tol)
 					}
-					if bound == tol32 {
-						worst32 = math.Max(worst32, l1)
-					} else {
-						worst64 = math.Max(worst64, l1)
-					}
+					worst = math.Max(worst, l1)
 				}
 				for _, en := range engines {
 					for _, tr := range trs {
 						for _, workers := range []int{0, -1} {
-							for _, f32 := range []bool{false, true} {
-								bound := tol64
-								if f32 {
-									bound = tol32
-								}
-								res, err := en.e.Solve(tr.tr, Options{Teleport: pi, Workers: workers, Float32: f32})
-								check(fmt.Sprintf("%s/%s/workers=%d/float32=%v", en.name, tr.name, workers, f32), res, err, bound)
-							}
+							res, err := en.e.Solve(tr.tr, Options{Teleport: pi, Workers: workers})
+							check(fmt.Sprintf("%s/%s/workers=%d", en.name, tr.name, workers), res, err)
 						}
 					}
 				}
 			}
 		})
 	}
-	t.Logf("worst L1 to the closed form: %.2g (float64 paths), %.2g (float32 tier)", worst64, worst32)
-}
-
-// TestFloat32ExtremeP checks the float32 tier where the factored sweep's
-// float32 mirror cur·srcScale leaves float32's range: at p = 20 the factor
-// sums reach 1e54 (the unfitted mirror overflows, and the sweep turns NaN),
-// and at p = −20 they fall to 3e-64 (the mirror underflows, and with it the
-// walk mass). Every p must converge to the float64 answer on both engines.
-// The table pins which p keep the factored sweep, scaled or not, and which
-// fall back to per-arc probabilities; the graph of
-// BenchmarkCoreSolveWarmFloat32 must need no scaling at all.
-func TestFloat32ExtremeP(t *testing.T) {
-	g := closedFormCorpusGraph(t)
-	engines := []*Engine{EngineFor(g), newEngineIdentity(g)}
-	for _, c := range []struct {
-		p        float64
-		factored bool // whether the float32 tier keeps the factored sweep
-	}{
-		{-80, false}, {-40, true}, {-20, true}, {-12, true},
-		{12, true}, {20, true}, {40, false}, {80, false},
-	} {
-		tr := DegreeDecoupled(g, c.p)
-		if tr.rowFactor == nil {
-			t.Fatalf("p=%v: the float64 transition is not factored", c.p)
-		}
-		for i, e := range engines {
-			f := e.fitFloat32(e.flowOf(tr), tr, DefaultAlpha)
-			if got := f.probs == nil; got != c.factored {
-				t.Errorf("p=%v engine %d: factored sweep = %v, want %v", c.p, i, got, c.factored)
-			}
-			f.release(e)
-			r64, err := e.Solve(tr, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r32, err := e.Solve(tr, Options{Float32: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var l1 float64
-			for u, v := range r64.Scores {
-				l1 += math.Abs(v - r32.Scores[u])
-			}
-			if !r32.Converged || !(l1 <= 1e-6) { // also catches NaN
-				t.Errorf("p=%v engine %d: float32 converged=%v after %d iterations, L1 to float64 = %.3g, want ≤ 1e-6",
-					c.p, i, r32.Converged, r32.Iterations, l1)
-			}
-		}
-	}
-	bench := powerLawGraph(t, benchNodes, benchAvgDeg, 42)
-	tr := DegreeDecoupled(bench, 1)
-	if k, ok := mirrorShift32(tr.srcScale, (1-DefaultAlpha)/float64(bench.NumNodes())); k != 0 || !ok {
-		t.Errorf("the float32 bench graph needs mirror shift %d (fits: %v), want the unscaled factored sweep", k, ok)
-	}
+	t.Logf("worst L1 to the closed form: %.2g", worst)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,12 +31,12 @@ import (
 //     transition probabilities scatter into pull order in one pass per solve.
 //
 // The engine also owns the solve-time scratch: score/next/teleport/
-// probability buffers (float64 and float32 tiers) are recycled through
-// sync.Pools, so a warm solve allocates nothing proportional to the graph
-// beyond the returned score vector, and the parallel sweep runs on a
-// process-wide pool of persistent workers instead of spawning goroutines
-// every iteration. Every solve borrows these buffers afresh; the engine keeps
-// no reference to a transition it has solved.
+// probability buffers are recycled through sync.Pools, so a warm solve
+// allocates nothing proportional to the graph beyond the returned score
+// vector, and the parallel sweep runs on a process-wide pool of persistent
+// workers instead of spawning goroutines every iteration. Every solve
+// borrows these buffers afresh; the engine keeps no reference to a
+// transition it has solved.
 //
 // An Engine is immutable after construction and safe for concurrent use.
 type Engine struct {
@@ -85,10 +84,8 @@ type Engine struct {
 	// schedule: each block covers ~sweepBlockArcs in-arcs.
 	blocks []int32
 
-	nbuf   sync.Pool // *[]float64 of length n
-	nbuf32 sync.Pool // *[]float32 of length n
-	mbuf   sync.Pool // *[]float64 of length NumArcs (pull-ordered probabilities)
-	mbuf32 sync.Pool // *[]float32 of length NumArcs
+	nbuf sync.Pool // *[]float64 of length n
+	mbuf sync.Pool // *[]float64 of length NumArcs (pull-ordered probabilities)
 
 	// pprbuf recycles *pprScratch (residuals, queue, membership bits) across
 	// SolvePPR calls; see push.go.
@@ -353,10 +350,7 @@ func (e *Engine) SolveContext(ctx context.Context, t *Transition, opts Options) 
 		return nil, err
 	}
 	f := e.flowOf(t)
-	if opts.Float32 {
-		f = e.fitFloat32(f, t, opts.Alpha)
-	}
-	res, err := e.power(ctx, f, opts)
+	res, err := powerSolve(ctx, e, f.probs, f.rowFactor, f.srcScale, opts)
 	f.release(e)
 	return res, err
 }
@@ -389,78 +383,13 @@ func (e *Engine) flowOf(t *Transition) flow {
 	case t.rowFactor != nil && e.permOf == nil:
 		return flow{rowFactor: t.rowFactor, srcScale: t.srcScale}
 	case t.rowFactor != nil:
-		rfp, ssp := getNT[float64](e), getNT[float64](e)
+		rfp, ssp := e.getN(), e.getN()
 		e.permuteFactors(*rfp, *ssp, t)
 		return flow{rowFactor: *rfp, srcScale: *ssp, rowFactorBuf: rfp, srcScaleBuf: ssp}
 	}
-	return e.arcFlow(t)
-}
-
-// arcFlow returns t's per-arc probabilities scattered into a pooled
-// pull-order buffer.
-func (e *Engine) arcFlow(t *Transition) flow {
 	pp := e.getM()
 	e.scatterFlow(*pp, t.arcProbs())
 	return flow{probs: *pp, probsBuf: pp}
-}
-
-// minNormal32 is float32's smallest normal number, 2⁻¹²⁶.
-const minNormal32 = 0x1p-126
-
-// fitFloat32 adapts a flow to the float32 tier, whose factored sweep stores
-// the mirror cur[u]·srcScale[u] in float32. At large |p| the factor sums
-// leave float32's range: the mirror overflows to +Inf (and the sweep to NaN)
-// or flushes to 0, dropping the walk mass. A factored flow whose mirror fits
-// is returned as is; one that fits after scaling srcScale by 2^k and
-// rowFactor by 2^−k is returned scaled (powers of two scale exactly, so the
-// per-arc products are unchanged); any other falls back to the per-arc
-// probabilities, which float32 holds at every p. f's buffers are released
-// when it is replaced.
-func (e *Engine) fitFloat32(f flow, t *Transition, alpha float64) flow {
-	if f.rowFactor == nil {
-		return f
-	}
-	// Every iterate is at least (1−α)·tele, so (1−α)/n bounds the scores
-	// of a uniform teleport from below; smaller personalized scores carry
-	// too little mass for a subnormal mirror to matter.
-	k, ok := mirrorShift32(f.srcScale, (1-alpha)/float64(e.n))
-	switch {
-	case !ok:
-		f.release(e)
-		return e.arcFlow(t)
-	case k == 0:
-		return f
-	}
-	rfp, ssp := getNT[float64](e), getNT[float64](e)
-	rf, ss := *rfp, *ssp
-	up, down := math.Ldexp(1, k), math.Ldexp(1, -k)
-	for i := range rf {
-		rf[i] = f.rowFactor[i] * down
-		ss[i] = f.srcScale[i] * up
-	}
-	f.release(e)
-	return flow{rowFactor: rf, srcScale: ss, rowFactorBuf: rfp, srcScaleBuf: ssp}
-}
-
-// mirrorShift32 returns the exponent k for which every mirror
-// cur·srcScale[u]·2^k with cur in [lo, 1] lies in float32's normal range:
-// 0 when the unscaled mirror already does, and ok = false when srcScale
-// spreads too wide for any k.
-func mirrorShift32(srcScale []float64, lo float64) (k int, ok bool) {
-	smin, smax := math.Inf(1), 0.0
-	for _, s := range srcScale {
-		if s > 0 {
-			smin, smax = min(smin, s), max(smax, s)
-		}
-	}
-	if smax == 0 || (smax <= math.MaxFloat32 && lo*smin >= minNormal32) {
-		return 0, true
-	}
-	// Put the largest mirror just below 2¹²⁶, two binades under float32's
-	// overflow, which leaves the widest room below it.
-	_, exp := math.Frexp(smax) // smax·2^−exp lies in [0.5, 1)
-	k = 126 - exp
-	return k, math.Ldexp(lo*smin, k) >= minNormal32
 }
 
 // release returns the pooled buffers f borrowed from e.
@@ -469,8 +398,8 @@ func (f flow) release(e *Engine) {
 		e.putM(f.probsBuf)
 	}
 	if f.rowFactorBuf != nil {
-		putNT(e, f.rowFactorBuf)
-		putNT(e, f.srcScaleBuf)
+		e.putN(f.rowFactorBuf)
+		e.putN(f.srcScaleBuf)
 	}
 }
 
@@ -490,27 +419,16 @@ func (e *Engine) scatterFlow(dst, src []float64) {
 	}
 }
 
-// Pool plumbing. The n-sized pools exist per tier; npoolOf picks by the
-// kernel's element type.
-func npoolOf[T float32or64](e *Engine) *sync.Pool {
-	var z T
-	if _, ok := any(z).(float32); ok {
-		return &e.nbuf32
-	}
-	return &e.nbuf
-}
-
-// getNT returns a pooled length-n buffer of the tier's element type
-// (contents unspecified).
-func getNT[T float32or64](e *Engine) *[]T {
-	if p, ok := npoolOf[T](e).Get().(*[]T); ok {
+// getN returns a pooled length-n float64 buffer (contents unspecified).
+func (e *Engine) getN() *[]float64 {
+	if p, ok := e.nbuf.Get().(*[]float64); ok {
 		return p
 	}
-	s := make([]T, e.n)
+	s := make([]float64, e.n)
 	return &s
 }
 
-func putNT[T float32or64](e *Engine, p *[]T) { npoolOf[T](e).Put(p) }
+func (e *Engine) putN(p *[]float64) { e.nbuf.Put(p) }
 
 // getM returns a pooled length-NumArcs float64 buffer (contents unspecified).
 func (e *Engine) getM() *[]float64 {
@@ -523,60 +441,26 @@ func (e *Engine) getM() *[]float64 {
 
 func (e *Engine) putM(p *[]float64) { e.mbuf.Put(p) }
 
-func (e *Engine) getM32() *[]float32 {
-	if p, ok := e.mbuf32.Get().(*[]float32); ok {
-		return p
-	}
-	s := make([]float32, len(e.pullSources))
-	return &s
-}
-
-func (e *Engine) putM32(p *[]float32) { e.mbuf32.Put(p) }
-
-// power runs the power-iteration core over a flow representation,
-// dispatching to the tier selected by opts.Float32. opts must already have
-// defaults applied. The factored tables stay float64 in both tiers — they
-// are per-node, so narrowing them would save nothing that matters.
-func (e *Engine) power(ctx context.Context, f flow, opts Options) (*Result, error) {
-	if !opts.Float32 {
-		return powerSolve[float64](ctx, e, f.probs, f.rowFactor, f.srcScale, opts)
-	}
-	var p32 []float32
-	var pp32 *[]float32
-	if f.probs != nil {
-		pp32 = e.getM32()
-		p32 = *pp32
-		for i, v := range f.probs {
-			p32[i] = float32(v)
-		}
-	}
-	res, err := powerSolve[float32](ctx, e, p32, f.rowFactor, f.srcScale, opts)
-	if pp32 != nil {
-		e.putM32(pp32)
-	}
-	return res, err
-}
-
-// powerSolve is the tier-generic power-iteration core. probs holds the
-// transition in pull order; with probs nil the transition is per-node:
-// rank-1 factored when rowFactor/srcScale (permuted space) are set, the
-// implicit uniform one otherwise.
+// powerSolve is the power-iteration core. opts must already have defaults
+// applied. probs holds the transition in pull order; with probs nil the
+// transition is per-node: rank-1 factored when rowFactor/srcScale (permuted
+// space) are set, the implicit uniform one otherwise.
 //
 // ctx is polled once per iteration, before the sweep — on the parallel path
 // that is the point right after the previous iteration's block barrier, so
 // no worker is ever abandoned mid-block. The check is one atomic-free
 // ctx.Err() call against an iteration that sweeps every arc; its cost on the
 // warm path is measured by BenchmarkCoreSolveCancelOverhead (<1%).
-func powerSolve[T float32or64](ctx context.Context, e *Engine, probs []T, rowFactor, srcScale []float64, opts Options) (*Result, error) {
+func powerSolve(ctx context.Context, e *Engine, probs, rowFactor, srcScale []float64, opts Options) (*Result, error) {
 	n := e.n
-	telep := getNT[T](e)
+	telep := e.getN()
 	tele := *telep
 	teleportPermuted(opts, tele, e.permOf)
 
-	curp := getNT[T](e)
+	curp := e.getN()
 	cur := *curp
 	copy(cur, tele)
-	nextp := getNT[T](e)
+	nextp := e.getN()
 	next := *nextp
 
 	if srcScale == nil {
@@ -586,13 +470,13 @@ func powerSolve[T float32or64](ctx context.Context, e *Engine, probs []T, rowFac
 	// so the sweep reads one value per arc instead of two. It is primed once
 	// here; afterwards the sweep epilogue maintains the next iteration's
 	// mirror in nextScaled, and the pair ping-pongs with cur/next.
-	var scaled, nextScaled []T
-	var scaledp, nextScaledp *[]T
+	var scaled, nextScaled []float64
+	var scaledp, nextScaledp *[]float64
 	if probs == nil {
-		scaledp, nextScaledp = getNT[T](e), getNT[T](e)
+		scaledp, nextScaledp = e.getN(), e.getN()
 		scaled, nextScaled = *scaledp, *nextScaledp
 		for u := 0; u < n; u++ {
-			scaled[u] = T(float64(cur[u]) * srcScale[u])
+			scaled[u] = cur[u] * srcScale[u]
 		}
 	}
 
@@ -602,9 +486,9 @@ func powerSolve[T float32or64](ctx context.Context, e *Engine, probs []T, rowFac
 	// serial and parallel solves bit-identical end to end.
 	bounds := e.blocks
 	diffs := make([]float64, len(bounds)-1)
-	var st *sweepState[T]
+	var st *sweepState
 	if workers := min(opts.Workers, len(diffs)); workers > 1 {
-		st = &sweepState[T]{
+		st = &sweepState{
 			e: e, probs: probs, tele: tele, rowFactor: rowFactor, srcScale: srcScale,
 			alpha: opts.Alpha, workers: workers, diffs: diffs,
 		}
@@ -622,7 +506,7 @@ func powerSolve[T float32or64](ctx context.Context, e *Engine, probs []T, rowFac
 		// distribution, keeping the chain stochastic.
 		var dangling float64
 		for _, d := range e.dangling {
-			dangling += float64(cur[d])
+			dangling += cur[d]
 		}
 		base := opts.Alpha * dangling // multiplied by tele[v] per node
 
@@ -661,14 +545,14 @@ func powerSolve[T float32or64](ctx context.Context, e *Engine, probs []T, rowFac
 	// pooled either way, only the materialized result escapes.
 	*curp = cur
 	*nextp = next
-	putNT(e, curp)
-	putNT(e, nextp)
-	putNT(e, telep)
+	e.putN(curp)
+	e.putN(nextp)
+	e.putN(telep)
 	if scaledp != nil {
 		*scaledp = scaled
 		*nextScaledp = nextScaled
-		putNT(e, scaledp)
-		putNT(e, nextScaledp)
+		e.putN(scaledp)
+		e.putN(nextScaledp)
 	}
 	if cancelErr != nil {
 		return nil, cancelErr
@@ -682,10 +566,10 @@ func powerSolve[T float32or64](ctx context.Context, e *Engine, probs []T, rowFac
 // (e.blocks) work-stealing style, one atomic per block, and each block's
 // residual partial lands in diffs at the block's own index, so the reduction
 // order is independent of which worker computed which block.
-type sweepState[T float32or64] struct {
+type sweepState struct {
 	e                                   *Engine
-	probs                               []T
-	cur, next, scaled, nextScaled, tele []T
+	probs                               []float64
+	cur, next, scaled, nextScaled, tele []float64
 	rowFactor, srcScale                 []float64
 	alpha, base                         float64
 	workers                             int
@@ -699,7 +583,7 @@ type sweepState[T float32or64] struct {
 // the persistent pool. Every destination row is computed by exactly one
 // worker and rows are reduced independently, so results are identical across
 // worker counts.
-func (st *sweepState[T]) run() {
+func (st *sweepState) run() {
 	st.cursor.Store(0)
 	st.wg.Add(st.workers)
 	for w := 1; w < st.workers; w++ {
@@ -710,7 +594,7 @@ func (st *sweepState[T]) run() {
 }
 
 // runBlocks loops grabbing blocks until none remain.
-func (st *sweepState[T]) runBlocks() {
+func (st *sweepState) runBlocks() {
 	e := st.e
 	nb := int64(len(st.diffs))
 	for {
@@ -724,20 +608,12 @@ func (st *sweepState[T]) runBlocks() {
 	st.wg.Done()
 }
 
-// blockRunner is the unit of work the pool executes: one worker slot of one
-// sweep. Both sweep tiers implement it, so one pool serves float64 and
-// float32 solves alike, and submitting allocates nothing — the interface word
-// holds the *sweepState pointer directly.
-type blockRunner interface {
-	runBlocks()
-}
-
 // workerPool runs sweep worker slots on persistent goroutines. Workers are
 // spawned on demand up to the pool's cap and exit after workerIdleTimeout
 // without a task, so an idle process keeps no goroutines and a server under
 // load keeps them hot across iterations, solves, and requests.
 type workerPool struct {
-	tasks chan blockRunner // unbuffered: a send succeeds only into a waiting worker
+	tasks chan *sweepState // unbuffered: a send succeeds only into a waiting worker
 	sem   chan struct{}    // counts live workers
 }
 
@@ -751,35 +627,35 @@ var sweepPool = newWorkerPool(64)
 
 func newWorkerPool(maxWorkers int) *workerPool {
 	return &workerPool{
-		tasks: make(chan blockRunner),
+		tasks: make(chan *sweepState),
 		sem:   make(chan struct{}, maxWorkers),
 	}
 }
 
-func (p *workerPool) submit(t blockRunner) {
+func (p *workerPool) submit(st *sweepState) {
 	select {
-	case p.tasks <- t: // an idle worker is waiting
+	case p.tasks <- st: // an idle worker is waiting
 		return
 	default:
 	}
 	select {
-	case p.tasks <- t:
+	case p.tasks <- st:
 	case p.sem <- struct{}{}:
-		go p.worker(t)
+		go p.worker(st)
 	}
 }
 
-func (p *workerPool) worker(t blockRunner) {
-	t.runBlocks()
+func (p *workerPool) worker(st *sweepState) {
+	st.runBlocks()
 	idle := time.NewTimer(workerIdleTimeout)
 	defer idle.Stop()
 	for {
 		select {
-		case t := <-p.tasks:
+		case st := <-p.tasks:
 			if !idle.Stop() {
 				<-idle.C
 			}
-			t.runBlocks()
+			st.runBlocks()
 			idle.Reset(workerIdleTimeout)
 		case <-idle.C:
 			<-p.sem

@@ -18,7 +18,6 @@ import (
 //     probability array is built, scattered, or read.
 //   - CoreSolveWarmNoReorder: the identity-order ablation of the locality
 //     relabeling (same kernel, builder's node order).
-//   - CoreSolveWarmFloat32: the float32 score tier (Options.Float32).
 //   - CoreSweepSequential vs CoreSweepBlocked4/8: the cache-blocked
 //     schedule serially and with 4 and 8 workers.
 //   - CoreConvergePower: a full run to a real tolerance.
@@ -156,29 +155,6 @@ func BenchmarkCoreSolveWarmNoReorder(b *testing.B) {
 	reportNsPerArc(b, g.NumArcs(), benchOpts.MaxIter)
 }
 
-// BenchmarkCoreSolveWarmFloat32 measures the float32 score tier on the warm
-// explicit-transition path: per-node and per-arc streams at half width,
-// accumulation still float64.
-func BenchmarkCoreSolveWarmFloat32(b *testing.B) {
-	g := benchGraph(b)
-	e := EngineFor(g)
-	tr := DegreeDecoupled(g, 1)
-	opts := benchOpts
-	opts.Float32 = true
-	for i := 0; i < 2; i++ {
-		if _, err := e.Solve(tr, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Solve(tr, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportNsPerArc(b, g.NumArcs(), opts.MaxIter)
-}
-
 // benchSweep runs the fixed-iteration power core with the given worker count
 // over a pre-scattered probability buffer, on the cache-blocked schedule
 // (workers grab whole destination blocks; one worker walks them in order).
@@ -196,12 +172,12 @@ func benchSweep(b *testing.B, workers int) {
 	}
 	opts.Workers = workers
 
-	if _, err := e.power(context.Background(), flow{probs: probs}, opts); err != nil {
+	if _, err := powerSolve(context.Background(), e, probs, nil, nil, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.power(context.Background(), flow{probs: probs}, opts); err != nil {
+		if _, err := powerSolve(context.Background(), e, probs, nil, nil, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

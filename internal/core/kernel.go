@@ -2,14 +2,6 @@ package core
 
 import "math"
 
-// float32or64 constrains the score-tier element type of the sweep kernels.
-// float64 is the default serving tier; float32 (Options.Float32) halves the
-// memory bandwidth of every per-node and per-arc stream for workloads that
-// tolerate ~1e-6 absolute score error.
-type float32or64 interface {
-	~float32 | ~float64
-}
-
 // sweepRows performs one pull sweep over destinations [lo, hi) of the
 // permuted pull CSR and returns the block's partial L1 difference between
 // next and cur. Fusing the residual into the sweep epilogue saves a separate
@@ -42,12 +34,7 @@ type float32or64 interface {
 // destination's row always holds the same values in the same sequence (rows
 // are filled in original source-scan order regardless of the relabeling),
 // and each row is always reduced by this exact tree.
-//
-// Partial sums are accumulated in float64 for both tiers; for the float32
-// tier only the stored vectors are narrowed, keeping hub rows (which can sum
-// tens of thousands of terms) from losing digits to cascaded float32
-// rounding.
-func sweepRows[T float32or64](offsets []int64, sources []int32, probs, cur, scaled, next, nextScaled, tele []T, rowFactor, srcScale []float64, alpha, base float64, lo, hi int) (diff float64) {
+func sweepRows(offsets []int64, sources []int32, probs, cur, scaled, next, nextScaled, tele, rowFactor, srcScale []float64, alpha, base float64, lo, hi int) (diff float64) {
 	tail := base + 1 - alpha
 	if probs == nil && rowFactor != nil {
 		for v := lo; v < hi; v++ {
@@ -55,19 +42,19 @@ func sweepRows[T float32or64](offsets []int64, sources []int32, probs, cur, scal
 			var a0, a1, a2, a3 float64
 			i := 0
 			for ; i+4 <= len(row); i += 4 {
-				a0 += float64(scaled[row[i]])
-				a1 += float64(scaled[row[i+1]])
-				a2 += float64(scaled[row[i+2]])
-				a3 += float64(scaled[row[i+3]])
+				a0 += scaled[row[i]]
+				a1 += scaled[row[i+1]]
+				a2 += scaled[row[i+2]]
+				a3 += scaled[row[i+3]]
 			}
 			for ; i < len(row); i++ {
-				a0 += float64(scaled[row[i]])
+				a0 += scaled[row[i]]
 			}
 			acc := (a0 + a1) + (a2 + a3)
-			x := T(alpha*rowFactor[v]*acc + tail*float64(tele[v]))
+			x := alpha*rowFactor[v]*acc + tail*tele[v]
 			next[v] = x
-			nextScaled[v] = T(float64(x) * srcScale[v])
-			diff += math.Abs(float64(x) - float64(cur[v]))
+			nextScaled[v] = x * srcScale[v]
+			diff += math.Abs(x - cur[v])
 		}
 		return diff
 	}
@@ -80,21 +67,21 @@ func sweepRows[T float32or64](offsets []int64, sources []int32, probs, cur, scal
 			var a0, a1, a2, a3 float64
 			i := 0
 			for ; i+4 <= len(row); i += 4 {
-				a0 += float64(scaled[row[i]])
-				a1 += float64(scaled[row[i+1]])
-				a2 += float64(scaled[row[i+2]])
-				a3 += float64(scaled[row[i+3]])
+				a0 += scaled[row[i]]
+				a1 += scaled[row[i+1]]
+				a2 += scaled[row[i+2]]
+				a3 += scaled[row[i+3]]
 			}
 			for ; i < len(row); i++ {
-				a0 += float64(scaled[row[i]])
+				a0 += scaled[row[i]]
 			}
 			acc := (a0 + a1) + (a2 + a3)
-			x := T(alpha*acc + tail*float64(tele[v]))
+			x := alpha*acc + tail*tele[v]
 			next[v] = x
-			nextScaled[v] = T(float64(x) * srcScale[v])
+			nextScaled[v] = x * srcScale[v]
 			// math.Abs is a branchless intrinsic; a sign test here would
 			// mispredict half the time (residual signs are random).
-			diff += math.Abs(float64(x) - float64(cur[v]))
+			diff += math.Abs(x - cur[v])
 		}
 		return diff
 	}
@@ -106,10 +93,9 @@ func sweepRows[T float32or64](offsets []int64, sources []int32, probs, cur, scal
 		var a0, a1, a2, a3 float64
 		i := 0
 		for ; i+4 <= len(row); i += 4 {
-			// The product is taken in T: exact for float64, and for float32 a
-			// single rounding per term (the float64 partial sums still keep
-			// hub rows from cascading) — well inside the tier's ~1e-6
-			// contract, and it keeps the per-arc convert count at one.
+			// The explicit conversion rounds each product before the add,
+			// which forbids fusing the pair into one FMA (Go spec, Arithmetic
+			// operators): every platform then sums the same rounded terms.
 			a0 += float64(pr[i] * cur[row[i]])
 			a1 += float64(pr[i+1] * cur[row[i+1]])
 			a2 += float64(pr[i+2] * cur[row[i+2]])
@@ -119,9 +105,9 @@ func sweepRows[T float32or64](offsets []int64, sources []int32, probs, cur, scal
 			a0 += float64(pr[i] * cur[row[i]])
 		}
 		acc := (a0 + a1) + (a2 + a3)
-		x := T(alpha*acc + tail*float64(tele[v]))
+		x := alpha*acc + tail*tele[v]
 		next[v] = x
-		diff += math.Abs(float64(x) - float64(cur[v]))
+		diff += math.Abs(x - cur[v])
 	}
 	return diff
 }
@@ -130,37 +116,35 @@ func sweepRows[T float32or64](offsets []int64, sources []int32, probs, cur, scal
 // original-id-order float64 score vector. Both the normalization sum and the
 // scaling walk nodes in original id order (via permOf when the engine is
 // relabeled), so the result is bit-identical to the unpermuted solve.
-func materializeScores[T float32or64](x []T, permOf []int32) []float64 {
+func materializeScores(x []float64, permOf []int32) []float64 {
 	out := make([]float64, len(x))
 	var sum float64
 	if permOf == nil {
 		for _, v := range x {
-			sum += float64(v)
+			sum += v
 		}
 		if sum <= 0 {
-			for i, v := range x {
-				out[i] = float64(v)
-			}
+			copy(out, x)
 			return out
 		}
 		inv := 1 / sum
 		for i, v := range x {
-			out[i] = float64(v) * inv
+			out[i] = v * inv
 		}
 		return out
 	}
 	for _, pv := range permOf {
-		sum += float64(x[pv])
+		sum += x[pv]
 	}
 	if sum <= 0 {
 		for i, pv := range permOf {
-			out[i] = float64(x[pv])
+			out[i] = x[pv]
 		}
 		return out
 	}
 	inv := 1 / sum
 	for i, pv := range permOf {
-		out[i] = float64(x[pv]) * inv
+		out[i] = x[pv] * inv
 	}
 	return out
 }
@@ -169,12 +153,11 @@ func materializeScores[T float32or64](x []T, permOf []int32) []float64 {
 // translated into the engine's permuted id space. The normalization sum runs
 // over the caller's original-order vector, so the per-entry arithmetic is
 // identical to the unpermuted solve.
-func teleportPermuted[T float32or64](opts Options, tele []T, permOf []int32) {
+func teleportPermuted(opts Options, tele []float64, permOf []int32) {
 	if opts.Teleport == nil {
 		u := 1 / float64(len(tele))
-		tu := T(u)
 		for i := range tele {
-			tele[i] = tu
+			tele[i] = u
 		}
 		return
 	}
@@ -184,11 +167,11 @@ func teleportPermuted[T float32or64](opts Options, tele []T, permOf []int32) {
 	}
 	if permOf == nil {
 		for i, v := range opts.Teleport {
-			tele[i] = T(v / s)
+			tele[i] = v / s
 		}
 		return
 	}
 	for i, v := range opts.Teleport {
-		tele[permOf[i]] = T(v / s)
+		tele[permOf[i]] = v / s
 	}
 }

@@ -37,7 +37,8 @@ type Options struct {
 	// Alpha is the residual probability (probability of following an edge
 	// rather than teleporting). 0 means DefaultAlpha. Must lie in [0, 1).
 	Alpha float64
-	// Tol is the L1 convergence threshold. 0 means DefaultTol.
+	// Tol is the L1 convergence threshold. 0 means DefaultTol. Must be
+	// positive and finite.
 	Tol float64
 	// MaxIter bounds the number of power iterations. 0 means DefaultMaxIter.
 	MaxIter int
@@ -48,22 +49,7 @@ type Options struct {
 	// Workers sets the number of goroutines used for the edge sweep.
 	// 0 means sequential; -1 means GOMAXPROCS.
 	Workers int
-	// Float32 selects the float32 score tier: score, teleport, and scratch
-	// vectors are stored as float32, halving the memory bandwidth of every
-	// per-node and per-arc stream. Residual norms and per-row accumulation
-	// stay in float64, so the error versus the float64 tier is bounded by
-	// storage rounding — ~1e-6 absolute per score in practice. Tol is
-	// clamped up to Float32MinTol (the float32 residual floor); scores still
-	// sum to 1 and the returned Result.Scores is always []float64. Opt-in:
-	// serving workloads that rank by score order tolerate it, numerical
-	// consumers should keep the default tier.
-	Float32 bool
 }
-
-// Float32MinTol is the effective lower bound on Tol in Float32 mode: an L1
-// residual below ~n·ε_f32 can never be observed from float32-stored iterates,
-// so demanding the float64 default 1e-10 would spin to MaxIter.
-const Float32MinTol = 1e-6
 
 // withDefaults returns a copy of o with zero fields replaced by defaults and
 // validates the result for a graph with n nodes.
@@ -71,17 +57,14 @@ func (o Options) withDefaults(n int) (Options, error) {
 	if o.Alpha == 0 {
 		o.Alpha = DefaultAlpha
 	}
-	if o.Alpha < 0 || o.Alpha >= 1 {
+	if !(o.Alpha >= 0 && o.Alpha < 1) { // also rejects NaN
 		return o, fmt.Errorf("core: alpha %v out of range [0, 1)", o.Alpha)
 	}
 	if o.Tol == 0 {
 		o.Tol = DefaultTol
 	}
-	if o.Tol < 0 {
-		return o, fmt.Errorf("core: negative tolerance %v", o.Tol)
-	}
-	if o.Float32 && o.Tol < Float32MinTol {
-		o.Tol = Float32MinTol
+	if !(o.Tol > 0 && o.Tol <= math.MaxFloat64) { // also rejects NaN and +Inf
+		return o, fmt.Errorf("core: tolerance %v is not a positive finite number", o.Tol)
 	}
 	if o.MaxIter == 0 {
 		o.MaxIter = DefaultMaxIter

@@ -156,7 +156,13 @@ func TestOptionsValidation(t *testing.T) {
 	cases := []Options{
 		{Alpha: -0.1},
 		{Alpha: 1.0},
+		{Alpha: math.NaN()},
+		{Alpha: math.Inf(1)},
+		{Alpha: math.Inf(-1)},
 		{Tol: -1},
+		{Tol: math.NaN()},
+		{Tol: math.Inf(1)},
+		{Tol: math.Inf(-1)},
 		{MaxIter: -5},
 		{Teleport: []float64{1}},             // wrong length
 		{Teleport: []float64{-1, 2}},         // negative entry

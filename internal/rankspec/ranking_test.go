@@ -74,8 +74,6 @@ func TestCacheKeyGolden(t *testing.T) {
 		"spec algo=degree":                         "g|degree|p=0|beta=0|",
 		"spec epoch 1":                             "g|d2pr|p=0|beta=0|alpha=0.85|tol=1e-10|maxiter=500|epoch=1",
 		"spec epoch 12345":                         "g|d2pr|p=0|beta=0|alpha=0.85|tol=1e-10|maxiter=500|epoch=12345",
-		"spec float32 d2pr":                        "g|d2pr|p=0.5|beta=0|alpha=0.85|tol=1e-06|maxiter=500|f32",
-		"spec float32 pagerank":                    "g|pagerank|p=0|beta=0|alpha=0.85|tol=1e-06|maxiter=500|f32",
 		"ppr default":                              "g|ppr|seed=42|a=0.85|e=1e-07|k=100",
 		"ppr custom":                               "g|ppr|seed=123456|a=0.30000000000000004|e=1e-05|k=10",
 		"ppr epoch 12345":                          "g|ppr|seed=123456|a=0.30000000000000004|e=1e-05|k=10|epoch=12345",
@@ -133,14 +131,6 @@ func goldenKeyCases() [][2]string {
 	snapA, snapB := &registry.Snapshot{Epoch: 1}, &registry.Snapshot{Epoch: 12345}
 	add("spec epoch 1", string(New("g").CacheKeyFor(snapA)))
 	add("spec epoch 12345", string(New("g").CacheKeyFor(snapB)))
-	SetFloat32Mode(true)
-	s = New("g")
-	s.P = 0.5
-	add("spec float32 d2pr", string(s.CacheKey()))
-	s.Algo = AlgoPageRank
-	add("spec float32 pagerank", string(s.CacheKey()))
-	SetFloat32Mode(false)
-
 	ppr := NewPPR("g", 42)
 	add("ppr default", string(ppr.CacheKey()))
 	ppr.Seed, ppr.Alpha, ppr.Epsilon, ppr.K = 123456, sum, 1e-5, 10

@@ -15,7 +15,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"d2pr/internal/core"
@@ -41,28 +40,6 @@ const AlgoPPR = "ppr"
 
 // Algos lists the supported algorithm names in documentation order.
 func Algos() []string { return []string{AlgoD2PR, AlgoPageRank, AlgoHITS, AlgoDegree} }
-
-// float32Mode is the process-wide score-tier toggle; see SetFloat32Mode.
-var float32Mode atomic.Bool
-
-// SetFloat32Mode switches the power-iteration serving algorithms (d2pr and
-// pagerank) to the float32 score tier (core.Options.Float32): half the
-// memory traffic per sweep in exchange for ~1e-6 absolute score error —
-// far finer than any ranking consumer resolves, but a different contract
-// than the float64 default, so it is an explicit operator opt-in
-// (d2pr-server -float32). The mode is part of the cache identity: flipping
-// it mid-flight changes the derived cache keys, so float64 and float32
-// score vectors never alias one another.
-func SetFloat32Mode(on bool) { float32Mode.Store(on) }
-
-// Float32Mode reports whether the float32 score tier is active.
-func Float32Mode() bool { return float32Mode.Load() }
-
-// float32Applies reports whether the mode affects the given algorithm: only
-// the engine-backed power-iteration paths have a float32 tier.
-func float32Applies(algo string) bool {
-	return algo == AlgoD2PR || algo == AlgoPageRank
-}
 
 // Spec is one fully-determined ranking configuration.
 type Spec struct {
@@ -124,9 +101,6 @@ func (s Spec) Validate(numNodes int) error {
 // partition — so only wall-clock changes, and CacheKey leaves Workers out.
 func (s Spec) Options(n int) core.Options {
 	o := core.Options{Alpha: s.Alpha, Workers: -1}
-	if float32Applies(s.Algo) && Float32Mode() {
-		o.Float32 = true
-	}
 	if len(s.Seeds) > 0 {
 		tele := make([]float64, n)
 		for _, sd := range s.Seeds {
@@ -137,14 +111,19 @@ func (s Spec) Options(n int) core.Options {
 	return o
 }
 
+// solverSuffix is the solver-options part of every d2pr, pagerank and hits
+// cache key. Every solve runs at the solver's default tolerance and
+// iteration cap, so the part is one string, built once.
+var solverSuffix = "|tol=" + strconv.FormatFloat(core.DefaultTol, 'g', -1, 64) +
+	"|maxiter=" + strconv.Itoa(core.DefaultMaxIter)
+
 // CacheKey derives the rankcache key, canonicalizing parameters each
 // algorithm ignores so equivalent configurations share one cache slot:
 // p/β for everything but d2pr, p for d2pr at β = 1 (pure connection
 // strength, which core.Blended builds without reading p), alpha and seeds
 // additionally for HITS (which only reads Tol/MaxIter), and every solver
 // option for degree centrality. The solver options follow in the order
-// alpha, tol, maxiter, then "|f32" in the float32 tier, whose tol is the
-// solver's clamp core.Float32MinTol; the seeds come last, verbatim.
+// alpha, tol, maxiter (solverSuffix); the seeds come last, verbatim.
 func (s Spec) CacheKey() rankcache.Key {
 	p, beta, alpha, seeds := s.P, s.Beta, s.Alpha, s.Seeds
 	switch s.Algo {
@@ -162,15 +141,10 @@ func (s Spec) CacheKey() rankcache.Key {
 	if alpha == 0 { // the solver reads α = 0 as its default
 		alpha = core.DefaultAlpha
 	}
-	f32 := float32Applies(s.Algo) && Float32Mode()
-	tol := core.DefaultTol
-	if f32 {
-		tol = core.Float32MinTol
-	}
 	// strconv's shortest 'g' form is fmt's %g, byte for byte.
 	var b strings.Builder
 	var num [32]byte
-	b.Grow(len(s.Graph) + len(s.Algo) + 96 + 12*len(seeds))
+	b.Grow(len(s.Graph) + len(s.Algo) + 64 + len(solverSuffix) + 12*len(seeds))
 	b.WriteString(s.Graph)
 	b.WriteByte('|')
 	b.WriteString(s.Algo)
@@ -180,13 +154,7 @@ func (s Spec) CacheKey() rankcache.Key {
 	b.Write(strconv.AppendFloat(num[:0], beta, 'g', -1, 64))
 	b.WriteString("|alpha=")
 	b.Write(strconv.AppendFloat(num[:0], alpha, 'g', -1, 64))
-	b.WriteString("|tol=")
-	b.Write(strconv.AppendFloat(num[:0], tol, 'g', -1, 64))
-	b.WriteString("|maxiter=")
-	b.Write(strconv.AppendInt(num[:0], core.DefaultMaxIter, 10))
-	if f32 {
-		b.WriteString("|f32")
-	}
+	b.WriteString(solverSuffix)
 	for i, sd := range seeds {
 		if i == 0 {
 			b.WriteString("|seeds=")

@@ -162,41 +162,6 @@ func TestCacheKeyD2PRBetaOneIgnoresP(t *testing.T) {
 	}
 }
 
-// TestFloat32ModeCacheIdentity: the server-wide float32 tier changes which
-// score vector a spec produces, so it must be part of the cache key — but
-// only for the algorithms it applies to.
-func TestFloat32ModeCacheIdentity(t *testing.T) {
-	defer SetFloat32Mode(false)
-
-	d := New("t") // d2pr
-	pr := New("t")
-	pr.Algo = AlgoPageRank
-	hits := New("t")
-	hits.Algo = AlgoHITS
-
-	SetFloat32Mode(false)
-	dKey, prKey, hitsKey := d.CacheKey(), pr.CacheKey(), hits.CacheKey()
-	if d.Options(10).Float32 {
-		t.Error("float32 off: Options must not request the float32 tier")
-	}
-	SetFloat32Mode(true)
-	if !Float32Mode() {
-		t.Fatal("Float32Mode not set")
-	}
-	if !d.Options(10).Float32 || !pr.Options(10).Float32 {
-		t.Error("float32 on: d2pr/pagerank Options must request the float32 tier")
-	}
-	if d.CacheKey() == dKey {
-		t.Error("d2pr cache key must change with float32 mode")
-	}
-	if pr.CacheKey() == prKey {
-		t.Error("pagerank cache key must change with float32 mode")
-	}
-	if hits.CacheKey() != hitsKey {
-		t.Error("hits cache key must not depend on float32 mode")
-	}
-}
-
 func TestComputeAllAlgos(t *testing.T) {
 	snap := testSnapshot(t)
 	for _, algo := range Algos() {

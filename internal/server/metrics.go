@@ -10,7 +10,6 @@ import (
 	"d2pr/internal/core"
 	"d2pr/internal/jobs"
 	"d2pr/internal/rankcache"
-	"d2pr/internal/rankspec"
 	"d2pr/internal/telemetry"
 )
 
@@ -234,12 +233,6 @@ func (s *Server) writeServerFamilies(p *telemetry.PromWriter) {
 	for _, row := range engines {
 		p.Sample("d2pr_engine_blocks", row.lbl, float64(row.stats.Blocks))
 	}
-	p.Family("d2pr_float32_mode", "gauge", "Whether the float32 score tier is active for power-iteration serving (d2pr-server -float32).")
-	f32 := 0.0
-	if rankspec.Float32Mode() {
-		f32 = 1
-	}
-	p.Sample("d2pr_float32_mode", nil, f32)
 
 	p.Family("d2pr_panics_total", "counter", "Recovered panics across handlers, jobs, and compute closures.")
 	p.Sample("d2pr_panics_total", nil, float64(s.tel.Panics()))

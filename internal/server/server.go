@@ -508,10 +508,8 @@ type GraphInfo struct {
 	HasSignificance bool    `json:"has_significance"`
 	// Engine reports the solver engine's memory layout and build costs —
 	// present only once some solve has built the engine (reporting never
-	// triggers the build itself). Float32Mode is the process-wide score
-	// tier the power-iteration algorithms serve with (-float32).
-	Engine      *core.EngineStats `json:"engine,omitempty"`
-	Float32Mode bool              `json:"float32_mode"`
+	// triggers the build itself).
+	Engine *core.EngineStats `json:"engine,omitempty"`
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -531,7 +529,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		DegreeStdDev:    st.DegreeStdDev,
 		MedianNbrStdDev: st.MedianNeighborDegStdDev,
 		HasSignificance: snap.Significance != nil,
-		Float32Mode:     rankspec.Float32Mode(),
 	}
 	if eng := snap.EngineIfBuilt(); eng != nil {
 		es := eng.Stats()

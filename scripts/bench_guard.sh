@@ -23,9 +23,9 @@
 #   BASE=<sha> RUNS=20 BENCHTIME=1x THRESHOLD_PCT=10 scripts/bench_guard.sh
 #
 # BASE is any commit-ish; it is required. Guarded benches: the warm serving
-# path (factored d2pr transition), the implicit-uniform path, and the float32
-# tier. Cold-solve and parallel-sweep benches are excluded — their times are
-# dominated by allocation and scheduling, which swing too much to gate on.
+# path (factored d2pr transition) and the implicit-uniform path. Cold-solve
+# and parallel-sweep benches are excluded — their times are dominated by
+# allocation and scheduling, which swing too much to gate on.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,7 +34,7 @@ RUNS="${RUNS:-20}"
 BENCHTIME="${BENCHTIME:-1x}"
 THRESHOLD_PCT="${THRESHOLD_PCT:-10}"
 
-GUARDED='^BenchmarkCoreSolveWarm(|Uniform|Float32)$'
+GUARDED='^BenchmarkCoreSolveWarm(|Uniform)$'
 
 tmp="$(mktemp -d)"
 cleanup() {
