@@ -1,8 +1,9 @@
 // Benchmarks that regenerate every table and figure of the paper (one
 // Benchmark per artifact), plus ablation benches of the design choices:
 // de-coupling through the transition or the teleport, log-space
-// normalization, sequential or parallel sweeps, power iteration or forward
-// push, and D2PR against the classic baselines.
+// normalization, power iteration or forward push, and D2PR against the
+// classic baselines. Sweep worker counts are compared in internal/core
+// (BenchmarkCoreSweepSequential against BenchmarkCoreSweepBlocked4/8).
 //
 // Run everything:  go test -bench=. -benchmem
 // One artifact:    go test -bench=BenchmarkFigure2 -benchmem
@@ -133,30 +134,6 @@ func BenchmarkAblationLogspace(b *testing.B) {
 	b.Run("naive-pow", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			core.NaivePow(g, 4)
-		}
-	})
-}
-
-// Ablation: sequential versus parallel edge sweep in the solver.
-func BenchmarkAblationParallel(b *testing.B) {
-	r := benchRunner(b)
-	d, err := r.Graph(dataset.LastfmArtistArtist)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := d.Unweighted()
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.D2PR(g, 1, core.Options{Tol: 1e-8}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.D2PR(g, 1, core.Options{Tol: 1e-8, Workers: -1}); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

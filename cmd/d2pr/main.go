@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -59,6 +60,16 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("want exactly one input file (or '-'), got %d args", fs.NArg())
+	}
+	// core.Options reads 0 as "use the default", so 0 must fail here.
+	if !(*alpha > 0 && *alpha < 1) {
+		return fmt.Errorf("-alpha %v is outside (0, 1)", *alpha)
+	}
+	if !(*tol > 0 && *tol <= math.MaxFloat64) {
+		return fmt.Errorf("-tol %v is not a positive finite number", *tol)
+	}
+	if *maxIter <= 0 {
+		return fmt.Errorf("-maxiter %d is not positive", *maxIter)
 	}
 	if *seeds != "" && *algo != "d2pr" && *algo != "ppr" {
 		return fmt.Errorf("-seeds personalizes -algo d2pr and ppr only, not %s", *algo)

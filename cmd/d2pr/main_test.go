@@ -90,6 +90,9 @@ func TestRunErrors(t *testing.T) {
 		{"-algo", "ppr", "-seeds", "4294967299", path},   // wraps to node 3
 		{"-algo", "pagerank", "-seeds", "1", path},       // seeds on an unpersonalized algorithm
 		{"-algo", "hits", "-seeds", "99999999999", path}, // the same, with an id past int32
+		{"-alpha", "0", path},                            // zero, which core.Options reads as the default
+		{"-tol", "0", path},                              // likewise
+		{"-maxiter", "0", path},                          // likewise
 		{filepath.Join(t.TempDir(), "nope")},             // missing file
 	}
 	for _, args := range cases {

@@ -69,7 +69,7 @@ type (
 // Ranking types.
 type (
 	// Options configures the power-iteration solver (α, tolerance,
-	// iteration cap, teleport vector, parallelism).
+	// iteration cap, teleport vector).
 	Options = core.Options
 	// Result carries scores plus convergence diagnostics.
 	Result = core.Result
@@ -106,7 +106,7 @@ type Params struct {
 	// Seeds, when non-empty, personalizes the teleport vector uniformly
 	// over the given nodes (PPR-style contextualization).
 	Seeds []int32
-	// Options tunes the solver (α, tolerance, workers, ...). Zero values
+	// Options tunes the solver (α, tolerance, iteration cap). Zero values
 	// mean the documented defaults (α = 0.85, tol = 1e-10, 500 iterations).
 	Options Options
 }

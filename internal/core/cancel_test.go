@@ -48,8 +48,8 @@ func requireCancelErr(t *testing.T, err error, wantProgress string) {
 // TestSolveContextCancelsWithinOneIteration: the power loop polls ctx at the
 // top of every iteration, so an Err() that flips on poll k aborts the solve
 // with exactly k-1 completed iterations — within one iteration of the
-// cancellation, for both the sequential and parallel sweep paths and for a
-// factored and a per-arc (β-blended) transition. After the cancelled solves
+// cancellation, for one and four sweep workers and for a factored and a
+// per-arc (β-blended) transition. After the cancelled solves
 // the engine must still solve: their pooled buffers were returned, not
 // leaked mid-solve.
 func TestSolveContextCancelsWithinOneIteration(t *testing.T) {
@@ -67,7 +67,7 @@ func TestSolveContextCancelsWithinOneIteration(t *testing.T) {
 			for _, flipAt := range []int64{1, 4} {
 				t.Run(fmt.Sprintf("%sworkers=%d flip=%d", c.name, workers, flipAt), func(t *testing.T) {
 					ctx := errAfter(flipAt)
-					res, err := SolveContext(ctx, tr, Options{MaxIter: 50, Tol: 1e-300, Workers: workers})
+					res, err := EngineFor(g).solve(ctx, tr, Options{MaxIter: 50, Tol: 1e-300}, workers)
 					requireCancelErr(t, err, fmt.Sprintf("after %d/50 iterations", flipAt-1))
 					if res != nil {
 						t.Fatalf("cancelled solve returned a result: %+v", res)

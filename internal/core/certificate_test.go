@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -117,7 +118,7 @@ func certify(t *testing.T, path string, tr *Transition, opts Options, res *Resul
 // on a weighted graph (per-arc; on an unweighted one it is the uniform one),
 // and at each p the factored D2PR transition (or its per-arc fallback at
 // extreme p) and the per-arc β = 0.5 blend. Each runs with a uniform and a
-// one-node teleport, on reordered and identity engines with 0 and −1
+// one-node teleport, on reordered and identity engines with 1 and 4
 // workers, and through Solve. worst collects the largest excess. It reports
 // whether every check passed.
 func certifyGraph(t *testing.T, g *graph.Graph, ps []float64, worst *float64) bool {
@@ -158,9 +159,9 @@ func certifyGraph(t *testing.T, g *graph.Graph, ps []float64, worst *float64) bo
 				teleName = "seed-teleport"
 			}
 			for _, en := range engines {
-				for _, workers := range []int{0, -1} {
-					opts := Options{Teleport: tele, Workers: workers}
-					res, err := en.e.Solve(tr.tr, opts)
+				for _, workers := range []int{1, 4} {
+					opts := Options{Teleport: tele}
+					res, err := en.e.solve(context.Background(), tr.tr, opts, workers)
 					check(fmt.Sprintf("%s/%s/%s/workers=%d", tr.name, teleName, en.name, workers), tr.tr, opts, res, err)
 				}
 			}
@@ -177,7 +178,7 @@ func certifyGraph(t *testing.T, g *graph.Graph, ps []float64, worst *float64) bo
 // weights near 1e12 (at |p| = 40 NaivePow overflows and DegreeDecoupled
 // falls back to per-arc probabilities), a directed cycle with one chord
 // (eigenvalues near the unit circle), and a graph of several sweep blocks,
-// so that −1 workers runs the parallel sweep.
+// so that 4 workers share the sweep.
 func TestFixpointCertificateCorpus(t *testing.T) {
 	heavy := graph.NewBuilder(graph.Undirected).Weighted().EnsureNodes(8)
 	for i := int32(0); i < 8; i++ {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -80,7 +81,7 @@ func closedFormCorpusGraph(t *testing.T) *graph.Graph {
 // fixpoint of r = α·T·r + (1−α)·π for every α. The solve starts at its
 // teleport vector, that is at π, so the test checks the transition build
 // (factored and per-arc), one sweep on identity and reordered engines with
-// 0 and −1 workers, and materialization; it does not check
+// 1 and 4 workers, and materialization; it does not check
 // convergence. A sweep that dropped all walk mass would return a multiple
 // of π, which materialization renormalizes to π, so that one failure is
 // invisible here.
@@ -147,8 +148,8 @@ func TestClosedFormStationary(t *testing.T) {
 				}
 				for _, en := range engines {
 					for _, tr := range trs {
-						for _, workers := range []int{0, -1} {
-							res, err := en.e.Solve(tr.tr, Options{Teleport: pi, Workers: workers})
+						for _, workers := range []int{1, 4} {
+							res, err := en.e.solve(context.Background(), tr.tr, Options{Teleport: pi}, workers)
 							check(fmt.Sprintf("%s/%s/workers=%d", en.name, tr.name, workers), res, err)
 						}
 					}

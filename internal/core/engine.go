@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +25,7 @@ import (
 //     translated only at the edges (teleport in, scores out), with reductions
 //     ordered so results stay bit-identical to an unpermuted solve.
 //   - Cache-blocked sweeps: the destination range is pre-cut into blocks of
-//     ~sweepBlockArcs arcs. Parallel sweeps schedule whole blocks work-
+//     ~sweepBlockArcs arcs. A sweep's workers grab whole blocks work-
 //     stealing style (one atomic per block), which both bounds each grab's
 //     working set and load-balances hub rows without a static partition.
 //   - perm maps each forward-CSR arc to its pull position, so non-uniform
@@ -33,10 +34,10 @@ import (
 // The engine also owns the solve-time scratch: score/next/teleport/
 // probability buffers are recycled through sync.Pools, so a warm solve
 // allocates nothing proportional to the graph beyond the returned score
-// vector, and the parallel sweep runs on a process-wide pool of persistent
-// workers instead of spawning goroutines every iteration. Every solve
-// borrows these buffers afresh; the engine keeps no reference to a
-// transition it has solved.
+// vector. Each solve starts its sweep helpers once and stops them before it
+// returns, so no goroutine outlives a solve, and none is spawned per
+// iteration. Every solve borrows these buffers afresh; the engine keeps no
+// reference to a transition it has solved.
 //
 // An Engine is immutable after construction and safe for concurrent use.
 type Engine struct {
@@ -330,12 +331,18 @@ func (e *Engine) Solve(t *Transition, opts Options) (*Result, error) {
 }
 
 // SolveContext is Solve with cancellation: ctx is checked once per iteration
-// (between sweep barriers on the parallel path), and a cancelled or expired
-// context aborts the solve with the context's error wrapped in iteration
-// progress. The serving layer routes every interactive solve through this so
-// a disconnected client or an expired request deadline stops burning cores
-// within one iteration.
+// (between sweep barriers), and a cancelled or expired context aborts the
+// solve with the context's error wrapped in iteration progress. The serving
+// layer routes every interactive solve through this so a disconnected
+// client or an expired request deadline stops burning cores within one
+// iteration. Sweeps run on up to GOMAXPROCS goroutines; results are
+// bit-identical for every worker count.
 func (e *Engine) SolveContext(ctx context.Context, t *Transition, opts Options) (*Result, error) {
+	return e.solve(ctx, t, opts, runtime.GOMAXPROCS(0))
+}
+
+// solve is SolveContext on a given number of sweep workers.
+func (e *Engine) solve(ctx context.Context, t *Transition, opts Options, workers int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -350,7 +357,7 @@ func (e *Engine) SolveContext(ctx context.Context, t *Transition, opts Options) 
 		return nil, err
 	}
 	f := e.flowOf(t)
-	res, err := powerSolve(ctx, e, f.probs, f.rowFactor, f.srcScale, opts)
+	res, err := powerSolve(ctx, e, f.probs, f.rowFactor, f.srcScale, opts, workers)
 	f.release(e)
 	return res, err
 }
@@ -444,14 +451,16 @@ func (e *Engine) putM(p *[]float64) { e.mbuf.Put(p) }
 // powerSolve is the power-iteration core. opts must already have defaults
 // applied. probs holds the transition in pull order; with probs nil the
 // transition is per-node: rank-1 factored when rowFactor/srcScale (permuted
-// space) are set, the implicit uniform one otherwise.
+// space) are set, the implicit uniform one otherwise. Every sweep runs on
+// max(1, min(workers, blocks)) workers: the solving goroutine and helpers
+// started once per solve and stopped before it returns.
 //
-// ctx is polled once per iteration, before the sweep — on the parallel path
-// that is the point right after the previous iteration's block barrier, so
-// no worker is ever abandoned mid-block. The check is one atomic-free
-// ctx.Err() call against an iteration that sweeps every arc; its cost on the
-// warm path is measured by BenchmarkCoreSolveCancelOverhead (<1%).
-func powerSolve(ctx context.Context, e *Engine, probs, rowFactor, srcScale []float64, opts Options) (*Result, error) {
+// ctx is polled once per iteration, before the sweep — the point right
+// after the previous iteration's block barrier, so no worker is ever
+// abandoned mid-block. The check is one atomic-free ctx.Err() call against
+// an iteration that sweeps every arc; its cost on the warm path is measured
+// by BenchmarkCoreSolveCancelOverhead (<1%).
+func powerSolve(ctx context.Context, e *Engine, probs, rowFactor, srcScale []float64, opts Options, workers int) (*Result, error) {
 	n := e.n
 	telep := e.getN()
 	tele := *telep
@@ -481,18 +490,18 @@ func powerSolve(ctx context.Context, e *Engine, probs, rowFactor, srcScale []flo
 	}
 
 	// Block bounds double as the residual-reduction grouping: per-block
-	// partials are reduced in block order, so the residual is deterministic.
-	// The serial path walks the same blocks the parallel workers grab, making
-	// serial and parallel solves bit-identical end to end.
-	bounds := e.blocks
-	diffs := make([]float64, len(bounds)-1)
-	var st *sweepState
-	if workers := min(opts.Workers, len(diffs)); workers > 1 {
-		st = &sweepState{
-			e: e, probs: probs, tele: tele, rowFactor: rowFactor, srcScale: srcScale,
-			alpha: opts.Alpha, workers: workers, diffs: diffs,
-		}
+	// partials are reduced in block order, so the residual is deterministic
+	// and solves are bit-identical end to end for every worker count.
+	diffs := make([]float64, len(e.blocks)-1)
+	st := &sweepState{
+		e: e, probs: probs, tele: tele, rowFactor: rowFactor, srcScale: srcScale,
+		alpha: opts.Alpha, diffs: diffs,
+		helpers: max(1, min(workers, len(diffs))) - 1, tokens: make(chan struct{}),
 	}
+	for w := 0; w < st.helpers; w++ {
+		go st.help()
+	}
+	defer st.stop()
 
 	res := &Result{}
 	solveStart := time.Now()
@@ -508,19 +517,10 @@ func powerSolve(ctx context.Context, e *Engine, probs, rowFactor, srcScale []flo
 		for _, d := range e.dangling {
 			dangling += cur[d]
 		}
-		base := opts.Alpha * dangling // multiplied by tele[v] per node
-
-		if st != nil {
-			st.cur, st.next = cur, next
-			st.scaled, st.nextScaled = scaled, nextScaled
-			st.base = base
-			st.run()
-		} else {
-			for b := range diffs {
-				diffs[b] = sweepRows(e.pullOffsets, e.pullSources, probs, cur, scaled, next, nextScaled, tele,
-					rowFactor, srcScale, opts.Alpha, base, int(bounds[b]), int(bounds[b+1]))
-			}
-		}
+		st.cur, st.next = cur, next
+		st.scaled, st.nextScaled = scaled, nextScaled
+		st.base = opts.Alpha * dangling // multiplied by tele[v] per node
+		st.run()
 		var diff float64
 		for _, d := range diffs {
 			diff += d
@@ -560,7 +560,7 @@ func powerSolve(ctx context.Context, e *Engine, probs, rowFactor, srcScale []flo
 	return res, nil
 }
 
-// sweepState carries one parallel sweep's inputs to the worker pool. One
+// sweepState is one solve's sweep schedule: its inputs and its helpers. One
 // sweepState lives for a whole solve; only the buffer pairs and the dangling
 // base change between iterations. Workers grab whole destination blocks
 // (e.blocks) work-stealing style, one atomic per block, and each block's
@@ -572,24 +572,42 @@ type sweepState struct {
 	cur, next, scaled, nextScaled, tele []float64
 	rowFactor, srcScale                 []float64
 	alpha, base                         float64
-	workers                             int
 	diffs                               []float64
+	helpers                             int           // workers besides the solving goroutine
+	tokens                              chan struct{} // one send per helper per sweep; stop closes it
 	cursor                              atomic.Int64
 	wg                                  sync.WaitGroup
 }
 
-// run executes one sweep. The calling goroutine always works too (one fewer
-// handoff, and it would only block in Wait anyway); extra workers come from
-// the persistent pool. Every destination row is computed by exactly one
-// worker and rows are reduced independently, so results are identical across
-// worker counts.
+// help runs one share of a sweep per token, and returns once stop closes the
+// channel.
+func (st *sweepState) help() {
+	for range st.tokens {
+		st.runBlocks()
+		st.wg.Done()
+	}
+	st.wg.Done()
+}
+
+// run executes one sweep. The solving goroutine always works too (one fewer
+// handoff, and it would only block in Wait anyway). Every destination row is
+// computed by exactly one worker and rows are reduced independently, so
+// results are identical across worker counts.
 func (st *sweepState) run() {
 	st.cursor.Store(0)
-	st.wg.Add(st.workers)
-	for w := 1; w < st.workers; w++ {
-		sweepPool.submit(st)
+	st.wg.Add(st.helpers)
+	for w := 0; w < st.helpers; w++ {
+		st.tokens <- struct{}{}
 	}
 	st.runBlocks()
+	st.wg.Wait()
+}
+
+// stop ends the helpers and waits for them to return, so none outlives the
+// solve.
+func (st *sweepState) stop() {
+	st.wg.Add(st.helpers)
+	close(st.tokens)
 	st.wg.Wait()
 }
 
@@ -600,66 +618,9 @@ func (st *sweepState) runBlocks() {
 	for {
 		b := st.cursor.Add(1) - 1
 		if b >= nb {
-			break
+			return
 		}
 		st.diffs[b] = sweepRows(e.pullOffsets, e.pullSources, st.probs, st.cur, st.scaled, st.next, st.nextScaled, st.tele,
 			st.rowFactor, st.srcScale, st.alpha, st.base, int(e.blocks[b]), int(e.blocks[b+1]))
-	}
-	st.wg.Done()
-}
-
-// workerPool runs sweep worker slots on persistent goroutines. Workers are
-// spawned on demand up to the pool's cap and exit after workerIdleTimeout
-// without a task, so an idle process keeps no goroutines and a server under
-// load keeps them hot across iterations, solves, and requests.
-type workerPool struct {
-	tasks chan *sweepState // unbuffered: a send succeeds only into a waiting worker
-	sem   chan struct{}    // counts live workers
-}
-
-const workerIdleTimeout = 30 * time.Second
-
-// sweepPool is the process-wide pool shared by every engine. Its cap bounds
-// total sweep parallelism across concurrent solves; one worker slot of each
-// sweep runs on the submitting goroutine, so a single solve still uses
-// opts.Workers cores when the pool is otherwise idle.
-var sweepPool = newWorkerPool(64)
-
-func newWorkerPool(maxWorkers int) *workerPool {
-	return &workerPool{
-		tasks: make(chan *sweepState),
-		sem:   make(chan struct{}, maxWorkers),
-	}
-}
-
-func (p *workerPool) submit(st *sweepState) {
-	select {
-	case p.tasks <- st: // an idle worker is waiting
-		return
-	default:
-	}
-	select {
-	case p.tasks <- st:
-	case p.sem <- struct{}{}:
-		go p.worker(st)
-	}
-}
-
-func (p *workerPool) worker(st *sweepState) {
-	st.runBlocks()
-	idle := time.NewTimer(workerIdleTimeout)
-	defer idle.Stop()
-	for {
-		select {
-		case st := <-p.tasks:
-			if !idle.Stop() {
-				<-idle.C
-			}
-			st.runBlocks()
-			idle.Reset(workerIdleTimeout)
-		case <-idle.C:
-			<-p.sem
-			return
-		}
 	}
 }

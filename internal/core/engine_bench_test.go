@@ -23,7 +23,9 @@ import (
 //   - CoreConvergePower: a full run to a real tolerance.
 //
 // Every warm bench also reports ns_per_arc — the tentpole metric the
-// CI bench-regression guard tracks (scripts/bench_guard.sh).
+// CI bench-regression guard tracks (scripts/bench_guard.sh). Every bench but
+// the CoreSweepBlocked pair runs one sweep worker, so the guard compares the
+// serial kernel, whatever the host's GOMAXPROCS.
 
 const (
 	benchNodes  = 30000
@@ -62,7 +64,7 @@ func BenchmarkCoreSolveCold(b *testing.B) {
 	tr := DegreeDecoupled(g, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewEngine(g).Solve(tr, benchOpts); err != nil {
+		if _, err := NewEngine(g).solve(context.Background(), tr, benchOpts, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,12 +78,12 @@ func BenchmarkCoreSolveWarm(b *testing.B) {
 	g := benchGraph(b)
 	e := EngineFor(g)
 	tr := DegreeDecoupled(g, 1)
-	if _, err := e.Solve(tr, benchOpts); err != nil { // prime the pools
+	if _, err := e.solve(context.Background(), tr, benchOpts, 1); err != nil { // prime the pools
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Solve(tr, benchOpts); err != nil {
+		if _, err := e.solve(context.Background(), tr, benchOpts, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,13 +105,13 @@ func BenchmarkCoreSolveCancelOverhead(b *testing.B) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for i := 0; i < 2; i++ {
-		if _, err := e.SolveContext(ctx, tr, benchOpts); err != nil {
+		if _, err := e.solve(ctx, tr, benchOpts, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.SolveContext(ctx, tr, benchOpts); err != nil {
+		if _, err := e.solve(ctx, tr, benchOpts, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,12 +124,12 @@ func BenchmarkCoreSolveWarmUniform(b *testing.B) {
 	g := benchGraph(b)
 	e := EngineFor(g)
 	tr := Uniform(g)
-	if _, err := e.Solve(tr, benchOpts); err != nil {
+	if _, err := e.solve(context.Background(), tr, benchOpts, 1); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Solve(tr, benchOpts); err != nil {
+		if _, err := e.solve(context.Background(), tr, benchOpts, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,13 +144,13 @@ func BenchmarkCoreSolveWarmNoReorder(b *testing.B) {
 	e := newEngineIdentity(g)
 	tr := DegreeDecoupled(g, 1)
 	for i := 0; i < 2; i++ {
-		if _, err := e.Solve(tr, benchOpts); err != nil {
+		if _, err := e.solve(context.Background(), tr, benchOpts, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Solve(tr, benchOpts); err != nil {
+		if _, err := e.solve(context.Background(), tr, benchOpts, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,14 +172,13 @@ func benchSweep(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts.Workers = workers
 
-	if _, err := powerSolve(context.Background(), e, probs, nil, nil, opts); err != nil {
+	if _, err := powerSolve(context.Background(), e, probs, nil, nil, opts, workers); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := powerSolve(context.Background(), e, probs, nil, nil, opts); err != nil {
+		if _, err := powerSolve(context.Background(), e, probs, nil, nil, opts, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,7 +203,7 @@ func BenchmarkCoreConvergePower(b *testing.B) {
 	opts := Options{Alpha: DefaultAlpha, Tol: 1e-14}
 	var iters int
 	for i := 0; i < 2; i++ {
-		res, err := e.Solve(tr, opts)
+		res, err := e.solve(context.Background(), tr, opts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,7 +214,7 @@ func BenchmarkCoreConvergePower(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Solve(tr, opts); err != nil {
+		if _, err := e.solve(context.Background(), tr, opts, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

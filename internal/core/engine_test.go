@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"d2pr/internal/graph"
 )
@@ -38,6 +40,12 @@ func powerLawGraph(t testing.TB, n, avgDeg int, seed int64) *graph.Graph {
 	return g
 }
 
+// solveWorkers solves t on its graph's cached engine with the given number
+// of sweep workers.
+func solveWorkers(t *Transition, opts Options, workers int) (*Result, error) {
+	return EngineFor(t.g).solve(context.Background(), t, opts, workers)
+}
+
 func maxAbsDiff(a, b []float64) float64 {
 	var m float64
 	for i := range a {
@@ -48,8 +56,8 @@ func maxAbsDiff(a, b []float64) float64 {
 	return m
 }
 
-// TestSerialParallelAgreePowerLaw: the blocked parallel sweep must agree
-// with the sequential sweep on hub-heavy graphs for every worker count —
+// TestSerialParallelAgreePowerLaw: a solve on several workers must agree
+// with a one-worker solve on hub-heavy graphs for every worker count —
 // including counts exceeding the block and node counts. Parallelization is
 // over destinations, so each node's accumulation order is identical and
 // agreement is to the bit; the asserted tolerance is 1e-12.
@@ -68,13 +76,13 @@ func TestSerialParallelAgreePowerLaw(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := Solve(tr, Options{Tol: 1e-13})
+			seq, err := solveWorkers(tr, Options{Tol: 1e-13}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			n := tc.g.NumNodes()
 			for _, workers := range []int{2, 3, 4, 7, 16, 61, n + 5, 4 * n} {
-				par, err := Solve(tr, Options{Tol: 1e-13, Workers: workers})
+				par, err := solveWorkers(tr, Options{Tol: 1e-13}, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -103,12 +111,12 @@ func TestParallelSweepEmptyRanges(t *testing.T) {
 	g := b.MustBuild()
 
 	tr := DegreeDecoupled(g, 0.7)
-	seq, err := Solve(tr, Options{})
+	seq, err := solveWorkers(tr, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 8, 32, 200} {
-		par, err := Solve(tr, Options{Workers: workers})
+		par, err := solveWorkers(tr, Options{}, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -125,12 +133,12 @@ func TestUniformImplicitMatchesExplicit(t *testing.T) {
 	g := powerLawGraph(t, 1500, 5, 4)
 	explicit := &Transition{g: g, probs: uniformProbs(g)} // forced explicit path
 	implicit := Uniform(g)
-	for _, workers := range []int{0, 4} {
-		want, err := Solve(explicit, Options{Workers: workers})
+	for _, workers := range []int{1, 4} {
+		want, err := solveWorkers(explicit, Options{}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Solve(implicit, Options{Workers: workers})
+		got, err := solveWorkers(implicit, Options{}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +200,7 @@ func TestWarmUniformSolveAllocationFree(t *testing.T) {
 	tr := Uniform(g)
 	opts := Options{MaxIter: 8, Tol: 1e-300} // fixed work per solve
 	solve := func() {
-		if _, err := e.Solve(tr, opts); err != nil {
+		if _, err := e.solve(context.Background(), tr, opts, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,16 +234,15 @@ func TestWarmUniformSolveAllocationFree(t *testing.T) {
 	}
 }
 
-// TestWarmParallelSolveAllocations: the parallel path adds only the
-// per-solve sweep descriptor and partition bounds — still O(workers), never
-// O(n) or O(m).
+// TestWarmParallelSolveAllocations: more workers add only the per-solve
+// token channel and helper goroutines — O(workers), never O(n) or O(m).
 func TestWarmParallelSolveAllocations(t *testing.T) {
 	g := powerLawGraph(t, 2000, 10, 9)
 	e := EngineFor(g)
 	tr := Uniform(g)
-	opts := Options{MaxIter: 8, Tol: 1e-300, Workers: 4}
+	opts := Options{MaxIter: 8, Tol: 1e-300}
 	solve := func() {
-		if _, err := e.Solve(tr, opts); err != nil {
+		if _, err := e.solve(context.Background(), tr, opts, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,17 +253,23 @@ func TestWarmParallelSolveAllocations(t *testing.T) {
 	}
 }
 
-// TestConcurrentEngineSolves exercises the shared worker pool and buffer
-// pools from many goroutines over multiple engines. Run with -race.
+// TestConcurrentEngineSolves runs parallel solves, each with its own sweep
+// helpers, against shared buffer pools from many goroutines over multiple
+// engines. Run with -race.
 func TestConcurrentEngineSolves(t *testing.T) {
-	g1 := powerLawGraph(t, 800, 5, 10)
-	g2 := powerLawGraph(t, 600, 4, 11)
+	g1 := powerLawGraph(t, 3000, 6, 10)
+	g2 := powerLawGraph(t, 2500, 6, 11)
 	e1, e2 := EngineFor(g1), EngineFor(g2)
-	want1, err := e1.Solve(Uniform(g1), Options{})
+	for _, e := range []*Engine{e1, e2} {
+		if nb := len(e.blocks) - 1; nb < 2 {
+			t.Fatalf("a test graph has %d sweep block(s); its solves would start no helper", nb)
+		}
+	}
+	want1, err := e1.solve(context.Background(), Uniform(g1), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, err := e2.Solve(DegreeDecoupled(g2, 1), Options{})
+	want2, err := e2.solve(context.Background(), DegreeDecoupled(g2, 1), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +283,7 @@ func TestConcurrentEngineSolves(t *testing.T) {
 			if i%2 == 1 {
 				e, tr, want = e2, DegreeDecoupled(g2, 1), want2
 			}
-			res, err := e.Solve(tr, Options{Workers: 4})
+			res, err := e.solve(context.Background(), tr, Options{}, 4)
 			if err != nil {
 				errs <- err
 				return
@@ -284,5 +297,37 @@ func TestConcurrentEngineSolves(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestSolveLeavesNoGoroutine: a solve's sweep helpers exit by the time it
+// returns, whether it ran to its iteration cap or was cancelled mid-solve,
+// so no goroutine outlives the solve that started it.
+func TestSolveLeavesNoGoroutine(t *testing.T) {
+	g := powerLawGraph(t, 20000, 5, 12)
+	e := EngineFor(g)
+	if nb := len(e.blocks) - 1; nb < 4 {
+		t.Fatalf("the graph has %d sweep block(s), want ≥ 4", nb)
+	}
+	tr := DegreeDecoupled(g, 1)
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"finished", context.Background()}, {"cancelled", errAfter(3)}} {
+		base := runtime.NumGoroutine()
+		_, err := e.solve(c.ctx, tr, Options{MaxIter: 5, Tol: 1e-300}, 4)
+		if c.name == "cancelled" {
+			requireCancelErr(t, err, "after 2/5 iterations")
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s solve: %d goroutines 1 s after it returned, %d before it started",
+					c.name, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

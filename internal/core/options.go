@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 )
 
@@ -32,7 +31,7 @@ const (
 
 // Options configures the power-iteration solver shared by every ranker in
 // this package. The zero value is usable: it means α=0.85, tol=1e-10,
-// 500 iterations max, uniform teleportation, and sequential execution.
+// 500 iterations max and uniform teleportation.
 type Options struct {
 	// Alpha is the residual probability (probability of following an edge
 	// rather than teleporting). 0 means DefaultAlpha. Must lie in [0, 1).
@@ -46,9 +45,6 @@ type Options struct {
 	// It must have one entry per node, all non-negative, summing to a
 	// positive value (it is normalized internally).
 	Teleport []float64
-	// Workers sets the number of goroutines used for the edge sweep.
-	// 0 means sequential; -1 means GOMAXPROCS.
-	Workers int
 }
 
 // withDefaults returns a copy of o with zero fields replaced by defaults and
@@ -71,9 +67,6 @@ func (o Options) withDefaults(n int) (Options, error) {
 	}
 	if o.MaxIter < 0 {
 		return o, fmt.Errorf("core: negative MaxIter %d", o.MaxIter)
-	}
-	if o.Workers < 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.Teleport != nil {
 		if len(o.Teleport) != n {

@@ -193,8 +193,17 @@ func TestSolvePPRValidation(t *testing.T) {
 	if _, err := e.SolvePPR(tr, 0, ForwardPushOptions{Alpha: 1.5}); err == nil {
 		t.Error("alpha ≥ 1 must error")
 	}
+	if _, err := e.SolvePPR(tr, 0, ForwardPushOptions{Alpha: math.NaN()}); err == nil {
+		t.Error("NaN alpha must error")
+	}
 	if _, err := e.SolvePPR(tr, 0, ForwardPushOptions{Epsilon: -1}); err == nil {
 		t.Error("negative epsilon must error")
+	}
+	if _, err := e.SolvePPR(tr, 0, ForwardPushOptions{Epsilon: math.NaN()}); err == nil {
+		t.Error("NaN epsilon must error")
+	}
+	if _, err := e.SolvePPR(tr, 0, ForwardPushOptions{Epsilon: math.Inf(1)}); err == nil {
+		t.Error("+Inf epsilon must error")
 	}
 	other := skewedGraph(10, 67)
 	if _, err := e.SolvePPR(Uniform(other), 0, ForwardPushOptions{}); err == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -15,10 +16,9 @@ type ForwardPushOptions struct {
 	// node's residual is below Epsilon·max(outdeg(node), 1). Smaller is more
 	// accurate. 0 means DefaultPPREpsilon.
 	Epsilon float64
-	// MaxPushes caps the total number of push operations as a safety bound.
-	// 0 means effectively unbounded for sane inputs.
-	MaxPushes int
 }
+
+const maxPushes = 1 << 30 // safety bound on one solve's pushes; sane inputs never reach it
 
 // DefaultPPREpsilon is the per-node residual threshold used when
 // ForwardPushOptions.Epsilon is zero. It is a stopping threshold, not an
@@ -119,17 +119,14 @@ func (e *Engine) SolvePPRContext(ctx context.Context, t *Transition, seed int32,
 	if opts.Alpha == 0 {
 		opts.Alpha = DefaultAlpha
 	}
-	if opts.Alpha < 0 || opts.Alpha >= 1 {
+	if !(opts.Alpha >= 0 && opts.Alpha < 1) { // also rejects NaN
 		return nil, fmt.Errorf("core: alpha %v out of range [0, 1)", opts.Alpha)
 	}
 	if opts.Epsilon == 0 {
 		opts.Epsilon = DefaultPPREpsilon
 	}
-	if opts.Epsilon <= 0 {
-		return nil, fmt.Errorf("core: epsilon %v must be positive", opts.Epsilon)
-	}
-	if opts.MaxPushes == 0 {
-		opts.MaxPushes = 1 << 30
+	if !(opts.Epsilon > 0 && opts.Epsilon <= math.MaxFloat64) { // also rejects NaN and +Inf
+		return nil, fmt.Errorf("core: epsilon %v is not a positive finite number", opts.Epsilon)
 	}
 
 	// In the teleporting-walk formulation used by Solve, the PPR vector is
@@ -173,7 +170,7 @@ func (e *Engine) SolvePPRContext(ctx context.Context, t *Transition, seed int32,
 	enqueue(seed)
 	pushes := 0
 	steps := 0
-	for size > 0 && pushes < opts.MaxPushes {
+	for size > 0 && pushes < maxPushes {
 		steps++
 		if steps&255 == 0 {
 			if err := ctx.Err(); err != nil {

@@ -229,11 +229,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	g := b.MustBuild()
-	seq, err := D2PR(g, 1.5, Options{Tol: 1e-13})
+	tr := DegreeDecoupled(g, 1.5)
+	seq, err := solveWorkers(tr, Options{Tol: 1e-13}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := D2PR(g, 1.5, Options{Tol: 1e-13, Workers: 4})
+	par, err := solveWorkers(tr, Options{Tol: 1e-13}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -343,7 +344,7 @@ func TestBlendedConcurrentSolves(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := e.Solve(tr, Options{Workers: workers})
+		res, err := e.solve(context.Background(), tr, Options{}, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -352,7 +353,7 @@ func TestBlendedConcurrentSolves(t *testing.T) {
 	want := make([][]float64, len(configs))
 	for i, c := range configs {
 		var err error
-		if want[i], err = solve(c, 0); err != nil {
+		if want[i], err = solve(c, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,8 +20,6 @@ type Runner struct {
 	// ~1e-4 already at 1e-8, so experiments default to 1e-9 rather than the
 	// solver's 1e-10.
 	Tol float64
-	// Workers is passed to the solver (-1 = GOMAXPROCS).
-	Workers int
 
 	mu     sync.Mutex
 	graphs map[string]*dataset.DataGraph
@@ -29,7 +27,7 @@ type Runner struct {
 
 // NewRunner returns a Runner with experiment defaults.
 func NewRunner(data dataset.Config) *Runner {
-	return &Runner{Data: data, Tol: 1e-9, Workers: -1, graphs: map[string]*dataset.DataGraph{}}
+	return &Runner{Data: data, Tol: 1e-9, graphs: map[string]*dataset.DataGraph{}}
 }
 
 // PSweep returns the paper's default de-coupling sweep: -4 to 4 in 0.5
@@ -82,7 +80,7 @@ func (r *Runner) AllGraphs() ([]*dataset.DataGraph, error) {
 }
 
 func (r *Runner) solverOpts(alpha float64) core.Options {
-	return core.Options{Alpha: alpha, Tol: r.Tol, Workers: r.Workers}
+	return core.Options{Alpha: alpha, Tol: r.Tol}
 }
 
 // D2PRCorrelation computes Spearman's ρ between D2PR scores (de-coupling

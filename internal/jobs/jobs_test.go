@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -387,6 +388,26 @@ func TestTTLPrunesFinishedJobs(t *testing.T) {
 	}
 	if got := len(m.List()); got != 0 {
 		t.Errorf("retained jobs = %d", got)
+	}
+}
+
+// TestManagerStartsNoGoroutine: once its one job has finished, a manager
+// leaves no goroutine running, even before Close.
+func TestManagerStartsNoGoroutine(t *testing.T) {
+	reg := testRegistry(t)
+	base := runtime.NumGoroutine()
+	m, _ := testManager(t, reg, Options{})
+	st, err := m.Submit(SweepSpec{Graph: "g"}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, m, st.ID)
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 1 s after the job finished, %d before New", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

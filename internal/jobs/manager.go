@@ -209,8 +209,7 @@ type Manager struct {
 		submitted, done, failed, cancelled uint64
 	}
 
-	wg          sync.WaitGroup // one unit per running job goroutine
-	janitorStop chan struct{}
+	wg sync.WaitGroup // one unit per running job goroutine
 
 	// hookBeforeRow, when non-nil, runs before each row executes — a test
 	// seam for deterministic cancellation, progress and panic tests.
@@ -218,7 +217,8 @@ type Manager struct {
 }
 
 // New returns a Manager executing sweeps with opts. Resolve and Cache are
-// required. Call Close to drain workers and stop the TTL janitor.
+// required. New starts no goroutine: a job's goroutines exit when it
+// finishes, and Close drains them.
 func New(opts Options) (*Manager, error) {
 	if opts.Resolve == nil || opts.Cache == nil {
 		return nil, errors.New("jobs: Options.Resolve and Options.Cache are required")
@@ -232,33 +232,16 @@ func New(opts Options) (*Manager, error) {
 	if opts.Telemetry == nil {
 		opts.Telemetry = telemetry.NewRegistry()
 	}
-	m := &Manager{
-		opts:        opts,
-		sem:         make(chan struct{}, opts.Workers),
-		jobs:        map[string]*job{},
-		janitorStop: make(chan struct{}),
-	}
-	go m.janitor()
-	return m, nil
+	return &Manager{
+		opts: opts,
+		sem:  make(chan struct{}, opts.Workers),
+		jobs: map[string]*job{},
+	}, nil
 }
 
-// janitor prunes expired jobs periodically (List/Get also prune lazily, so
-// the janitor only bounds memory when nobody is looking).
-func (m *Manager) janitor() {
-	interval := min(max(m.opts.TTL/2, 10*time.Millisecond), time.Minute)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.janitorStop:
-			return
-		case <-t.C:
-			m.prune()
-		}
-	}
-}
-
-// prune drops finished jobs older than the TTL.
+// prune drops finished jobs older than the TTL. Every Manager method that
+// reads the job table or adds to it prunes first, so no reader sees an
+// expired job and the table grows only by a submission that has pruned.
 func (m *Manager) prune() {
 	now := time.Now()
 	m.mu.Lock()
@@ -297,6 +280,7 @@ func (m *Manager) Submit(spec SweepSpec, requestID string) (Status, error) {
 
 // enqueue registers a constructed job and starts its runner goroutine.
 func (m *Manager) enqueue(j *job) (Status, error) {
+	m.prune()
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 	j.cond = sync.NewCond(&j.mu)
 	j.state, j.created = StateQueued, time.Now()
@@ -637,6 +621,7 @@ func (m *Manager) Stream(ctx context.Context, id string, fn func(ConfigResult) e
 
 // Stats returns manager-level counters.
 func (m *Manager) Stats() Stats {
+	m.prune()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := Stats{
@@ -666,18 +651,15 @@ func (m *Manager) Stats() Stats {
 // in the background).
 const closeSettle = time.Second
 
-// Close stops accepting submissions, stops the janitor, and waits for
-// running jobs to drain. If ctx expires first, every remaining job is
-// cancelled, Close waits up to closeSettle for the in-flight
-// configurations to wind down, and returns ctx.Err() — it does not block
-// indefinitely on work that ignores cancellation. Close is idempotent
+// Close stops accepting submissions and waits for running jobs to drain.
+// If ctx expires first, every remaining job is cancelled, Close waits up to
+// closeSettle for the in-flight configurations to wind down, and returns
+// ctx.Err() — it does not block indefinitely on work that ignores
+// cancellation. Close is idempotent
 // only in its first call; callers own calling it once.
 func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()
-	if !m.closed {
-		m.closed = true
-		close(m.janitorStop)
-	}
+	m.closed = true
 	m.mu.Unlock()
 
 	done := make(chan struct{})

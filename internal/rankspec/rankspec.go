@@ -95,12 +95,9 @@ func (s Spec) Validate(numNodes int) error {
 }
 
 // Options returns the solver options for the spec (teleport built over n
-// nodes). The serving compute path always parallelizes the edge sweep
-// (Workers = -1, i.e. GOMAXPROCS): results are identical to the sequential
-// sweep — each destination accumulates in the same order regardless of the
-// partition — so only wall-clock changes, and CacheKey leaves Workers out.
+// nodes).
 func (s Spec) Options(n int) core.Options {
-	o := core.Options{Alpha: s.Alpha, Workers: -1}
+	o := core.Options{Alpha: s.Alpha}
 	if len(s.Seeds) > 0 {
 		tele := make([]float64, n)
 		for _, sd := range s.Seeds {

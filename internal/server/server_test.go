@@ -45,8 +45,8 @@ func testServer(t *testing.T, withSig bool) *httptest.Server {
 	return ts
 }
 
-// closeServer drains the job subsystem when the test ends (stops the TTL
-// janitor goroutine).
+// closeServer drains the job subsystem when the test ends, so no job
+// goroutine outlives the test.
 func closeServer(t *testing.T, s *Server) {
 	t.Helper()
 	t.Cleanup(func() {
@@ -260,6 +260,34 @@ func TestNodeEndpoint(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/v1/default/node/xyz", nil); code != http.StatusNotFound {
 		t.Errorf("bad node id: status %d, want 404", code)
+	}
+
+	// A node's rank is its /topk row, ties broken by id: the four tied
+	// leaves of a star get ranks 2, 3, 4 and 5 under algo=degree, not a
+	// shared competition rank of 2.
+	star, err := graph.FromEdges(graph.Undirected, [][2]int32{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(star, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeServer(t, s)
+	sts := httptest.NewServer(s.Handler())
+	t.Cleanup(sts.Close)
+	var top RankResponse
+	if code := getJSON(t, sts.URL+"/v1/default/topk?k=5&algo=degree", &top); code != 200 || len(top.Top) != 5 {
+		t.Fatalf("star topk: status %d, %d rows", code, len(top.Top))
+	}
+	for _, row := range top.Top {
+		var node NodeResponse
+		if code := getJSON(t, fmt.Sprintf("%s/v1/default/node/%d?algo=degree", sts.URL, row.Node), &node); code != 200 {
+			t.Fatalf("star node %d: status %d", row.Node, code)
+		}
+		if node.Rank != row.Rank || node.Rank != int(node.Node)+1 {
+			t.Errorf("star node %d: rank %d, topk row %d, want %d", node.Node, node.Rank, row.Rank, node.Node+1)
+		}
 	}
 }
 

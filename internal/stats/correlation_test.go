@@ -139,9 +139,9 @@ func TestRankOfAndCompetitionRanks(t *testing.T) {
 	if !reflect.DeepEqual(ranks, want) {
 		t.Errorf("CompetitionRanks = %v, want %v", ranks, want)
 	}
-	for i := range s {
-		if got := RankOf(s, i); got > want[i]+1 || got < want[i] {
-			t.Errorf("RankOf(%d) = %d, competition %d", i, got, want[i])
+	for pos, i := range TopKHeap(s, len(s)) {
+		if got := RankOf(s, i); got != pos+1 {
+			t.Errorf("RankOf(%d) = %d, want its TopKHeap row %d", i, got, pos+1)
 		}
 	}
 }

@@ -40,9 +40,9 @@ func Ranks(xs []float64) []float64 {
 	return ranks
 }
 
-// RankOf returns the 1-based competition rank ("standard" rank: 1 for the
-// largest score; equal scores share the smallest rank of the group) of node
-// i under the given scores. It is what the paper's Table 2 reports.
+// RankOf returns node i's 1-based row in TopKHeap(scores, len(scores)): 1
+// plus the number of nodes with a larger score, or an equal score and a
+// smaller index. Tied nodes get distinct ranks, unlike in CompetitionRanks.
 func RankOf(scores []float64, i int) int {
 	r := 1
 	for j, s := range scores {
