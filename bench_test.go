@@ -1,9 +1,10 @@
 // Benchmarks that regenerate every table and figure of the paper (one
 // Benchmark per artifact), plus ablation benches of the design choices:
-// de-coupling through the transition or the teleport, log-space
-// normalization, power iteration or forward push, and D2PR against the
-// classic baselines. Sweep worker counts are compared in internal/core
-// (BenchmarkCoreSweepSequential against BenchmarkCoreSweepBlocked4/8).
+// de-coupling through the transition or the teleport, power iteration or
+// forward push, and D2PR against the classic baselines. Sweep worker counts
+// are compared in internal/core (BenchmarkCoreSweepSequential against
+// BenchmarkCoreSweepBlocked4/8), and so is log-space normalization against
+// naive math.Pow (BenchmarkAblationLogspace).
 //
 // Run everything:  go test -bench=. -benchmem
 // One artifact:    go test -bench=BenchmarkFigure2 -benchmem
@@ -113,28 +114,6 @@ func BenchmarkAblationTeleport(b *testing.B) {
 			}
 		}
 		b.ReportMetric(best, "rho")
-	})
-}
-
-// Ablation: log-space transition normalization versus naive math.Pow.
-// Correctness at extreme p is covered by tests; this reports the
-// construction-cost difference.
-func BenchmarkAblationLogspace(b *testing.B) {
-	r := benchRunner(b)
-	d, err := r.Graph(dataset.LastfmArtistArtist)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := d.Unweighted()
-	b.Run("logspace", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.DegreeDecoupled(g, 4)
-		}
-	})
-	b.Run("naive-pow", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.NaivePow(g, 4)
-		}
 	})
 }
 

@@ -107,10 +107,6 @@ func TestClosedFormStationary(t *testing.T) {
 		name string
 		e    *Engine
 	}
-	type namedTransition struct {
-		name string
-		tr   *Transition
-	}
 	const tol = 1e-12
 	var worst float64
 	for _, c := range cases {
@@ -128,10 +124,6 @@ func TestClosedFormStationary(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				trs := []namedTransition{{"blended", blended}}
-				if beta == 0 {
-					trs = append(trs, namedTransition{"naive-pow", NaivePow(c.g, p)})
-				}
 				check := func(path string, res *Result, err error) {
 					t.Helper()
 					if err != nil {
@@ -147,10 +139,13 @@ func TestClosedFormStationary(t *testing.T) {
 					worst = math.Max(worst, l1)
 				}
 				for _, en := range engines {
-					for _, tr := range trs {
-						for _, workers := range []int{1, 4} {
-							res, err := en.e.solve(context.Background(), tr.tr, Options{Teleport: pi}, workers)
-							check(fmt.Sprintf("%s/%s/workers=%d", en.name, tr.name, workers), res, err)
+					for _, workers := range []int{1, 4} {
+						opts := Options{Teleport: pi}
+						res, err := en.e.solve(context.Background(), blended, opts, workers)
+						check(fmt.Sprintf("%s/blended/workers=%d", en.name, workers), res, err)
+						if beta == 0 {
+							res, err := solveArcs(en.e, naivePow(c.g, p), opts, workers)
+							check(fmt.Sprintf("%s/naive-pow/workers=%d", en.name, workers), res, err)
 						}
 					}
 				}

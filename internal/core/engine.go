@@ -28,8 +28,12 @@ import (
 //     ~sweepBlockArcs arcs. A sweep's workers grab whole blocks work-
 //     stealing style (one atomic per block), which both bounds each grab's
 //     working set and load-balances hub rows without a static partition.
-//   - perm maps each forward-CSR arc to its pull position, so non-uniform
-//     transition probabilities scatter into pull order in one pass per solve.
+//   - Per-arc transitions in pull order: a per-arc transition's
+//     probabilities are built per solve straight into a pooled pull-order
+//     buffer from per-node tables (see buildArcFlow). On a weighted graph
+//     the engine keeps one pull-order table, connP, of connection-strength
+//     probabilities, which serves β = 1 solves as is and the connection
+//     half of every blend.
 //
 // The engine also owns the solve-time scratch: score/next/teleport/
 // probability buffers are recycled through sync.Pools, so a warm solve
@@ -59,14 +63,17 @@ type Engine struct {
 	origOf []int32
 
 	// Pull topology in permuted id space: arcs into permuted destination v
-	// are pull positions pullOffsets[v]..pullOffsets[v+1], pullSources[pos]
-	// is the (permuted) origin, and perm[k] is the pull position of forward-
-	// CSR arc k. Within each destination row, arcs keep the original
-	// source-scan order, so per-row accumulation is bit-identical to an
-	// unpermuted engine's.
+	// are pull positions pullOffsets[v]..pullOffsets[v+1], and
+	// pullSources[pos] is the (permuted) origin. Within each destination
+	// row, arcs keep the original source-scan order, so per-row
+	// accumulation is bit-identical to an unpermuted engine's.
 	pullOffsets []int64
 	pullSources []int32
-	perm        []int64
+
+	// connP[pos] = w(u→v)/W(u), the connection-strength probability of the
+	// arc at pull position pos, with ConnectionStrength's row sum and
+	// uniform fallback. nil on unweighted graphs, where 1/outdeg serves.
+	connP []float64
 
 	// dangling holds the permuted ids of out-degree-0 nodes, listed in
 	// original-id order so the dangling-mass reduction is bit-identical to
@@ -93,10 +100,12 @@ type Engine struct {
 	pprbuf sync.Pool
 
 	// connOnce/conn lazily cache the graph's connection-strength transition
-	// (= Uniform for unweighted graphs), so per-seed PPR requests never
-	// rebuild the O(arcs) probability array.
+	// (= Uniform for unweighted graphs) with its forward-order view, which
+	// the push reads, so per-seed PPR requests never rebuild the O(arcs)
+	// probability array. conn is atomic so that Stats can read it while a
+	// push builds it.
 	connOnce sync.Once
-	conn     *Transition
+	conn     atomic.Pointer[Transition]
 }
 
 // sweepBlockArcs is the target in-arc count per destination block: 8k arcs
@@ -129,8 +138,11 @@ func buildEngine(g *graph.Graph, reorder bool) *Engine {
 		n:           n,
 		pullOffsets: make([]int64, n+1),
 		pullSources: make([]int32, m),
-		perm:        make([]int64, m),
 		invOut:      make([]float64, n),
+	}
+	weighted := g.Weighted()
+	if weighted {
+		e.connP = make([]float64, m)
 	}
 	if reorder {
 		reorderStart := time.Now()
@@ -178,6 +190,10 @@ func buildEngine(g *graph.Graph, reorder bool) *Engine {
 		if permOf != nil {
 			pu = permOf[u]
 		}
+		var w float64
+		if weighted {
+			w = rowWeight(g, u)
+		}
 		for k := lo; k < hi; k++ {
 			pv := g.ArcTarget(k)
 			if permOf != nil {
@@ -186,7 +202,9 @@ func buildEngine(g *graph.Graph, reorder bool) *Engine {
 			pos := cursor[pv]
 			cursor[pv]++
 			e.pullSources[pos] = pu
-			e.perm[k] = pos
+			if weighted {
+				e.connP[pos] = connProb(g.ArcWeight(k), w, hi-lo)
+			}
 		}
 	}
 	if permOf == nil {
@@ -245,6 +263,12 @@ type EngineStats struct {
 	// BuildMs/ReorderMs are the JSON-facing millisecond forms.
 	BuildMs   float64 `json:"build_ms"`
 	ReorderMs float64 `json:"reorder_ms"`
+	// Bytes is the memory the engine's retained slices hold: the pull
+	// topology, the reorder and 1/outdeg tables, the dangling list, the
+	// block bounds, the pull-order connection table on a weighted graph,
+	// and the forward-order connection transition once Connection has built
+	// it. Pooled solve scratch is not counted.
+	Bytes int64 `json:"bytes"`
 }
 
 // Stats returns the engine's layout and build statistics.
@@ -260,16 +284,39 @@ func (e *Engine) Stats() EngineStats {
 		ReorderTime:     e.reorderTime,
 		BuildMs:         float64(e.buildTime) / 1e6,
 		ReorderMs:       float64(e.reorderTime) / 1e6,
+		Bytes:           e.bytes(),
 	}
+}
+
+// bytes sums the capacities of the engine's retained slices (see
+// EngineStats.Bytes).
+func (e *Engine) bytes() int64 {
+	b := 8*cap(e.pullOffsets) + 4*cap(e.pullSources) + 8*cap(e.connP) +
+		4*cap(e.permOf) + 4*cap(e.origOf) + 8*cap(e.invOut) +
+		4*cap(e.dangling) + 4*cap(e.blocks)
+	if e.permOf != nil {
+		b += 8 * cap(e.invOutP) // aliases invOut on an identity-ordered engine
+	}
+	if c := e.conn.Load(); c != nil {
+		b += 8 * cap(c.probs)
+	}
+	return int64(b)
 }
 
 // Connection returns the engine's cached connection-strength transition —
 // conventional (weighted) PageRank's transition, the one per-seed PPR serves.
 // For unweighted graphs it is the implicit Uniform transition and costs
-// nothing; for weighted graphs the per-arc array is built once per engine.
+// nothing; for weighted graphs its forward-order array, which the push
+// reads, is built once per engine.
 func (e *Engine) Connection() *Transition {
-	e.connOnce.Do(func() { e.conn = ConnectionStrength(e.g) })
-	return e.conn
+	e.connOnce.Do(func() {
+		t := ConnectionStrength(e.g)
+		if t.kind != kindUniform {
+			t.arcProbs()
+		}
+		e.conn.Store(t)
+	})
+	return e.conn.Load()
 }
 
 // engineCacheCap bounds the process-wide engine cache. Serving deployments
@@ -368,35 +415,90 @@ func (e *Engine) solve(ctx context.Context, t *Transition, opts Options, workers
 //   - all nil: the implicit uniform transition (the cached 1/outdeg table),
 //   - rowFactor+srcScale: a rank-1 factored transition (D2PR) — per-node
 //     tables, no per-arc data at all,
-//   - probs: per-arc probabilities in pull order.
+//   - probs: per-arc probabilities in pull order, the engine's connP or a
+//     per-solve build.
 type flow struct {
 	probs     []float64
 	rowFactor []float64
 	srcScale  []float64
 	// The pooled buffers backing probs or rowFactor+srcScale, nil when the
-	// flow reads the transition's own tables; release returns them.
+	// flow reads the transition's or the engine's own tables; release
+	// returns them.
 	probsBuf, rowFactorBuf, srcScaleBuf *[]float64
 }
 
 // flowOf returns t's flow representation, borrowing pooled buffers that the
 // caller must hand back with release after the solve. A factored transition
 // costs at most one O(n) permuted copy per solve (nothing at all on an
-// identity-ordered engine); a per-arc transition costs an O(arcs) scatter
-// into pull order, on top of the O(arcs) stream every iteration reads.
+// identity-ordered engine), and connection strength on a weighted graph
+// nothing. The other per-arc kinds cost one O(arcs) build in pull order, on
+// top of the O(arcs) stream every iteration reads.
 func (e *Engine) flowOf(t *Transition) flow {
-	switch {
-	case t.uniform:
+	switch t.kind {
+	case kindUniform:
 		return flow{}
-	case t.rowFactor != nil && e.permOf == nil:
-		return flow{rowFactor: t.rowFactor, srcScale: t.srcScale}
-	case t.rowFactor != nil:
+	case kindConnection:
+		return flow{probs: e.connP}
+	case kindFactored:
+		if e.permOf == nil {
+			return flow{rowFactor: t.rowFactor, srcScale: t.srcScale}
+		}
 		rfp, ssp := e.getN(), e.getN()
 		e.permuteFactors(*rfp, *ssp, t)
 		return flow{rowFactor: *rfp, srcScale: *ssp, rowFactorBuf: rfp, srcScaleBuf: ssp}
 	}
 	pp := e.getM()
-	e.scatterFlow(*pp, t.arcProbs())
+	e.buildArcFlow(*pp, t)
 	return flow{probs: *pp, probsBuf: pp}
+}
+
+// buildArcFlow writes the probabilities of t, a per-arc D2PR kind, into dst
+// in pull order: one pass over the pull rows, evaluating each arc from the
+// transition's per-node tables in permuted ids (arcModel) and its
+// connection half from connP or the 1/outdeg table. The tables live in
+// pooled length-n buffers, returned before it does.
+func (e *Engine) buildArcFlow(dst []float64, t *Transition) {
+	var held []*[]float64
+	m := newArcModel(t, e.permOf, func() []float64 {
+		p := e.getN()
+		held = append(held, p)
+		return *p
+	})
+	invOut, connP := e.invOutP, e.connP
+	for v := 0; v < e.n; v++ {
+		lo, hi := e.pullOffsets[v], e.pullOffsets[v+1]
+		row, out := e.pullSources[lo:hi], dst[lo:hi]
+		out = out[:len(row)] // no-op reslice: proves len(out) == len(row) to BCE
+		var conn []float64
+		if connP != nil {
+			conn = connP[lo:hi][:len(row)]
+		}
+		if !m.blend || m.shifted {
+			for i, u := range row {
+				c := invOut[u]
+				if conn != nil {
+					c = conn[i]
+				}
+				out[i] = m.prob(u, int32(v), c)
+			}
+			continue
+		}
+		// Every source of the blend passes factorScale's gate, the usual
+		// case: prob's D2PR half is factor[v]·inv[u], inlined here.
+		fv := m.factor[v]
+		if conn != nil {
+			for i, u := range row {
+				out[i] = blendProb(m.beta, conn[i], fv*m.inv[u])
+			}
+			continue
+		}
+		for i, u := range row {
+			out[i] = blendProb(m.beta, invOut[u], fv*m.inv[u])
+		}
+	}
+	for _, p := range held {
+		e.putN(p)
+	}
 }
 
 // release returns the pooled buffers f borrowed from e.
@@ -416,13 +518,6 @@ func (e *Engine) permuteFactors(rf, ss []float64, t *Transition) {
 	for v, pv := range e.permOf {
 		rf[pv] = t.rowFactor[v]
 		ss[pv] = t.srcScale[v]
-	}
-}
-
-// scatterFlow scatters forward-CSR-ordered probabilities into pull order.
-func (e *Engine) scatterFlow(dst, src []float64) {
-	for k, pos := range e.perm {
-		dst[pos] = src[k]
 	}
 }
 

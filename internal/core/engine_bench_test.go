@@ -165,9 +165,7 @@ func BenchmarkCoreSolveWarmNoReorder(b *testing.B) {
 func benchSweep(b *testing.B, workers int) {
 	g := benchGraph(b)
 	e := EngineFor(g)
-	tr := DegreeDecoupled(g, 1)
-	probs := make([]float64, g.NumArcs())
-	e.scatterFlow(probs, tr.arcProbs())
+	probs := pullOrder(e, DegreeDecoupled(g, 1).arcProbs())
 	opts, err := benchOpts.withDefaults(e.n)
 	if err != nil {
 		b.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +45,46 @@ func powerLawGraph(t testing.TB, n, avgDeg int, seed int64) *graph.Graph {
 // of sweep workers.
 func solveWorkers(t *Transition, opts Options, workers int) (*Result, error) {
 	return EngineFor(t.g).solve(context.Background(), t, opts, workers)
+}
+
+// pullOrder places fwd, one value per forward CSR arc of e's graph, at the
+// arcs' pull positions. It walks sources in original id order, as the
+// engine's build does, so each row's arcs land in source-scan order, and it
+// panics if a position's source disagrees with the engine's pullSources.
+func pullOrder(e *Engine, fwd []float64) []float64 {
+	g := e.g
+	out := make([]float64, len(fwd))
+	cursor := append([]int64(nil), e.pullOffsets[:e.n]...)
+	relabel := func(u int32) int32 {
+		if e.permOf == nil {
+			return u
+		}
+		return e.permOf[u]
+	}
+	for u := int32(0); int(u) < e.n; u++ {
+		lo, hi := g.ArcRange(u)
+		for k := lo; k < hi; k++ {
+			pv := relabel(g.ArcTarget(k))
+			pos := cursor[pv]
+			cursor[pv]++
+			if e.pullSources[pos] != relabel(u) {
+				panic("pullOrder: arc placement disagrees with the engine's pull topology")
+			}
+			out[pos] = fwd[k]
+		}
+	}
+	return out
+}
+
+// solveArcs solves the per-arc transition whose forward-order probabilities
+// are fwd on e, with the given number of sweep workers: the power solver on
+// fwd placed in pull order.
+func solveArcs(e *Engine, fwd []float64, opts Options, workers int) (*Result, error) {
+	opts, err := opts.withDefaults(e.n)
+	if err != nil {
+		return nil, err
+	}
+	return powerSolve(context.Background(), e, pullOrder(e, fwd), nil, nil, opts, workers)
 }
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -131,10 +172,10 @@ func TestParallelSweepEmptyRanges(t *testing.T) {
 // multiplications in the same order).
 func TestUniformImplicitMatchesExplicit(t *testing.T) {
 	g := powerLawGraph(t, 1500, 5, 4)
-	explicit := &Transition{g: g, probs: uniformProbs(g)} // forced explicit path
+	explicit := uniformProbs(g) // forced explicit path
 	implicit := Uniform(g)
 	for _, workers := range []int{1, 4} {
-		want, err := solveWorkers(explicit, Options{}, workers)
+		want, err := solveArcs(EngineFor(g), explicit, Options{}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,5 +370,145 @@ func TestSolveLeavesNoGoroutine(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}
+}
+
+// TestArcFlowMatchesForwardView: for every per-arc kind, the pull-order flow
+// a solve runs on is the transition's forward-order view placed by pull
+// position, bit for bit, on reordered and identity engines. The kinds are
+// blends on unweighted and weighted graphs, weighted connection strength,
+// extreme-p D2PR, and a blend whose sources are partly shifted; the graphs
+// include a directed one with dangling nodes.
+func TestArcFlowMatchesForwardView(t *testing.T) {
+	for name, g := range oracleGraphs(t) {
+		var trs []*Transition
+		add := func(p, beta float64) {
+			tr, err := Blended(g, p, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trs = append(trs, tr)
+		}
+		for _, pb := range [][2]float64{{-1.5, 0.25}, {2, 0.5}, {-400, 0.5}, {-400, 0}, {400, 0}, {1, 1}} {
+			add(pb[0], pb[1])
+		}
+		want := map[transitionKind]bool{kindBlend: true, kindShifted: true}
+		if g.Weighted() {
+			want[kindConnection] = true
+		}
+		reordered := NewEngine(g)
+		if reordered.permOf == nil {
+			t.Fatalf("%s: the reordered engine has the identity order", name)
+		}
+		for _, e := range []*Engine{reordered, newEngineIdentity(g)} {
+			for _, tr := range trs {
+				if tr.kind == kindUniform || tr.kind == kindFactored {
+					continue
+				}
+				delete(want, tr.kind)
+				f := e.flowOf(tr)
+				ref := pullOrder(e, tr.arcProbs())
+				for pos := range ref {
+					if math.Float64bits(f.probs[pos]) != math.Float64bits(ref[pos]) {
+						t.Fatalf("%s kind %d p=%g β=%g reordered=%v: pull position %d = %v, forward view %v",
+							name, tr.kind, tr.p, tr.beta, e.permOf != nil, pos, f.probs[pos], ref[pos])
+					}
+				}
+				f.release(e)
+			}
+		}
+		if len(want) != 0 {
+			t.Fatalf("%s: kinds %v not covered", name, want)
+		}
+	}
+}
+
+// TestPerArcSolveAllocatesNoArcArray: a warm per-arc miss, transition
+// construction included, builds its probabilities into the engine's pooled
+// pull-order buffer, and a β = 1 solve on a weighted graph reads the
+// engine's connection table, so neither allocates an O(arcs) array. Each
+// must allocate less than one float64 per arc. The GC is off and GOMAXPROCS
+// is 1 while measuring, so that the pools keep their buffers and the one
+// goroutine always finds them in its P's slots.
+func TestPerArcSolveAllocatesNoArcArray(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool.Put drops one item in four at random, so a warm solve can refill a pool")
+	}
+	const n, avgDeg = 3000, 10
+	g := powerLawGraph(t, n, avgDeg, 13)
+	b := graph.NewBuilder(graph.Directed).Weighted().Duplicates(graph.DupAllow).EnsureNodes(n)
+	for u := int32(0); int(u) < n; u++ {
+		for k, v := range g.Neighbors(u) {
+			b.AddWeightedEdge(u, v, 0.5+float64(k%4))
+		}
+	}
+	weighted := b.MustBuild()
+	if m := g.NumArcs(); m < 8*n {
+		t.Fatalf("average degree %.1f, want ≥ 8", float64(m)/n)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	opts := Options{MaxIter: 5, Tol: 1e-300}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		beta float64
+	}{{"blend β=0.5", g, 0.5}, {"weighted blend β=0.5", weighted, 0.5}, {"weighted β=1", weighted, 1}} {
+		e := NewEngine(c.g)
+		solve := func() {
+			tr, err := Blended(c.g, 1.5, c.beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.solve(context.Background(), tr, opts, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		solve() // warm the pools
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		solve()
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*c.g.NumArcs()); got >= limit {
+			t.Errorf("%s: a warm solve allocated %d B, want < 8·arcs = %d B", c.name, got, limit)
+		}
+	}
+}
+
+// TestEngineStatsBytes: an engine reports the bytes of its retained slices.
+// An unweighted power-law engine holds 4 B per arc (pullSources) and at most
+// 40 B per node (offsets, reorder tables, 1/outdeg tables, dangling list,
+// block bounds); a weighted one adds its 8 B-per-arc connection table, and
+// Connection's forward-order array another 8 B per arc once built.
+func TestEngineStatsBytes(t *testing.T) {
+	g := powerLawGraph(t, 3000, 6, 14)
+	n, m := int64(g.NumNodes()), int64(g.NumArcs())
+	e := NewEngine(g)
+	if e.permOf == nil {
+		t.Fatal("the engine has the identity order")
+	}
+	got := e.Stats().Bytes
+	if limit := 4*m + 40*(n+1); got <= 4*m || got > limit {
+		t.Errorf("unweighted engine reports %d B, want in (4·arcs, 4·arcs + 40·(n+1)] = (%d, %d]", got, 4*m, limit)
+	}
+	e.Connection() // the uniform transition: nothing to build
+	if after := e.Stats().Bytes; after != got {
+		t.Errorf("Connection on an unweighted graph moved Bytes from %d to %d", got, after)
+	}
+
+	b := graph.NewBuilder(graph.Directed).Weighted().Duplicates(graph.DupAllow).EnsureNodes(int(n))
+	for u := int32(0); int64(u) < n; u++ {
+		for k, v := range g.Neighbors(u) {
+			b.AddWeightedEdge(u, v, 1+float64(k%3))
+		}
+	}
+	weighted := b.MustBuild()
+	we := NewEngine(weighted)
+	if wb := we.Stats().Bytes; wb != got+8*m {
+		t.Errorf("weighted engine reports %d B, want the unweighted %d + 8·arcs = %d", wb, got, got+8*m)
+	}
+	we.Connection()
+	if wb := we.Stats().Bytes; wb != got+16*m {
+		t.Errorf("after Connection the weighted engine reports %d B, want %d + 16·arcs = %d", wb, got, got+16*m)
 	}
 }

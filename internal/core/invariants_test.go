@@ -45,7 +45,7 @@ func TestBlendedStochasticProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return tr.Validate(1e-9) == nil
+		return tr.validate(1e-9) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(32))}); err != nil {
 		t.Error(err)

@@ -222,7 +222,7 @@ func TestEngineConnectionCached(t *testing.T) {
 	if c1 != c2 {
 		t.Error("Connection must return the cached transition")
 	}
-	if err := c1.Validate(1e-12); err != nil {
+	if err := c1.validate(1e-12); err != nil {
 		t.Error(err)
 	}
 }

@@ -140,7 +140,7 @@ func (e *Engine) SolvePPRContext(ctx context.Context, t *Transition, seed int32,
 	r[seed] = 1
 
 	var probs []float64
-	if !t.uniform {
+	if t.kind != kindUniform {
 		probs = t.arcProbs()
 	}
 	invOut := e.invOut

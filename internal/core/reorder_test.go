@@ -206,21 +206,20 @@ func topIndices(scores []float64, k int) []int {
 func TestFactoredMatchesArcProbsSolve(t *testing.T) {
 	// The rank-1 factored D2PR kernel reassociates the per-row arithmetic
 	// (factor[v]·Σ cur·scale vs Σ prob·cur), so it is tolerance-equal — not
-	// bit-equal — to the per-arc path. Force the per-arc path by wrapping
-	// the materialized probabilities in a plain transition.
+	// bit-equal — to the per-arc path. Force the per-arc path by solving the
+	// materialized probabilities placed in pull order.
 	for name, g := range reorderTestGraphs(t) {
 		for _, p := range []float64{-1.5, 0.5, 1, 2.5} {
 			tr := DegreeDecoupled(g, p)
 			if tr.rowFactor == nil {
 				t.Fatalf("%s: p=%v not factored", name, p)
 			}
-			arcs := &Transition{g: g, probs: tr.arcProbs()}
 			opts := Options{Tol: 1e-14}
 			a, err := Solve(tr, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Solve(arcs, opts)
+			b, err := solveArcs(EngineFor(g), tr.arcProbs(), opts, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +241,7 @@ func TestFactoredFallbackExtremeP(t *testing.T) {
 		if tr.rowFactor != nil {
 			t.Fatalf("p=%v: expected shifted fallback, got factored form", p)
 		}
-		if err := tr.Validate(1e-9); err != nil {
+		if err := tr.validate(1e-9); err != nil {
 			t.Fatalf("p=%v: fallback transition invalid: %v", p, err)
 		}
 		if _, err := Solve(tr, Options{Tol: 1e-10}); err != nil {
@@ -254,7 +253,7 @@ func TestFactoredFallbackExtremeP(t *testing.T) {
 func TestFactoredLazyArcProbs(t *testing.T) {
 	// A factored transition materializes per-arc probabilities only on
 	// demand, and the materialized view must match the pre-factorization
-	// (shifted) build bit for bit.
+	// (shifted) row build bit for bit.
 	g := skewedGraph(100, 9)
 	tr := DegreeDecoupled(g, 1.5)
 	if tr.rowFactor == nil {
@@ -263,8 +262,7 @@ func TestFactoredLazyArcProbs(t *testing.T) {
 	if tr.probs != nil {
 		t.Fatal("probs materialized eagerly")
 	}
-	want := make([]float64, g.NumArcs())
-	decoupledProbs(g, 1.5, logThetaTable(g), want)
+	want := rowBuiltProbs(g, 1.5, 0, false)
 	got := tr.arcProbs()
 	for k := range want {
 		if got[k] != want[k] {

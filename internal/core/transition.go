@@ -8,51 +8,71 @@ import (
 	"d2pr/internal/graph"
 )
 
-// Transition is a column-stochastic random-walk transition over a graph,
-// stored as one probability per CSR arc. For every non-dangling source node
-// the probabilities of its out-arcs sum to 1; dangling nodes have no arcs and
-// their mass is handled by the solver (redistributed to the teleport
-// distribution).
+// Transition is a column-stochastic random-walk transition over a graph:
+// for every non-dangling source node the probabilities of its out-arcs sum
+// to 1; dangling nodes have no arcs and their mass is handled by the solver
+// (redistributed to the teleport distribution).
 //
-// Uniform transitions (probability 1/outdeg everywhere) are represented
-// implicitly: the solver runs them off the engine's cached 1/outdeg table
-// and the per-arc array is only materialized if a caller actually reads
-// probabilities (Prob, ProbsFrom, the samplers).
+// A Transition is a descriptor, not a probability array. The engine solves
+// each kind from per-node data: the uniform walk from its cached 1/outdeg
+// table, the factored D2PR form from two per-node tables, and a per-arc kind
+// (extreme-p D2PR, a β-blend, connection strength on a weighted graph) from
+// a pull-order array it builds per solve from per-node tables, or, for
+// connection strength, reads from its own pull-order table. The forward-order
+// view, one probability per CSR arc, is built on first use, only for callers
+// that read probabilities (Prob, ProbsFrom, the samplers, the push).
 type Transition struct {
-	g       *graph.Graph
-	uniform bool
+	g    *graph.Graph
+	kind transitionKind
+	// p is the de-coupling weight of the D2PR kinds and blends; beta the
+	// blend weight.
+	p, beta float64
 
-	once  sync.Once // guards lazy materialization for uniform/factored transitions
+	once  sync.Once // guards the lazy forward-order view
 	probs []float64
 
-	// Rank-1 factorization (original id space), set by DegreeDecoupled when
-	// numerically safe: probs[k] = rowFactor[dst(k)] · srcScale[src(k)], with
+	// Rank-1 factorization (original id space) of kindFactored:
+	// probs[k] = rowFactor[dst(k)] · srcScale[src(k)], with
 	// srcScale[u] = 1/Σ_{v ∈ out(u)} rowFactor[v] (0 for dangling u). The
 	// power solver consumes this instead of a per-arc array — the whole
-	// O(arcs) probability stream disappears from the sweep. dp keeps the
-	// de-coupling weight for lazy per-arc materialization (arcProbs).
+	// O(arcs) probability stream disappears from the sweep.
 	rowFactor []float64
 	srcScale  []float64
-	dp        float64
 }
+
+// transitionKind names how a Transition's probabilities are computed.
+type transitionKind uint8
+
+const (
+	// kindUniform is 1/outdeg on every arc, weights ignored.
+	kindUniform transitionKind = iota
+	// kindFactored is D2PR in its rank-1 factored form.
+	kindFactored
+	// kindShifted is D2PR where the factored form is unsafe (extreme p):
+	// every source takes the shifted evaluation (see shiftedScale).
+	kindShifted
+	// kindConnection is connection strength on a weighted graph.
+	kindConnection
+	// kindBlend is β·T_conn + (1−β)·T_D for 0 < β < 1.
+	kindBlend
+)
 
 // Graph returns the graph the transition is defined over.
 func (t *Transition) Graph() *graph.Graph { return t.g }
 
-// arcProbs returns the per-arc probabilities, materializing the lazy uniform
-// or factored representation on first use. Safe for concurrent callers. The
-// factored case materializes through decoupledProbs (the shifted per-source
-// evaluation), so the per-arc view is bit-identical to a pre-factorization
+// arcProbs returns the forward-order per-arc probabilities, building them on
+// first use. Safe for concurrent callers. The factored kind's view is its
+// shifted per-source evaluation, bit-identical to a pre-factorization
 // DegreeDecoupled build.
 func (t *Transition) arcProbs() []float64 {
 	t.once.Do(func() {
-		if t.probs == nil {
-			if t.rowFactor != nil {
-				t.probs = make([]float64, t.g.NumArcs())
-				decoupledProbs(t.g, t.dp, logThetaTable(t.g), t.probs)
-			} else {
-				t.probs = uniformProbs(t.g)
-			}
+		switch t.kind {
+		case kindUniform:
+			t.probs = uniformProbs(t.g)
+		case kindConnection:
+			t.probs = connectionProbs(t.g)
+		default:
+			t.probs = forwardArcProbs(t)
 		}
 	})
 	return t.probs
@@ -74,7 +94,7 @@ func (t *Transition) ProbsFrom(u int32) []float64 {
 // The per-arc array is lazy — solving a uniform transition through the
 // engine touches no O(arcs) probability storage at all.
 func Uniform(g *graph.Graph) *Transition {
-	return &Transition{g: g, uniform: true}
+	return &Transition{g: g, kind: kindUniform}
 }
 
 // uniformProbs materializes the 1/outdeg probabilities of Uniform.
@@ -96,36 +116,48 @@ func uniformProbs(g *graph.Graph) []float64 {
 
 // ConnectionStrength builds the conventional weighted PageRank transition
 // T_conn(j,i) = w(i→j)/Σ_h w(i→h). For unweighted graphs it coincides with
-// Uniform.
+// Uniform. On a weighted graph the engine solves it from its own pull-order
+// table (Engine.connP), so a solve builds nothing.
 func ConnectionStrength(g *graph.Graph) *Transition {
 	if !g.Weighted() {
 		return Uniform(g)
 	}
-	t := &Transition{g: g, probs: make([]float64, g.NumArcs())}
+	return &Transition{g: g, kind: kindConnection}
+}
+
+// connectionProbs materializes ConnectionStrength's forward-order view.
+func connectionProbs(g *graph.Graph) []float64 {
+	probs := make([]float64, g.NumArcs())
 	n := g.NumNodes()
 	for u := int32(0); int(u) < n; u++ {
 		lo, hi := g.ArcRange(u)
-		if hi == lo {
-			continue
-		}
-		var sum float64
+		w := rowWeight(g, u)
 		for k := lo; k < hi; k++ {
-			sum += g.ArcWeight(k)
-		}
-		if sum <= 0 {
-			// All-zero weights cannot happen (builder enforces w > 0), but
-			// guard against hand-constructed graphs: fall back to uniform.
-			p := 1 / float64(hi-lo)
-			for k := lo; k < hi; k++ {
-				t.probs[k] = p
-			}
-			continue
-		}
-		for k := lo; k < hi; k++ {
-			t.probs[k] = g.ArcWeight(k) / sum
+			probs[k] = connProb(g.ArcWeight(k), w, hi-lo)
 		}
 	}
-	return t
+	return probs
+}
+
+// rowWeight returns W(u), the sum of u's out-arc weights in CSR order.
+func rowWeight(g *graph.Graph, u int32) float64 {
+	lo, hi := g.ArcRange(u)
+	var sum float64
+	for k := lo; k < hi; k++ {
+		sum += g.ArcWeight(k)
+	}
+	return sum
+}
+
+// connProb is the connection-strength probability w/W of an arc of weight w
+// out of a source of out-weight W and out-degree deg. A row whose weights sum
+// to W ≤ 0 cannot come from the builder (it enforces w > 0), but guard
+// against hand-constructed graphs: such a row falls back to uniform.
+func connProb(w, W float64, deg int64) float64 {
+	if W <= 0 {
+		return 1 / float64(deg)
+	}
+	return w / W
 }
 
 // DegreeDecoupled builds the paper's D2PR transition (Eq. 1 and its directed
@@ -152,22 +184,21 @@ func ConnectionStrength(g *graph.Graph) *Transition {
 // exp(0)/outdeg = 1/outdeg, so no per-arc array needs to exist.
 // When the unshifted factor table exp(-p·log Θ̂) and every per-source factor
 // sum are positive finite numbers — always, except at extreme p·Θ̂ spreads —
-// the transition is kept in its rank-1 factored form instead of a per-arc
-// array: probs[k] = rowFactor[dst(k)]·srcScale[src(k)]. The power solver runs
-// the factored form directly (one per-node table read per arc replaces the
-// per-arc probability stream), and the per-arc view is materialized lazily,
-// only if a caller actually reads probabilities.
+// the transition is kept in its rank-1 factored form:
+// probs[k] = rowFactor[dst(k)]·srcScale[src(k)]. The power solver runs the
+// factored form directly (one per-node table read per arc replaces the
+// per-arc probability stream). Otherwise every source takes the shifted
+// evaluation, which the engine builds per solve in pull order.
 func DegreeDecoupled(g *graph.Graph, p float64) *Transition {
 	if p == 0 {
 		return Uniform(g)
 	}
-	logTheta := logThetaTable(g)
+	logTheta := make([]float64, g.NumNodes())
+	fillLogTheta(g, logTheta)
 	if rowFactor, srcScale := factoredDecoupled(g, p, logTheta); rowFactor != nil {
-		return &Transition{g: g, rowFactor: rowFactor, srcScale: srcScale, dp: p}
+		return &Transition{g: g, kind: kindFactored, p: p, rowFactor: rowFactor, srcScale: srcScale}
 	}
-	t := &Transition{g: g, probs: make([]float64, g.NumArcs())}
-	decoupledProbs(g, p, logTheta, t.probs)
-	return t
+	return &Transition{g: g, kind: kindShifted, p: p}
 }
 
 // factoredDecoupled builds the rank-1 form of the D2PR transition, or returns
@@ -216,7 +247,7 @@ func decoupledFactors(p float64, logTheta, factor []float64) bool {
 // and whether the unshifted evaluation is safe there: the sum must be a
 // positive finite number with a finite reciprocal (a denormal sum passes
 // sum > 0, but 1/sum overflows). Sources that fail, possible only at extreme
-// p·Θ̂ spreads, need the shifted evaluation (shiftedRow).
+// p·Θ̂ spreads, need the shifted evaluation (shiftedScale).
 func factorScale(g *graph.Graph, u int32, factor []float64) (float64, bool) {
 	lo, hi := g.ArcRange(u)
 	var sum float64
@@ -227,41 +258,27 @@ func factorScale(g *graph.Graph, u int32, factor []float64) (float64, bool) {
 	return inv, sum > 0 && !math.IsInf(sum, 0) && !math.IsInf(inv, 0)
 }
 
-// logThetaTable precomputes log Θ̂ for every node — the p-independent half of
-// the D2PR transition build.
-func logThetaTable(g *graph.Graph) []float64 {
-	n := g.NumNodes()
-	logTheta := make([]float64, n)
-	for v := 0; v < n; v++ {
+// fillLogTheta writes log Θ̂ for every node into logTheta — the
+// p-independent half of the D2PR transition build.
+func fillLogTheta(g *graph.Graph, logTheta []float64) {
+	for v := range logTheta {
 		th := g.WeightedDegree(int32(v))
 		if th < 1 {
 			th = 1
 		}
 		logTheta[v] = math.Log(th)
 	}
-	return logTheta
 }
 
-// decoupledProbs writes the D2PR transition probabilities for de-coupling
-// weight p into probs (parallel to the CSR arcs), using a precomputed
-// logTheta table and the shifted evaluation for every source.
-func decoupledProbs(g *graph.Graph, p float64, logTheta, probs []float64) {
-	n := g.NumNodes()
-	for u := int32(0); int(u) < n; u++ {
-		if g.OutDegree(u) > 0 {
-			shiftedRow(g, u, p, logTheta, probs)
-		}
-	}
-}
-
-// shiftedRow writes non-dangling source u's D2PR out-probabilities into its
-// arc range of probs with the shifted-exponential trick: the largest term of
-// the row is exp(0) = 1 and all others lie in (0, 1], so extreme p cannot
-// over- or underflow.
-func shiftedRow(g *graph.Graph, u int32, p float64, logTheta, probs []float64) {
+// shiftedScale returns the shifted evaluation of non-dangling source u's
+// D2PR row: maxE, the row's largest exponent −p·log Θ̂(v), and inv, the
+// reciprocal of Σ exp(−p·log Θ̂(v) − maxE) over u's out-arcs. Arc u→v then
+// has probability exp(−p·log Θ̂(v) − maxE)·inv: the largest term of the row
+// is exp(0) = 1 and all others lie in (0, 1], so extreme p cannot over- or
+// underflow.
+func shiftedScale(g *graph.Graph, u int32, p float64, logTheta []float64) (inv, maxE float64) {
 	lo, hi := g.ArcRange(u)
-	// exponent for arc k: e_k = -p * log Θ̂(dst)
-	maxE := math.Inf(-1)
+	maxE = math.Inf(-1)
 	for k := lo; k < hi; k++ {
 		if e := -p * logTheta[g.ArcTarget(k)]; e > maxE {
 			maxE = e
@@ -269,14 +286,9 @@ func shiftedRow(g *graph.Graph, u int32, p float64, logTheta, probs []float64) {
 	}
 	var sum float64
 	for k := lo; k < hi; k++ {
-		w := math.Exp(-p*logTheta[g.ArcTarget(k)] - maxE)
-		probs[k] = w
-		sum += w
+		sum += math.Exp(float64(-p*logTheta[g.ArcTarget(k)]) - maxE)
 	}
-	inv := 1 / sum
-	for k := lo; k < hi; k++ {
-		probs[k] *= inv
-	}
+	return 1 / sum, maxE
 }
 
 // Blended builds the weighted-graph D2PR transition of §3.2.3:
@@ -287,8 +299,8 @@ func shiftedRow(g *graph.Graph, u int32, p float64, logTheta, probs []float64) {
 // full degree de-coupling. p must be finite and β must lie in [0, 1]. On an
 // unweighted graph the transitions that reduce to the uniform one (β = 1, or
 // p = 0) stay implicit, and β = 0 keeps DegreeDecoupled's factored form. A
-// proper blend is computed in place into a single per-arc buffer (see
-// blendedProbs).
+// proper blend is a descriptor: the engine builds its probabilities per solve,
+// straight into pull order (see arcModel).
 func Blended(g *graph.Graph, p, beta float64) (*Transition, error) {
 	switch {
 	case math.IsNaN(p) || math.IsInf(p, 0):
@@ -304,112 +316,119 @@ func Blended(g *graph.Graph, p, beta float64) (*Transition, error) {
 		// it implicit rather than blending a distribution with itself.
 		return Uniform(g), nil
 	}
-	t := &Transition{g: g, probs: make([]float64, g.NumArcs())}
-	blendedProbs(g, p, beta, t.probs)
-	return t, nil
+	return &Transition{g: g, kind: kindBlend, p: p, beta: beta}, nil
 }
 
-// blendedProbs writes β·T_conn + (1-β)·T_D directly into probs, one source
-// row at a time: the de-coupled weights are staged in the output row, then
-// the connection-strength term is folded in, without materializing either
-// source transition. The de-coupled half comes from the per-node factor
-// table, one exponential per node instead of one per arc; a source whose
-// factor sum fails factorScale's gate takes the shifted evaluation, so
-// extreme p keeps DegreeDecoupled's stability guarantee. The two
-// evaluations agree to a few ulps wherever both are safe.
-func blendedProbs(g *graph.Graph, p, beta float64, probs []float64) {
-	logTheta := logThetaTable(g)
-	factor := make([]float64, len(logTheta))
-	decoupledFactors(p, logTheta, factor)
+// arcModel evaluates a per-arc D2PR kind (kindShifted, kindBlend, and the
+// forward view of kindFactored) as a function of an arc's two endpoints,
+// from per-node tables laid out in one id space: original ids for the
+// forward view, the engine's permuted ids for a solve's pull-order flow.
+// Both evaluate every arc with prob on the same table values, so the flow is
+// the forward view placed by pull position, bit for bit.
+//
+// The D2PR half of arc u→v is factor[v]·inv[u] when u passes factorScale's
+// gate (blends only; maxE[u] is then +Inf), and the shifted evaluation
+// exp(−p·log Θ̂(v) − maxE[u])·inv[u] otherwise (see shiftedScale). The
+// expressions, and the order of each row sum, are those of the per-row
+// builds they replace, so every probability is unchanged.
+type arcModel struct {
+	p, beta float64
+	blend   bool
+	// shifted reports whether any source takes the shifted evaluation.
+	shifted bool
+	// By destination: exp(−p·log Θ̂) (blends only) and log Θ̂ (read only
+	// for shifted sources).
+	factor, logTheta []float64
+	// By source: the reciprocal row sum and, for a shifted source, its
+	// shift.
+	inv, maxE []float64
+}
+
+// newArcModel builds the tables of t, a per-arc D2PR kind, with ids mapped
+// through permOf (nil: original ids), taking each length-n table from alloc.
+// The row sums run over forward arcs, in CSR order.
+func newArcModel(t *Transition, permOf []int32, alloc func() []float64) arcModel {
+	g := t.g
+	m := arcModel{p: t.p, beta: t.beta, blend: t.kind == kindBlend, inv: alloc(), maxE: alloc()}
+	logTheta := alloc()
+	fillLogTheta(g, logTheta)
+	var factor []float64
+	if m.blend {
+		factor = alloc()
+		decoupledFactors(t.p, logTheta, factor)
+	}
+	for u := int32(0); int(u) < g.NumNodes(); u++ {
+		if g.OutDegree(u) == 0 {
+			continue // no arcs read a dangling source's entries
+		}
+		pu := u
+		if permOf != nil {
+			pu = permOf[u]
+		}
+		if factor != nil {
+			if inv, ok := factorScale(g, u, factor); ok {
+				m.inv[pu], m.maxE[pu] = inv, math.Inf(1)
+				continue
+			}
+		}
+		m.inv[pu], m.maxE[pu] = shiftedScale(g, u, t.p, logTheta)
+		m.shifted = true
+	}
+	m.factor, m.logTheta = factor, logTheta
+	if permOf != nil {
+		if factor != nil {
+			m.factor = permuted(factor, permOf, alloc())
+		}
+		if m.shifted {
+			m.logTheta = permuted(logTheta, permOf, alloc())
+		}
+	}
+	return m
+}
+
+// permuted writes src into dst at the relabeled ids and returns dst.
+func permuted(src []float64, permOf []int32, dst []float64) []float64 {
+	for v, pv := range permOf {
+		dst[pv] = src[v]
+	}
+	return dst
+}
+
+// prob returns the probability of arc u→v, given c, the arc's
+// connection-strength probability (read by blends only). The conversion
+// rounds the product before the subtraction, which forbids fusing the pair
+// into one FMA (Go spec, Arithmetic operators), so every caller on every
+// platform computes the same rounded terms.
+func (m *arcModel) prob(u, v int32, c float64) float64 {
+	var d float64
+	if mx := m.maxE[u]; math.IsInf(mx, 1) {
+		d = m.factor[v] * m.inv[u]
+	} else {
+		d = math.Exp(float64(-m.p*m.logTheta[v])-mx) * m.inv[u]
+	}
+	if !m.blend {
+		return d
+	}
+	return blendProb(m.beta, c, d)
+}
+
+// blendProb returns β·c + (1−β)·d, each product rounded before the add.
+func blendProb(beta, c, d float64) float64 {
+	return float64(beta*c) + float64((1-beta)*d)
+}
+
+// forwardArcProbs materializes the forward-order view of a per-arc D2PR kind.
+func forwardArcProbs(t *Transition) []float64 {
+	g := t.g
 	n := g.NumNodes()
-	weighted := g.Weighted()
+	m := newArcModel(t, nil, func() []float64 { return make([]float64, n) })
+	probs := make([]float64, g.NumArcs())
 	for u := int32(0); int(u) < n; u++ {
 		lo, hi := g.ArcRange(u)
-		if hi == lo {
-			continue
-		}
-		if inv, ok := factorScale(g, u, factor); ok {
-			for k := lo; k < hi; k++ {
-				probs[k] = factor[g.ArcTarget(k)] * inv
-			}
-		} else {
-			shiftedRow(g, u, p, logTheta, probs)
-		}
-		// Connection half (see ConnectionStrength), folded in place.
-		uniP := 1 / float64(hi-lo)
-		var wsum float64
-		if weighted {
-			for k := lo; k < hi; k++ {
-				wsum += g.ArcWeight(k)
-			}
-		}
+		w := rowWeight(g, u)
 		for k := lo; k < hi; k++ {
-			connP := uniP
-			if weighted && wsum > 0 {
-				connP = g.ArcWeight(k) / wsum
-			}
-			probs[k] = beta*connP + (1-beta)*probs[k]
+			probs[k] = m.prob(u, g.ArcTarget(k), connProb(g.ArcWeight(k), w, hi-lo))
 		}
 	}
-}
-
-// NaivePow builds the D2PR transition using direct math.Pow evaluation with
-// no log-space stabilization. It exists only as the ablation partner of
-// DegreeDecoupled: on hub-heavy graphs with |p| ≥ 4 it produces ±Inf/NaN
-// intermediate sums where the stable version does not. Do not use it outside
-// tests and benchmarks.
-func NaivePow(g *graph.Graph, p float64) *Transition {
-	t := &Transition{g: g, probs: make([]float64, g.NumArcs())}
-	n := g.NumNodes()
-	theta := make([]float64, n)
-	for v := 0; v < n; v++ {
-		th := g.WeightedDegree(int32(v))
-		if th < 1 {
-			th = 1
-		}
-		theta[v] = th
-	}
-	for u := int32(0); int(u) < n; u++ {
-		lo, hi := g.ArcRange(u)
-		if hi == lo {
-			continue
-		}
-		var sum float64
-		for k := lo; k < hi; k++ {
-			w := math.Pow(theta[g.ArcTarget(k)], -p)
-			t.probs[k] = w
-			sum += w
-		}
-		inv := 1 / sum
-		for k := lo; k < hi; k++ {
-			t.probs[k] *= inv
-		}
-	}
-	return t
-}
-
-// Validate checks that the transition is column-stochastic: every node with
-// out-arcs has probabilities summing to 1 within tol, and every probability
-// is finite and non-negative. Testing aid.
-func (t *Transition) Validate(tol float64) error {
-	n := t.g.NumNodes()
-	probs := t.arcProbs()
-	for u := int32(0); int(u) < n; u++ {
-		lo, hi := t.g.ArcRange(u)
-		if hi == lo {
-			continue
-		}
-		var sum float64
-		for k := lo; k < hi; k++ {
-			p := probs[k]
-			if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
-				return fmt.Errorf("core: arc %d has invalid probability %v", k, p)
-			}
-			sum += p
-		}
-		if math.Abs(sum-1) > tol {
-			return fmt.Errorf("core: node %d out-probabilities sum to %v, want 1±%v", u, sum, tol)
-		}
-	}
-	return nil
+	return probs
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"d2pr/internal/dataset"
 	"d2pr/internal/graph"
 )
 
@@ -28,7 +29,7 @@ func fig1Graph(t *testing.T) *graph.Graph {
 func TestUniformTransition(t *testing.T) {
 	g := fig1Graph(t)
 	tr := Uniform(g)
-	if err := tr.Validate(1e-12); err != nil {
+	if err := tr.validate(1e-12); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range tr.ProbsFrom(0) {
@@ -53,7 +54,7 @@ func TestDegreeDecoupledMatchesPaperFigure1(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tr := DegreeDecoupled(g, tc.p)
-		if err := tr.Validate(1e-12); err != nil {
+		if err := tr.validate(1e-12); err != nil {
 			t.Fatalf("p=%v: %v", tc.p, err)
 		}
 		got := tr.ProbsFrom(0)
@@ -102,7 +103,7 @@ func TestDegreeDecoupledStochasticProperty(t *testing.T) {
 			}
 		}
 		g := b.MustBuild()
-		return DegreeDecoupled(g, p).Validate(1e-9) == nil
+		return DegreeDecoupled(g, p).validate(1e-9) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(35))}); err != nil {
 		t.Error(err)
@@ -123,7 +124,7 @@ func TestDegreeDecoupledExtremeP(t *testing.T) {
 	g := b.MustBuild()
 	for _, p := range []float64{-60, -4, 4, 60} {
 		tr := DegreeDecoupled(g, p)
-		if err := tr.Validate(1e-9); err != nil {
+		if err := tr.validate(1e-9); err != nil {
 			t.Errorf("p=%v: %v", p, err)
 		}
 	}
@@ -158,10 +159,10 @@ func TestNaivePowOverflowsWhereStableDoesNot(t *testing.T) {
 	b.AddEdge(1, 2)
 	g := b.MustBuild()
 	const p = -80 // deg^80 with deg=50001 → +Inf
-	if err := DegreeDecoupled(g, p).Validate(1e-9); err != nil {
+	if err := DegreeDecoupled(g, p).validate(1e-9); err != nil {
 		t.Fatalf("stable version failed: %v", err)
 	}
-	if err := NaivePow(g, p).Validate(1e-9); err == nil {
+	if err := validateProbs(g, naivePow(g, p), 1e-9); err == nil {
 		t.Log("naive version unexpectedly survived; widen the exponent if float semantics change")
 	}
 }
@@ -170,13 +171,36 @@ func TestNaiveAgreesAtModerateP(t *testing.T) {
 	g := fig1Graph(t)
 	for _, p := range []float64{-2, -0.5, 0, 0.5, 2} {
 		a := DegreeDecoupled(g, p)
-		b := NaivePow(g, p)
+		b := naivePow(g, p)
 		for k := 0; k < g.NumArcs(); k++ {
-			if math.Abs(a.Prob(int64(k))-b.Prob(int64(k))) > 1e-12 {
-				t.Errorf("p=%v arc %d: stable %v naive %v", p, k, a.Prob(int64(k)), b.Prob(int64(k)))
+			if math.Abs(a.Prob(int64(k))-b[k]) > 1e-12 {
+				t.Errorf("p=%v arc %d: stable %v naive %v", p, k, a.Prob(int64(k)), b[k])
 			}
 		}
 	}
+}
+
+// BenchmarkAblationLogspace compares the two evaluations of D2PR's per-arc
+// probabilities at p = 4 on the scale-0.25 lastfm-artist-artist graph: the
+// shifted log-space view a reader of DegreeDecoupled gets, against naive
+// math.Pow. Correctness at extreme p is covered by the tests above; this
+// reports the construction cost.
+func BenchmarkAblationLogspace(b *testing.B) {
+	d, err := dataset.GraphByName(dataset.Config{Scale: 0.25, Seed: 42}, dataset.LastfmArtistArtist)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := d.Unweighted()
+	b.Run("logspace", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			DegreeDecoupled(g, 4).arcProbs()
+		}
+	})
+	b.Run("naive-pow", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			naivePow(g, 4)
+		}
+	})
 }
 
 func TestConnectionStrength(t *testing.T) {
@@ -187,7 +211,7 @@ func TestConnectionStrength(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := ConnectionStrength(g)
-	if err := tr.Validate(1e-12); err != nil {
+	if err := tr.validate(1e-12); err != nil {
 		t.Fatal(err)
 	}
 	probs := tr.ProbsFrom(0)
@@ -218,7 +242,7 @@ func TestBlendedEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bHalf.Validate(1e-12); err != nil {
+	if err := bHalf.validate(1e-12); err != nil {
 		t.Fatal(err)
 	}
 	for k := int64(0); k < int64(g.NumArcs()); k++ {
@@ -284,10 +308,11 @@ func blendTestGraph(t testing.TB) *graph.Graph {
 // unshifted per-node factor table over- or underflows: ±300 makes factors
 // denormal or +Inf, so sources must fail factorScale's gate and take the
 // shifted evaluation instead of producing Inf/NaN probabilities. Scores must
-// stay finite and normalized and agree with a solve of the shifted per-arc
-// reference transition.
+// stay finite and normalized and agree with a solve of the reference
+// transition that blends with D2PR's shifted per-arc view at every source.
 func TestBlendedExtremeP(t *testing.T) {
 	g := blendTestGraph(t)
+	e := EngineFor(g)
 	conn := ConnectionStrength(g)
 	for _, beta := range []float64{0, 0.5} {
 		for _, p := range []float64{-300, -50, -8, 8, 50, 300} {
@@ -309,12 +334,11 @@ func TestBlendedExtremeP(t *testing.T) {
 			if math.Abs(sum-1) > 1e-9 {
 				t.Errorf("p=%g β=%g: scores sum to %v", p, beta, sum)
 			}
-			ref := &Transition{g: g, probs: make([]float64, g.NumArcs())}
-			decoupledProbs(g, p, logThetaTable(g), ref.probs)
-			for k := range ref.probs {
-				ref.probs[k] = beta*conn.Prob(int64(k)) + (1-beta)*ref.probs[k]
+			ref := append([]float64(nil), DegreeDecoupled(g, p).arcProbs()...)
+			for k := range ref {
+				ref[k] = beta*conn.Prob(int64(k)) + (1-beta)*ref[k]
 			}
-			want, err := Solve(ref, Options{})
+			want, err := solveArcs(e, ref, Options{}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -387,7 +411,7 @@ func TestDanglingTargetThetaClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []float64{-3, 3} {
-		if err := DegreeDecoupled(g, p).Validate(1e-12); err != nil {
+		if err := DegreeDecoupled(g, p).validate(1e-12); err != nil {
 			t.Errorf("p=%v: %v", p, err)
 		}
 	}
@@ -396,5 +420,165 @@ func TestDanglingTargetThetaClamp(t *testing.T) {
 	probs := DegreeDecoupled(g, 3).ProbsFrom(0)
 	if math.Abs(probs[0]-0.5) > 1e-12 || math.Abs(probs[1]-0.5) > 1e-12 {
 		t.Errorf("probs = %v, want equal split between Θ̂=1 destinations", probs)
+	}
+}
+
+// validateProbs checks that probs, one probability per CSR arc of g, is
+// column-stochastic: every node with out-arcs has probabilities summing to 1
+// within tol, and every probability is finite and non-negative.
+func validateProbs(g *graph.Graph, probs []float64, tol float64) error {
+	for u := int32(0); int(u) < g.NumNodes(); u++ {
+		lo, hi := g.ArcRange(u)
+		if hi == lo {
+			continue
+		}
+		var sum float64
+		for k := lo; k < hi; k++ {
+			p := probs[k]
+			if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
+				return fmt.Errorf("arc %d has invalid probability %v", k, p)
+			}
+			sum += p
+		}
+		if math.Abs(sum-1) > tol {
+			return fmt.Errorf("node %d out-probabilities sum to %v, want 1±%v", u, sum, tol)
+		}
+	}
+	return nil
+}
+
+// validate is validateProbs over t's forward-order view.
+func (t *Transition) validate(tol float64) error { return validateProbs(t.g, t.arcProbs(), tol) }
+
+// naivePow returns the D2PR probabilities in forward order, evaluated with
+// math.Pow and no log-space stabilization: the ablation partner of
+// DegreeDecoupled. On hub-heavy graphs with large |p| its row sums overflow
+// to ±Inf, or its terms to NaN, where the stable evaluation does not.
+func naivePow(g *graph.Graph, p float64) []float64 {
+	probs := make([]float64, g.NumArcs())
+	for u := int32(0); int(u) < g.NumNodes(); u++ {
+		lo, hi := g.ArcRange(u)
+		var sum float64
+		for k := lo; k < hi; k++ {
+			w := math.Pow(math.Max(g.WeightedDegree(g.ArcTarget(k)), 1), -p)
+			probs[k] = w
+			sum += w
+		}
+		inv := 1 / sum
+		for k := lo; k < hi; k++ {
+			probs[k] *= inv
+		}
+	}
+	return probs
+}
+
+// rowBuiltProbs is the per-source-row forward build that arcModel replaced,
+// kept as the reference whose arithmetic every forward view must reproduce
+// bit for bit. With blend false it is D2PR with every source shifted; with
+// blend true it is β·T_conn + (1−β)·T_D, staging the D2PR half in the output
+// row (the unshifted evaluation wherever factorScale's gate passes, the
+// shifted one elsewhere) and folding the connection half in place.
+func rowBuiltProbs(g *graph.Graph, p, beta float64, blend bool) []float64 {
+	n := g.NumNodes()
+	logTheta := make([]float64, n)
+	for v := range logTheta {
+		logTheta[v] = math.Log(math.Max(g.WeightedDegree(int32(v)), 1))
+	}
+	factor := make([]float64, n)
+	for v, lt := range logTheta {
+		factor[v] = math.Exp(-p * lt)
+	}
+	conn := rowBuiltConnection(g)
+	probs := make([]float64, g.NumArcs())
+	for u := int32(0); int(u) < n; u++ {
+		lo, hi := g.ArcRange(u)
+		if hi == lo {
+			continue
+		}
+		var sum float64
+		for k := lo; k < hi; k++ {
+			sum += factor[g.ArcTarget(k)]
+		}
+		if inv := 1 / sum; blend && sum > 0 && !math.IsInf(sum, 0) && !math.IsInf(inv, 0) {
+			for k := lo; k < hi; k++ {
+				probs[k] = factor[g.ArcTarget(k)] * inv
+			}
+		} else {
+			maxE := math.Inf(-1)
+			for k := lo; k < hi; k++ {
+				maxE = math.Max(maxE, -p*logTheta[g.ArcTarget(k)])
+			}
+			var wsum float64
+			for k := lo; k < hi; k++ {
+				w := math.Exp(-p*logTheta[g.ArcTarget(k)] - maxE)
+				probs[k] = w
+				wsum += w
+			}
+			winv := 1 / wsum
+			for k := lo; k < hi; k++ {
+				probs[k] *= winv
+			}
+		}
+		if !blend {
+			continue
+		}
+		for k := lo; k < hi; k++ {
+			probs[k] = beta*conn[k] + (1-beta)*probs[k]
+		}
+	}
+	return probs
+}
+
+// rowBuiltConnection is the per-row connection-strength build: w/Σw, or
+// 1/outdeg on a row whose weights sum to at most 0.
+func rowBuiltConnection(g *graph.Graph) []float64 {
+	probs := make([]float64, g.NumArcs())
+	for u := int32(0); int(u) < g.NumNodes(); u++ {
+		lo, hi := g.ArcRange(u)
+		var sum float64
+		for k := lo; k < hi; k++ {
+			sum += g.ArcWeight(k)
+		}
+		for k := lo; k < hi; k++ {
+			if sum <= 0 {
+				probs[k] = 1 / float64(hi-lo)
+			} else {
+				probs[k] = g.ArcWeight(k) / sum
+			}
+		}
+	}
+	return probs
+}
+
+// TestForwardViewsMatchRowBuilds pins every per-arc kind's forward-order
+// view to the per-row arithmetic it replaced, bit for bit: D2PR's shifted
+// view (factored and extreme p), β-blends, including ones where only some
+// sources take the shifted form, and weighted connection strength.
+func TestForwardViewsMatchRowBuilds(t *testing.T) {
+	gs := oracleGraphs(t)
+	gs["blend"] = blendTestGraph(t)
+	gs["powerlaw"] = powerLawGraph(t, 400, 6, 5)
+	for name, g := range gs {
+		same := func(what string, got, want []float64) {
+			t.Helper()
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("%s %s: arc %d = %v, row build %v", name, what, k, got[k], want[k])
+				}
+			}
+		}
+		if g.Weighted() {
+			same("connection", ConnectionStrength(g).arcProbs(), rowBuiltConnection(g))
+		}
+		for _, p := range []float64{-400, -300, -4, -1.5, 0.5, 2.5, 300, 400} {
+			same(fmt.Sprintf("d2pr(p=%g)", p), DegreeDecoupled(g, p).arcProbs(), rowBuiltProbs(g, p, 0, false))
+			for _, beta := range []float64{0.25, 0.5, 0.75} {
+				tr, err := Blended(g, p, beta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(fmt.Sprintf("blend(p=%g,β=%g)", p, beta), tr.arcProbs(), rowBuiltProbs(g, p, beta, true))
+			}
+		}
 	}
 }
