@@ -53,7 +53,8 @@ func requireCancelErr(t *testing.T, err error, wantProgress string) {
 // the engine must still solve: their pooled buffers were returned, not
 // leaked mid-solve.
 func TestSolveContextCancelsWithinOneIteration(t *testing.T) {
-	g := powerLawGraph(t, 500, 5, 7)
+	g := powerLawGraph(t, 4000, 5, 7)
+	requireHelpers(t, EngineFor(g))
 	blended, err := Blended(g, 1.2, 0.3)
 	if err != nil {
 		t.Fatal(err)

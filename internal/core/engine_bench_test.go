@@ -15,7 +15,9 @@ import (
 //   - CoreSolveCold vs CoreSolveWarm: the cost of re-transposing the graph
 //     on every solve (the seed behavior) vs reusing the cached engine.
 //   - CoreSolveWarmUniform: the implicit 1/outdeg path — no per-arc
-//     probability array is built, scattered, or read.
+//     probability array is built or read.
+//   - CoreSolveWarmBlended: a β = 0.5 blend, the per-arc path, whose solve
+//     builds its pull-order probabilities before it sweeps them.
 //   - CoreSolveWarmNoReorder: the identity-order ablation of the locality
 //     relabeling (same kernel, builder's node order).
 //   - CoreSweepSequential vs CoreSweepBlocked4/8: the cache-blocked
@@ -132,6 +134,29 @@ func BenchmarkCoreSolveWarmUniform(b *testing.B) {
 		if _, err := e.solve(context.Background(), tr, benchOpts, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+	reportNsPerArc(b, g.NumArcs(), benchOpts.MaxIter)
+}
+
+// BenchmarkCoreSolveWarmBlended measures a warm per-arc solve: a β = 0.5
+// blend at p = 1, transition construction and the pull-order probability
+// build included, so ns_per_arc carries the build's share of the solve.
+func BenchmarkCoreSolveWarmBlended(b *testing.B) {
+	g := benchGraph(b)
+	e := EngineFor(g)
+	solve := func() {
+		tr, err := Blended(g, 1, 0.5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.solve(context.Background(), tr, benchOpts, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	solve() // prime the pools
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solve()
 	}
 	reportNsPerArc(b, g.NumArcs(), benchOpts.MaxIter)
 }

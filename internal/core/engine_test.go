@@ -41,6 +41,33 @@ func powerLawGraph(t testing.TB, n, avgDeg int, seed int64) *graph.Graph {
 	return g
 }
 
+// withWeights returns a weighted copy of the directed graph g, with the same
+// arcs in the same order and the k-th out-arc of every node weighted
+// 0.5 + k mod 4.
+func withWeights(t testing.TB, g *graph.Graph) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(graph.Directed).Weighted().Duplicates(graph.DupAllow).EnsureNodes(g.NumNodes())
+	for u := int32(0); int(u) < g.NumNodes(); u++ {
+		for k, v := range g.Neighbors(u) {
+			b.AddWeightedEdge(u, v, 0.5+float64(k%4))
+		}
+	}
+	w, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// requireHelpers fails t unless e has at least two sweep blocks, so that a
+// solve on more than one worker starts at least one helper.
+func requireHelpers(t testing.TB, e *Engine) {
+	t.Helper()
+	if nb := len(e.blocks) - 1; nb < 2 {
+		t.Fatalf("the test graph has %d sweep block(s); its solves would start no helper", nb)
+	}
+}
+
 // solveWorkers solves t on its graph's cached engine with the given number
 // of sweep workers.
 func solveWorkers(t *Transition, opts Options, workers int) (*Result, error) {
@@ -139,10 +166,11 @@ func TestSerialParallelAgreePowerLaw(t *testing.T) {
 	}
 }
 
-// TestParallelSweepEmptyRanges: an in-star (everyone → node 0) puts almost
-// every arc into one destination row and yields fewer blocks than workers,
-// so most workers find no block to grab — they must be handled, not crash
-// or skew results.
+// TestParallelSweepEmptyRanges checks the clamp of the worker count to the
+// block count. An in-star (everyone → node 0) puts almost every arc into
+// one destination row and has one sweep block, so every requested count
+// from 4 to 200 must run as one worker, with no helper left waiting for a
+// block, and return the one-worker answer.
 func TestParallelSweepEmptyRanges(t *testing.T) {
 	const n = 120
 	b := graph.NewBuilder(graph.Directed).EnsureNodes(n)
@@ -301,11 +329,8 @@ func TestConcurrentEngineSolves(t *testing.T) {
 	g1 := powerLawGraph(t, 3000, 6, 10)
 	g2 := powerLawGraph(t, 2500, 6, 11)
 	e1, e2 := EngineFor(g1), EngineFor(g2)
-	for _, e := range []*Engine{e1, e2} {
-		if nb := len(e.blocks) - 1; nb < 2 {
-			t.Fatalf("a test graph has %d sweep block(s); its solves would start no helper", nb)
-		}
-	}
+	requireHelpers(t, e1)
+	requireHelpers(t, e2)
 	want1, err := e1.solve(context.Background(), Uniform(g1), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -436,13 +461,7 @@ func TestPerArcSolveAllocatesNoArcArray(t *testing.T) {
 	}
 	const n, avgDeg = 3000, 10
 	g := powerLawGraph(t, n, avgDeg, 13)
-	b := graph.NewBuilder(graph.Directed).Weighted().Duplicates(graph.DupAllow).EnsureNodes(n)
-	for u := int32(0); int(u) < n; u++ {
-		for k, v := range g.Neighbors(u) {
-			b.AddWeightedEdge(u, v, 0.5+float64(k%4))
-		}
-	}
-	weighted := b.MustBuild()
+	weighted := withWeights(t, g)
 	if m := g.NumArcs(); m < 8*n {
 		t.Fatalf("average degree %.1f, want ≥ 8", float64(m)/n)
 	}
@@ -496,13 +515,7 @@ func TestEngineStatsBytes(t *testing.T) {
 		t.Errorf("Connection on an unweighted graph moved Bytes from %d to %d", got, after)
 	}
 
-	b := graph.NewBuilder(graph.Directed).Weighted().Duplicates(graph.DupAllow).EnsureNodes(int(n))
-	for u := int32(0); int64(u) < n; u++ {
-		for k, v := range g.Neighbors(u) {
-			b.AddWeightedEdge(u, v, 1+float64(k%3))
-		}
-	}
-	weighted := b.MustBuild()
+	weighted := withWeights(t, g)
 	we := NewEngine(weighted)
 	if wb := we.Stats().Bytes; wb != got+8*m {
 		t.Errorf("weighted engine reports %d B, want the unweighted %d + 8·arcs = %d", wb, got, got+8*m)

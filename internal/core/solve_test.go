@@ -220,15 +220,17 @@ func TestPPRSeedValidation(t *testing.T) {
 }
 
 func TestParallelMatchesSequential(t *testing.T) {
+	const n = 2000
 	r := rand.New(rand.NewSource(11))
-	b := graph.NewBuilder(graph.Directed).EnsureNodes(200)
-	for i := 0; i < 2000; i++ {
-		u, v := int32(r.Intn(200)), int32(r.Intn(200))
+	b := graph.NewBuilder(graph.Directed).EnsureNodes(n)
+	for i := 0; i < 10*n; i++ {
+		u, v := int32(r.Intn(n)), int32(r.Intn(n))
 		if u != v {
 			b.AddEdge(u, v)
 		}
 	}
 	g := b.MustBuild()
+	requireHelpers(t, EngineFor(g))
 	tr := DegreeDecoupled(g, 1.5)
 	seq, err := solveWorkers(tr, Options{Tol: 1e-13}, 1)
 	if err != nil {

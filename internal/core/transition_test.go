@@ -352,10 +352,13 @@ func TestBlendedExtremeP(t *testing.T) {
 // TestBlendedConcurrentSolves: one engine must serve concurrent parallel
 // solves of distinct Blended transitions — the batch path runs a grid's
 // configurations this way — with every result matching the serial solve
-// bit for bit. Run with -race.
+// bit for bit. The graph is weighted and has several sweep blocks, so the
+// solves' helpers race over the engine's connection table and its pooled
+// pull-order buffers. Run with -race.
 func TestBlendedConcurrentSolves(t *testing.T) {
-	g := blendTestGraph(t)
+	g := withWeights(t, powerLawGraph(t, 3000, 6, 15))
 	e := NewEngine(g)
+	requireHelpers(t, e)
 	type config struct{ p, beta float64 }
 	var configs []config
 	for _, p := range []float64{-1, 0, 0.5, 1, 2, 3} {

@@ -23,8 +23,10 @@
 #   BASE=<sha> RUNS=20 BENCHTIME=1x THRESHOLD_PCT=10 scripts/bench_guard.sh
 #
 # BASE is any commit-ish; it is required. Guarded benches: the warm serving
-# path (factored d2pr transition) and the implicit-uniform path. Cold-solve
-# and parallel-sweep benches are excluded — their times are dominated by
+# path (factored d2pr transition), the implicit-uniform path, and the
+# per-arc path (a β = 0.5 blend, its pull-order build included). A bench
+# that exists on one side only is reported as skipped. Cold-solve and
+# parallel-sweep benches are excluded — their times are dominated by
 # allocation and scheduling, which swing too much to gate on.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,7 +36,7 @@ RUNS="${RUNS:-20}"
 BENCHTIME="${BENCHTIME:-1x}"
 THRESHOLD_PCT="${THRESHOLD_PCT:-10}"
 
-GUARDED='^BenchmarkCoreSolveWarm(|Uniform)$'
+GUARDED='^BenchmarkCoreSolveWarm(|Uniform|Blended)$'
 
 tmp="$(mktemp -d)"
 cleanup() {
