@@ -6,11 +6,11 @@ import "context"
 // below opts.Tol or opts.MaxIter iterations elapse. The returned score
 // vector sums to 1 (up to floating-point rounding).
 //
-// The pull topology (transpose, dangling set, arc permutation) comes from
-// the per-graph engine cache (see EngineFor): the first solve over a graph
-// pays the O(m) transpose, repeat solves only scatter transition
-// probabilities — and uniform transitions skip even that, running entirely
-// off the cached 1/outdeg table.
+// The pull topology (transpose, dangling set, and on a weighted graph the
+// pull-order connection table) comes from the per-graph engine cache (see
+// EngineFor): the first solve over a graph pays the O(m) transpose, and
+// repeat solves build at most their per-arc probabilities in pull order —
+// uniform, factored and connection-strength transitions not even that.
 func Solve(t *Transition, opts Options) (*Result, error) {
 	return SolveContext(context.Background(), t, opts)
 }

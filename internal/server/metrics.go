@@ -233,6 +233,10 @@ func (s *Server) writeServerFamilies(p *telemetry.PromWriter) {
 	for _, row := range engines {
 		p.Sample("d2pr_engine_blocks", row.lbl, float64(row.stats.Blocks))
 	}
+	p.Family("d2pr_engine_bytes", "gauge", "Bytes held by the engine's retained tables, pooled solve scratch excluded.")
+	for _, row := range engines {
+		p.Sample("d2pr_engine_bytes", row.lbl, float64(row.stats.Bytes))
+	}
 
 	p.Family("d2pr_panics_total", "counter", "Recovered panics across handlers, jobs, and compute closures.")
 	p.Sample("d2pr_panics_total", nil, float64(s.tel.Panics()))

@@ -320,6 +320,52 @@ func TestMetricsPrometheusScrape(t *testing.T) {
 	}
 }
 
+// TestEngineBytesReported: once a solve has built a graph's engine, its
+// retained bytes appear as `bytes` in the engine block of /info and as
+// d2pr_engine_bytes{graph} in the Prometheus exposition, with one value; a
+// graph whose engine was never built has neither.
+func TestEngineBytesReported(t *testing.T) {
+	_, ts := multiServer(t)
+	getJSON(t, ts.URL+"/v1/alpha/rank?p=1", nil)
+	var info GraphInfo
+	if code := getJSON(t, ts.URL+"/v1/alpha/info", &info); code != http.StatusOK {
+		t.Fatalf("info: %d", code)
+	}
+	if info.Engine == nil || info.Engine.Bytes <= 0 {
+		t.Fatalf("info engine = %+v, want positive bytes", info.Engine)
+	}
+	var betaInfo GraphInfo
+	if code := getJSON(t, ts.URL+"/v1/beta/info", &betaInfo); code != http.StatusOK || betaInfo.Engine != nil {
+		t.Fatalf("beta info: %d, engine %+v, want no engine block", code, betaInfo.Engine)
+	}
+
+	req, _ := http.NewRequest("GET", ts.URL+"/metrics", nil)
+	req.Header.Set("Accept", "text/plain")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	fams, err := promtext.Parse(buf.Bytes())
+	if err != nil {
+		t.Fatalf("scrape does not parse: %v\n%s", err, buf.String())
+	}
+	fam, ok := promtext.Find(fams, "d2pr_engine_bytes")
+	if !ok || fam.Type != "gauge" {
+		t.Fatalf("d2pr_engine_bytes = %+v, want a gauge", fam)
+	}
+	got := map[string]float64{}
+	for _, smp := range fam.Samples {
+		g, _ := smp.Get("graph")
+		got[g] = smp.Value
+	}
+	if len(got) != 1 || got["alpha"] != float64(info.Engine.Bytes) {
+		t.Errorf("d2pr_engine_bytes samples = %v, want alpha = %d only", got, info.Engine.Bytes)
+	}
+}
+
 // TestMetricsJSONShape checks the enriched JSON exposition: client_closed,
 // per-route percentiles, and the per-graph solves block.
 func TestMetricsJSONShape(t *testing.T) {
