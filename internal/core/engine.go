@@ -444,8 +444,8 @@ func (e *Engine) flowOf(t *Transition) flow {
 			return flow{rowFactor: t.rowFactor, srcScale: t.srcScale}
 		}
 		rfp, ssp := e.getN(), e.getN()
-		e.permuteFactors(*rfp, *ssp, t)
-		return flow{rowFactor: *rfp, srcScale: *ssp, rowFactorBuf: rfp, srcScaleBuf: ssp}
+		return flow{rowFactor: permuted(t.rowFactor, e.permOf, *rfp), srcScale: permuted(t.srcScale, e.permOf, *ssp),
+			rowFactorBuf: rfp, srcScaleBuf: ssp}
 	}
 	pp := e.getM()
 	e.buildArcFlow(*pp, t)
@@ -509,15 +509,6 @@ func (f flow) release(e *Engine) {
 	if f.rowFactorBuf != nil {
 		e.putN(f.rowFactorBuf)
 		e.putN(f.srcScaleBuf)
-	}
-}
-
-// permuteFactors copies t's factored tables into the engine's permuted id
-// space. Only called on relabeled engines.
-func (e *Engine) permuteFactors(rf, ss []float64, t *Transition) {
-	for v, pv := range e.permOf {
-		rf[pv] = t.rowFactor[v]
-		ss[pv] = t.srcScale[v]
 	}
 }
 

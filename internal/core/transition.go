@@ -20,7 +20,7 @@ import (
 // a pull-order array it builds per solve from per-node tables, or, for
 // connection strength, reads from its own pull-order table. The forward-order
 // view, one probability per CSR arc, is built on first use, only for callers
-// that read probabilities (Prob, ProbsFrom, the samplers, the push).
+// that read probabilities (Prob, ProbsFrom, the push).
 type Transition struct {
 	g    *graph.Graph
 	kind transitionKind
@@ -329,8 +329,9 @@ func Blended(g *graph.Graph, p, beta float64) (*Transition, error) {
 // The D2PR half of arc u→v is factor[v]·inv[u] when u passes factorScale's
 // gate (blends only; maxE[u] is then +Inf), and the shifted evaluation
 // exp(−p·log Θ̂(v) − maxE[u])·inv[u] otherwise (see shiftedScale). The
-// expressions, and the order of each row sum, are those of the per-row
-// builds they replace, so every probability is unchanged.
+// expressions and the order of each row sum must match the per-row
+// reference builds in the tests bit for bit
+// (TestForwardViewsMatchRowBuilds), so that answers do not move.
 type arcModel struct {
 	p, beta float64
 	blend   bool
