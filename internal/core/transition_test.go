@@ -480,7 +480,9 @@ func naivePow(g *graph.Graph, p float64) []float64 {
 // bit for bit. With blend false it is D2PR with every source shifted; with
 // blend true it is β·T_conn + (1−β)·T_D, staging the D2PR half in the output
 // row (the unshifted evaluation wherever factorScale's gate passes, the
-// shifted one elsewhere) and folding the connection half in place.
+// shifted one elsewhere) and folding the connection half in place. It rounds
+// each product before the following add or subtract, as arcModel.prob does,
+// so that no platform fuses the pair into one FMA on one side only.
 func rowBuiltProbs(g *graph.Graph, p, beta float64, blend bool) []float64 {
 	n := g.NumNodes()
 	logTheta := make([]float64, n)
@@ -513,7 +515,7 @@ func rowBuiltProbs(g *graph.Graph, p, beta float64, blend bool) []float64 {
 			}
 			var wsum float64
 			for k := lo; k < hi; k++ {
-				w := math.Exp(-p*logTheta[g.ArcTarget(k)] - maxE)
+				w := math.Exp(float64(-p*logTheta[g.ArcTarget(k)]) - maxE)
 				probs[k] = w
 				wsum += w
 			}
@@ -526,7 +528,7 @@ func rowBuiltProbs(g *graph.Graph, p, beta float64, blend bool) []float64 {
 			continue
 		}
 		for k := lo; k < hi; k++ {
-			probs[k] = beta*conn[k] + (1-beta)*probs[k]
+			probs[k] = float64(beta*conn[k]) + float64((1-beta)*probs[k])
 		}
 	}
 	return probs
@@ -582,6 +584,63 @@ func TestForwardViewsMatchRowBuilds(t *testing.T) {
 				}
 				same(fmt.Sprintf("blend(p=%g,β=%g)", p, beta), tr.arcProbs(), rowBuiltProbs(g, p, beta, true))
 			}
+		}
+	}
+}
+
+// TestOverflowingOutWeight: the graph builder accepts any finite weight, so
+// a node's out-weight sum can overflow to Θ = +Inf, and then log Θ̂ = +Inf.
+// At p < 0 that node's D2PR factor is +Inf: the factored form is refused,
+// and every row that reaches the node has a shifted evaluation with shift
+// +Inf, whose probabilities are NaN, as in the row build. Building, reading
+// and solving these transitions, at β = 0 and in a blend, must not panic,
+// and every view must be the row build, NaN for NaN and bit for bit
+// elsewhere.
+func TestOverflowingOutWeight(t *testing.T) {
+	b := graph.NewBuilder(graph.Undirected).Weighted()
+	b.AddWeightedEdge(0, 1, 1e308)
+	b.AddWeightedEdge(0, 2, 1e308)
+	for i := int32(1); i < 12; i++ {
+		b.AddWeightedEdge(i, i+1, 1)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if th := g.WeightedDegree(0); !math.IsInf(th, 1) {
+		t.Fatalf("Θ(0) = %v, want +Inf", th)
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	for _, beta := range []float64{0, 0.5} {
+		tr, err := Blended(g, -1, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.kind == kindFactored {
+			t.Fatalf("β=%g: an infinite factor was factored", beta)
+		}
+		want := rowBuiltProbs(g, -1, beta, beta > 0)
+		for u := int32(0); int(u) < g.NumNodes(); u++ {
+			lo, _ := g.ArcRange(u)
+			for i, got := range tr.ProbsFrom(u) {
+				if !same(got, want[lo+int64(i)]) {
+					t.Fatalf("β=%g: ProbsFrom(%d)[%d] = %v, row build %v", beta, u, i, got, want[lo+int64(i)])
+				}
+			}
+		}
+		for _, e := range []*Engine{NewEngine(g), newEngineIdentity(g)} {
+			f := e.flowOf(tr)
+			for pos, w := range pullOrder(e, want) {
+				if !same(f.probs[pos], w) {
+					t.Fatalf("β=%g reordered=%v: pull position %d = %v, row build %v", beta, e.permOf != nil, pos, f.probs[pos], w)
+				}
+			}
+			f.release(e)
+		}
+		if _, err := Solve(tr, Options{MaxIter: 5}); err != nil {
+			t.Fatalf("β=%g: %v", beta, err)
 		}
 	}
 }
