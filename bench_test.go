@@ -15,6 +15,7 @@
 package d2pr_test
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -88,7 +89,7 @@ func BenchmarkAblationTeleport(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			best = -1
 			for _, p := range []float64{0.5, 1, 1.5, 2} {
-				res, err := core.D2PR(g, p, opts)
+				res, err := core.Rank(g, core.Params{P: p, Options: opts})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -169,14 +170,14 @@ func BenchmarkAblationBaselines(b *testing.B) {
 		})
 	}
 	run("d2pr-p1", func() ([]float64, error) {
-		res, err := core.D2PR(g, 1, core.Options{Tol: 1e-8})
+		res, err := core.Rank(g, core.Params{P: 1, Options: core.Options{Tol: 1e-8}})
 		if err != nil {
 			return nil, err
 		}
 		return res.Scores, nil
 	})
 	run("pagerank", func() ([]float64, error) {
-		res, err := core.PageRank(g, core.Options{Tol: 1e-8})
+		res, err := core.Rank(g, core.Params{Beta: 1, Options: core.Options{Tol: 1e-8}})
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +185,7 @@ func BenchmarkAblationBaselines(b *testing.B) {
 	})
 	run("degree", func() ([]float64, error) { return core.DegreeCentrality(g), nil })
 	run("hits-auth", func() ([]float64, error) {
-		res, err := core.HITS(g, core.Options{Tol: 1e-8})
+		res, err := core.HITS(context.Background(), g, core.Options{Tol: 1e-8})
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +211,7 @@ func BenchmarkSolvePageRank(b *testing.B) {
 	b.ReportMetric(float64(g.NumArcs()), "arcs")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.PageRank(g, core.Options{Tol: 1e-8}); err != nil {
+		if _, err := core.Rank(g, core.Params{Beta: 1, Options: core.Options{Tol: 1e-8}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,12 +243,12 @@ func BenchmarkSolveWarmEngine(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := d.Unweighted()
-	if _, err := core.PageRank(g, core.Options{Tol: 1e-8}); err != nil {
+	if _, err := core.Rank(g, core.Params{Beta: 1, Options: core.Options{Tol: 1e-8}}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.PageRank(g, core.Options{Tol: 1e-8}); err != nil {
+		if _, err := core.Rank(g, core.Params{Beta: 1, Options: core.Options{Tol: 1e-8}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -273,7 +274,7 @@ func BenchmarkSpearman(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := d.Unweighted()
-	res, err := core.PageRank(g, core.Options{Tol: 1e-8})
+	res, err := core.Rank(g, core.Params{Beta: 1, Options: core.Options{Tol: 1e-8}})
 	if err != nil {
 		b.Fatal(err)
 	}

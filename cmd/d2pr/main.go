@@ -117,7 +117,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err := core.PersonalizedPageRank(g, seedList, opts)
+		res, err := d2pr.Rank(g, d2pr.Params{Beta: 1, Seeds: seedList, Options: opts})
 		if err != nil {
 			return err
 		}

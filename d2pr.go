@@ -18,7 +18,10 @@
 //	p < 0  boosts high-degree destinations.
 //
 // For weighted graphs, a second parameter β blends conventional
-// connection-strength transitions with the degree-de-coupled ones.
+// connection-strength transitions with the degree-de-coupled ones, and a
+// seed set personalizes the teleport vector. Rank is the one entry point:
+// PageRank, D2PR, the β-blend and personalized PageRank are all Params
+// values.
 //
 // # Quick start
 //
@@ -26,8 +29,10 @@
 //		AddEdge(0, 1).AddEdge(0, 2).AddEdge(1, 2).AddEdge(2, 3).
 //		Build()
 //	...
-//	res, err := d2pr.Rank(g, d2pr.Params{P: 0.5})       // D2PR with p = 0.5
-//	conv, err := d2pr.Rank(g, d2pr.Params{})            // conventional PageRank
+//	res, err := d2pr.Rank(g, d2pr.Params{P: 0.5})                 // D2PR with p = 0.5
+//	conv, err := d2pr.Rank(g, d2pr.Params{})                      // conventional PageRank
+//	conn, err := d2pr.Rank(g, d2pr.Params{Beta: 1})               // connection strength on weighted graphs
+//	ppr, err := d2pr.Rank(g, d2pr.Params{Beta: 1, Seeds: []int32{0}}) // personalized PageRank
 //	rho := d2pr.Spearman(res.Scores, conv.Scores)
 //
 // Everything deeper — transitions, baselines, synthetic datasets, the
@@ -36,8 +41,8 @@
 package d2pr
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"math"
 
 	"d2pr/internal/core"
@@ -68,6 +73,10 @@ type (
 
 // Ranking types.
 type (
+	// Params selects a member of the D2PR family for Rank: the de-coupling
+	// weight p, the connection-strength blend β, optional teleport seeds and
+	// the solver Options.
+	Params = core.Params
 	// Options configures the power-iteration solver (α, tolerance,
 	// iteration cap, teleport vector).
 	Options = core.Options
@@ -94,66 +103,14 @@ func FromWeighted(kind Kind, edges []WeightedEdge) (*Graph, error) {
 // standard deviation of neighbors' degrees from the paper's Table 3.
 func ComputeStats(g *Graph) Stats { return graph.ComputeStats(g) }
 
-// Params selects a member of the D2PR family for Rank.
-type Params struct {
-	// P is the degree de-coupling weight. 0 (with Beta 0) is conventional
-	// PageRank on unweighted graphs.
-	P float64
-	// Beta blends connection strength (β) with degree de-coupling (1-β) on
-	// weighted graphs; it must lie in [0, 1]. On unweighted graphs β only
-	// interpolates between two identical transitions when P = 0.
-	Beta float64
-	// Seeds, when non-empty, personalizes the teleport vector uniformly
-	// over the given nodes (PPR-style contextualization).
-	Seeds []int32
-	// Options tunes the solver (α, tolerance, iteration cap). Zero values
-	// mean the documented defaults (α = 0.85, tol = 1e-10, 500 iterations).
-	Options Options
-}
-
-// Rank computes a D2PR-family ranking of g: D2PRBlended at params.P and
-// params.Beta, with the teleport personalized when Seeds is set.
-//
-//   - Params{} is conventional PageRank on an unweighted graph. On a weighted
-//     graph it is D2PR at p = 0, which ignores the weights; Params{Beta: 1}
-//     is connection-strength PageRank there.
-//   - Params{P: p} is the paper's D2PR with full de-coupling.
-//   - Params{P: p, Beta: b} is the weighted blend of §3.2.3.
-//   - Params{Seeds: ...} personalizes any of the above.
-func Rank(g *Graph, params Params) (*Result, error) {
-	opts := params.Options
-	if len(params.Seeds) > 0 {
-		tele := make([]float64, g.NumNodes())
-		for _, s := range params.Seeds {
-			if s < 0 || int(s) >= g.NumNodes() {
-				return nil, fmt.Errorf("d2pr: seed %d out of range [0, %d)", s, g.NumNodes())
-			}
-			tele[s] = 1
-		}
-		opts.Teleport = tele
-	}
-	return core.D2PRBlended(g, params.P, params.Beta, opts)
-}
-
-// PageRank computes conventional PageRank (weighted graphs use connection
-// strength).
-func PageRank(g *Graph, opts Options) (*Result, error) { return core.PageRank(g, opts) }
-
-// D2PR computes degree de-coupled PageRank with weight p (full de-coupling).
-func D2PR(g *Graph, p float64, opts Options) (*Result, error) { return core.D2PR(g, p, opts) }
-
-// D2PRBlended computes the weighted β-blend of §3.2.3.
-func D2PRBlended(g *Graph, p, beta float64, opts Options) (*Result, error) {
-	return core.D2PRBlended(g, p, beta, opts)
-}
-
-// PersonalizedPageRank computes seed-teleport PPR.
-func PersonalizedPageRank(g *Graph, seeds []int32, opts Options) (*Result, error) {
-	return core.PersonalizedPageRank(g, seeds, opts)
-}
+// Rank computes a D2PR-family ranking of g; see core.Rank for what each
+// Params shape selects.
+func Rank(g *Graph, params Params) (*Result, error) { return core.Rank(g, params) }
 
 // HITS runs Kleinberg's hubs-and-authorities fixpoint.
-func HITS(g *Graph, opts Options) (*HITSResult, error) { return core.HITS(g, opts) }
+func HITS(g *Graph, opts Options) (*HITSResult, error) {
+	return core.HITS(context.Background(), g, opts)
+}
 
 // DegreeCentrality returns degree/(n-1) for every node.
 func DegreeCentrality(g *Graph) []float64 { return core.DegreeCentrality(g) }
@@ -200,7 +157,7 @@ func OptimalP(g *Graph, significance []float64, lo, hi, step float64, opts Optio
 	}
 	bestRho = math.Inf(-1)
 	for p := lo; p <= hi+1e-12; p += step {
-		res, err := core.D2PR(g, p, opts)
+		res, err := core.Rank(g, core.Params{P: p, Options: opts})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -3,6 +3,8 @@ package d2pr
 import (
 	"math"
 	"testing"
+
+	"d2pr/internal/core"
 )
 
 func fig1(t *testing.T) *Graph {
@@ -22,7 +24,7 @@ func TestRankDefaultIsPageRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PageRank(g, Options{})
+	b, err := core.Solve(core.ConnectionStrength(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestRankWithP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := D2PR(g, 2, Options{})
+	b, err := core.Solve(core.DegreeDecoupled(g, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,11 @@ func TestRankWithBeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := D2PRBlended(g, 1, 0.5, Options{})
+	blend, err := core.Blended(g, 1, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.Solve(blend, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +95,7 @@ func TestRankWithSeeds(t *testing.T) {
 		t.Error("seeding node 5 must raise its score")
 	}
 	_, err = Rank(g, Params{Seeds: []int32{42}})
-	if want := "d2pr: seed 42 out of range [0, 6)"; err == nil || err.Error() != want {
+	if want := "core: seed 42 out of range [0, 6)"; err == nil || err.Error() != want {
 		t.Errorf("out-of-range seed: err %v, want %q", err, want)
 	}
 	if _, err := Rank(g, Params{Seeds: []int32{-1}}); err == nil {
@@ -137,7 +143,7 @@ func TestRankDefaultWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2pr0, err := D2PR(g, 0, Options{})
+	d2pr0, err := core.Solve(core.DegreeDecoupled(g, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +151,7 @@ func TestRankDefaultWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := PageRank(g, Options{})
+	pr, err := core.Solve(core.ConnectionStrength(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +171,7 @@ func TestRankDefaultWeighted(t *testing.T) {
 
 func TestDegreeCorrelation(t *testing.T) {
 	g := fig1(t)
-	res, err := PageRank(g, Options{})
+	res, err := Rank(g, Params{Beta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +179,7 @@ func TestDegreeCorrelation(t *testing.T) {
 	if rho < 0.8 {
 		t.Errorf("PageRank degree coupling = %v, want strong", rho)
 	}
-	pen, err := D2PR(g, 2, Options{})
+	pen, err := Rank(g, Params{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +257,7 @@ func TestFacadeHelpers(t *testing.T) {
 	if err != nil || len(h.Authorities) != 6 {
 		t.Errorf("HITS: %v", err)
 	}
-	ppr, err := PersonalizedPageRank(g, []int32{0}, Options{})
+	ppr, err := Rank(g, Params{Beta: 1, Seeds: []int32{0}})
 	if err != nil || len(ppr.Scores) != 6 {
 		t.Errorf("PPR: %v", err)
 	}

@@ -37,7 +37,7 @@ func main() {
 
 	fmt.Printf("%-6s %-22s %-22s\n", "p", "corr(D2PR, citations)", "corr(D2PR, quality)")
 	for _, p := range []float64{-2, -1, 0, 0.5, 1, 2} {
-		res, err := d2pr.D2PR(g, p, d2pr.Options{})
+		res, err := d2pr.Rank(g, d2pr.Params{P: p})
 		if err != nil {
 			log.Fatal(err)
 		}

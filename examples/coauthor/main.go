@@ -34,7 +34,7 @@ func main() {
 		// Sweep p at the default α.
 		fmt.Printf("%-6s %s\n", "p", "corr(D2PR, significance)")
 		for _, p := range []float64{-2, -1, 0, 1, 2} {
-			res, err := d2pr.D2PR(g, p, d2pr.Options{})
+			res, err := d2pr.Rank(g, d2pr.Params{P: p})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -53,7 +53,7 @@ func main() {
 		for _, alpha := range []float64{0.5, 0.7, 0.85, 0.9} {
 			fmt.Printf("%-8.2f", alpha)
 			for _, p := range ps {
-				res, err := d2pr.D2PR(g, p, d2pr.Options{Alpha: alpha})
+				res, err := d2pr.Rank(g, d2pr.Params{P: p, Options: d2pr.Options{Alpha: alpha}})
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -30,7 +30,7 @@ func main() {
 	fmt.Printf("significance: %s\n\n", data.SignificanceMeaning)
 
 	// 1. Conventional PageRank is degree-coupled.
-	pr, err := d2pr.PageRank(g, d2pr.Options{})
+	pr, err := d2pr.Rank(g, d2pr.Params{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func main() {
 	fmt.Printf("optimal de-coupling weight: p = %.1f (corr = %+.3f)\n\n", bestP, bestRho)
 
 	// 3. Compare the top-10 recommendations.
-	dec, err := d2pr.D2PR(g, bestP, d2pr.Options{})
+	dec, err := d2pr.Rank(g, d2pr.Params{P: bestP})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func main() {
 	for _, beta := range []float64{0, 0.25, 0.5, 0.75, 1} {
 		fmt.Printf("%-8.2f", beta)
 		for _, p := range ps {
-			res, err := d2pr.D2PRBlended(g, p, beta, d2pr.Options{})
+			res, err := d2pr.Rank(g, d2pr.Params{P: p, Beta: beta})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"d2pr/internal/dataset/rng"
@@ -228,13 +229,13 @@ func CentralityByName(g *graph.Graph, name string, opts Options) ([]float64, err
 	case "eigenvector":
 		return EigenvectorCentrality(g, opts)
 	case "hits":
-		h, err := HITS(g, opts)
+		h, err := HITS(context.Background(), g, opts)
 		if err != nil {
 			return nil, err
 		}
 		return h.Authorities, nil
 	case "pagerank":
-		r, err := PageRank(g, opts)
+		r, err := Rank(g, Params{Beta: 1, Options: opts})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -133,7 +135,7 @@ func TestHITSStar(t *testing.T) {
 		b.AddEdge(v, 0)
 	}
 	g := b.MustBuild()
-	h, err := HITS(g, Options{})
+	h, err := HITS(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestHITSStar(t *testing.T) {
 
 func TestHITSUndirectedMatchesEigenvector(t *testing.T) {
 	g := skewedGraph(120, 13)
-	h, err := HITS(g, Options{Tol: 1e-12})
+	h, err := HITS(context.Background(), g, Options{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +171,7 @@ func TestHITSUndirectedMatchesEigenvector(t *testing.T) {
 }
 
 func TestHITSEmpty(t *testing.T) {
-	if _, err := HITS(graph.NewBuilder(graph.Directed).MustBuild(), Options{}); err != ErrEmptyGraph {
+	if _, err := HITS(context.Background(), graph.NewBuilder(graph.Directed).MustBuild(), Options{}); err != ErrEmptyGraph {
 		t.Errorf("err = %v, want ErrEmptyGraph", err)
 	}
 }
@@ -192,5 +194,19 @@ func TestCentralityByName(t *testing.T) {
 	}
 	if _, err := CentralityByName(g, "nope", Options{}); err == nil {
 		t.Error("unknown centrality must error")
+	}
+}
+
+// TestHITSCancelsWithinOneRound: HITS polls ctx at the top of every round, so
+// an Err() that flips on poll k aborts it with exactly k-1 completed rounds
+// and the context's error, as the power-iteration solves do.
+func TestHITSCancelsWithinOneRound(t *testing.T) {
+	g := powerLawGraph(t, 500, 5, 7)
+	for _, flipAt := range []int64{1, 4} {
+		res, err := HITS(errAfter(flipAt), g, Options{MaxIter: 50, Tol: 1e-300})
+		requireCancelErr(t, err, fmt.Sprintf("after %d/50 iterations", flipAt-1))
+		if res != nil {
+			t.Fatalf("flip=%d: cancelled HITS returned a result", flipAt)
+		}
 	}
 }

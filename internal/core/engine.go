@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -547,6 +548,10 @@ func (e *Engine) putM(p *[]float64) { e.mbuf.Put(p) }
 // abandoned mid-block. The check is one atomic-free ctx.Err() call against
 // an iteration that sweeps every arc; its cost on the warm path is measured
 // by BenchmarkCoreSolveCancelOverhead (<1%).
+//
+// A NaN residual ends the solve with an error: once a probability or a score
+// is not finite (weights whose sums overflow, or an extreme p), every later
+// iterate is NaN too, and returning it would hand out NaN scores.
 func powerSolve(ctx context.Context, e *Engine, probs, rowFactor, srcScale []float64, opts Options, workers int) (*Result, error) {
 	n := e.n
 	telep := e.getN()
@@ -592,10 +597,10 @@ func powerSolve(ctx context.Context, e *Engine, probs, rowFactor, srcScale []flo
 
 	res := &Result{}
 	solveStart := time.Now()
-	var cancelErr error
+	var abortErr error
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		if err := ctx.Err(); err != nil {
-			cancelErr = fmt.Errorf("core: solve aborted after %d/%d iterations: %w", res.Iterations, opts.MaxIter, err)
+			abortErr = fmt.Errorf("core: solve aborted after %d/%d iterations: %w", res.Iterations, opts.MaxIter, err)
 			break
 		}
 		// Mass on dangling nodes flows back through the teleport
@@ -612,6 +617,10 @@ func powerSolve(ctx context.Context, e *Engine, probs, rowFactor, srcScale []flo
 		for _, d := range diffs {
 			diff += d
 		}
+		if math.IsNaN(diff) {
+			abortErr = fmt.Errorf("core: solve diverged: residual is NaN after %d/%d iterations", iter, opts.MaxIter)
+			break
+		}
 
 		cur, next = next, cur
 		scaled, nextScaled = nextScaled, scaled
@@ -623,7 +632,7 @@ func powerSolve(ctx context.Context, e *Engine, probs, rowFactor, srcScale []flo
 		}
 	}
 	res.Elapsed = time.Since(solveStart)
-	if cancelErr == nil {
+	if abortErr == nil {
 		// Exact renormalization guards against drift over hundreds of
 		// iterations; materialization also translates back to original ids.
 		res.Scores = materializeScores(cur, e.permOf)
@@ -641,8 +650,8 @@ func powerSolve(ctx context.Context, e *Engine, probs, rowFactor, srcScale []flo
 		e.putN(scaledp)
 		e.putN(nextScaledp)
 	}
-	if cancelErr != nil {
-		return nil, cancelErr
+	if abortErr != nil {
+		return nil, abortErr
 	}
 	return res, nil
 }

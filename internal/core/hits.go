@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 
 	"d2pr/internal/graph"
@@ -25,7 +27,11 @@ type HITSResult struct {
 // HITS has neither. On undirected graphs hubs and authorities coincide with
 // the principal eigenvector of the adjacency (eigenvector centrality), which
 // is the baseline role it plays here.
-func HITS(g *graph.Graph, opts Options) (*HITSResult, error) {
+//
+// ctx is polled once per round; a cancelled or expired context aborts the
+// fixpoint with the context's error wrapped in round progress, as for the
+// power-iteration solves.
+func HITS(ctx context.Context, g *graph.Graph, opts Options) (*HITSResult, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, ErrEmptyGraph
@@ -45,6 +51,9 @@ func HITS(g *graph.Graph, opts Options) (*HITSResult, error) {
 	}
 	res := &HITSResult{}
 	for iter := 1; iter <= opts.MaxIter; iter++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: HITS aborted after %d/%d iterations: %w", res.Iterations, opts.MaxIter, err)
+		}
 		// auth update: push hub mass along arcs.
 		for i := range newAuth {
 			newAuth[i] = 0

@@ -103,7 +103,7 @@ func TestIsolatedNodeGetsTeleportShare(t *testing.T) {
 		b.AddEdge(i, (i+1)%8)
 	}
 	g := b.MustBuild() // nodes 8, 9 isolated
-	res, err := PageRank(g, Options{})
+	res, err := Solve(ConnectionStrength(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,56 +7,58 @@ import (
 	"d2pr/internal/graph"
 )
 
-// PageRank computes conventional PageRank scores: uniform transitions for
-// unweighted graphs, connection-strength transitions for weighted graphs
-// (the paper's β = 1 case). It is exactly D2PR with p = 0 on unweighted
-// graphs.
-func PageRank(g *graph.Graph, opts Options) (*Result, error) {
-	return Solve(ConnectionStrength(g), opts)
+// Params selects a member of the D2PR family for Rank.
+type Params struct {
+	// P is the degree de-coupling weight. 0 (with Beta 0) is conventional
+	// PageRank on unweighted graphs.
+	P float64
+	// Beta blends connection strength (β) with degree de-coupling (1-β) on
+	// weighted graphs; it must lie in [0, 1]. On unweighted graphs β only
+	// interpolates between two identical transitions when P = 0.
+	Beta float64
+	// Seeds, when non-empty, personalizes the teleport vector uniformly
+	// over the given nodes (PPR-style contextualization); a node listed
+	// twice counts once. It replaces Options.Teleport.
+	Seeds []int32
+	// Options tunes the solver (α, tolerance, iteration cap). Zero values
+	// mean the documented defaults (α = 0.85, tol = 1e-10, 500 iterations).
+	Options Options
 }
 
-// D2PR computes the paper's degree de-coupled PageRank with de-coupling
-// weight p on the (unweighted or weighted) graph g, with full de-coupling
-// (β = 0): transition probabilities depend only on destination degrees Θ.
+// Rank computes a D2PR-family ranking of g: power iteration on
+// Blended(g, params.P, params.Beta), with the teleport personalized when
+// Seeds is set. The paper's transition is T = β·T_conn + (1-β)·T_D at
+// de-coupling weight p (§3.2.3), so every ranker of the family is one Params
+// value:
 //
-//   - p > 0 penalizes high-degree destinations (Application Group A),
-//   - p = 0 reproduces classic unweighted PageRank (Group B),
-//   - p < 0 boosts high-degree destinations (Group C).
-func D2PR(g *graph.Graph, p float64, opts Options) (*Result, error) {
-	return D2PRBlended(g, p, 0, opts)
-}
-
-// D2PRBlended computes weighted-graph D2PR per §3.2.3 of the paper:
-// transitions are β·T_conn + (1-β)·T_D. β = 0 is full de-coupling, β = 1 is
-// conventional weighted PageRank.
-func D2PRBlended(g *graph.Graph, p, beta float64, opts Options) (*Result, error) {
-	t, err := Blended(g, p, beta)
+//   - Params{} is conventional PageRank on an unweighted graph. On a weighted
+//     graph it is D2PR at p = 0, which ignores the weights; Params{Beta: 1}
+//     is connection-strength PageRank there.
+//   - Params{P: p} is the paper's D2PR with full de-coupling: p > 0
+//     penalizes high-degree destinations (Application Group A), p = 0
+//     reproduces classic unweighted PageRank (Group B), and p < 0 boosts
+//     high-degree destinations (Group C).
+//   - Params{P: p, Beta: b} is the weighted blend of §3.2.3.
+//   - Params{Beta: 1, Seeds: s} is personalized PageRank; Seeds personalizes
+//     any of the above.
+func Rank(g *graph.Graph, params Params) (*Result, error) {
+	opts := params.Options
+	if len(params.Seeds) > 0 {
+		n := g.NumNodes()
+		tele := make([]float64, n)
+		for _, s := range params.Seeds {
+			if s < 0 || int(s) >= n {
+				return nil, fmt.Errorf("core: seed %d out of range [0, %d)", s, n)
+			}
+			tele[s] = 1
+		}
+		opts.Teleport = tele
+	}
+	t, err := Blended(g, params.P, params.Beta)
 	if err != nil {
 		return nil, err
 	}
 	return Solve(t, opts)
-}
-
-// PersonalizedPageRank computes PPR with the teleport distribution
-// concentrated uniformly on the seed nodes. Duplicate seeds are counted
-// once. An empty seed set is an error.
-func PersonalizedPageRank(g *graph.Graph, seeds []int32, opts Options) (*Result, error) {
-	n := g.NumNodes()
-	if n == 0 {
-		return nil, ErrEmptyGraph
-	}
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("core: personalized PageRank needs at least one seed")
-	}
-	tele := make([]float64, n)
-	for _, s := range seeds {
-		if s < 0 || int(s) >= n {
-			return nil, fmt.Errorf("core: seed %d out of range [0, %d)", s, n)
-		}
-		tele[s] = 1
-	}
-	opts.Teleport = tele
-	return Solve(ConnectionStrength(g), opts)
 }
 
 // DegreeBiasedTeleport computes PageRank with an unchanged (conventional)
@@ -68,30 +70,22 @@ func PersonalizedPageRank(g *graph.Graph, seeds []int32, opts Options) (*Result,
 //
 // It is the ablation partner of D2PR: same goal, different lever.
 func DegreeBiasedTeleport(g *graph.Graph, q float64, opts Options) (*Result, error) {
-	n := g.NumNodes()
-	if n == 0 {
-		return nil, ErrEmptyGraph
-	}
 	if math.IsNaN(q) || math.IsInf(q, 0) {
 		return nil, fmt.Errorf("core: invalid teleport bias q = %v", q)
 	}
 	// Build t(v) ∝ exp(-q log Θ̂(v)) in log-space, like the transition.
-	logTheta := make([]float64, n)
+	logTheta := make([]float64, g.NumNodes())
+	fillLogTheta(g, logTheta)
 	maxE := math.Inf(-1)
-	for v := 0; v < n; v++ {
-		th := g.WeightedDegree(int32(v))
-		if th < 1 {
-			th = 1
-		}
-		logTheta[v] = math.Log(th)
-		if e := -q * logTheta[v]; e > maxE {
+	for _, lt := range logTheta {
+		if e := -q * lt; e > maxE {
 			maxE = e
 		}
 	}
-	tele := make([]float64, n)
-	for v := 0; v < n; v++ {
-		tele[v] = math.Exp(-q*logTheta[v] - maxE)
+	tele := make([]float64, len(logTheta))
+	for v, lt := range logTheta {
+		tele[v] = math.Exp(-q*lt - maxE)
 	}
 	opts.Teleport = tele
-	return Solve(ConnectionStrength(g), opts)
+	return Rank(g, Params{Beta: 1, Options: opts})
 }

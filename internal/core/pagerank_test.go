@@ -52,7 +52,7 @@ func TestD2PRDegreeCouplingTable2(t *testing.T) {
 	top := stats.TopK(deg, 1)[0]
 	rankAt := map[float64]int{}
 	for _, p := range []float64{-2, 0, 2} {
-		res, err := D2PR(g, p, Options{Tol: 1e-11})
+		res, err := Rank(g, Params{P: p, Options: Options{Tol: 1e-11}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +69,11 @@ func TestD2PRDegreeCouplingTable2(t *testing.T) {
 	}
 	// Conventional PageRank must be strongly degree-coupled (Table 1), and
 	// penalization must weaken that coupling substantially.
-	r0, err := D2PR(g, 0, Options{Tol: 1e-11})
+	r0, err := Rank(g, Params{Options: Options{Tol: 1e-11}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := D2PR(g, 2, Options{Tol: 1e-11})
+	r2, err := Rank(g, Params{P: 2, Options: Options{Tol: 1e-11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestD2PRDegreeCouplingTable2(t *testing.T) {
 
 func TestD2PRZeroMatchesPageRankUnweighted(t *testing.T) {
 	g := skewedGraph(150, 6)
-	a, err := D2PR(g, 0, Options{Tol: 1e-13})
+	a, err := Rank(g, Params{Options: Options{Tol: 1e-13}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PageRank(g, Options{Tol: 1e-13})
+	b, err := Solve(ConnectionStrength(g), Options{Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestD2PRZeroMatchesPageRankUnweighted(t *testing.T) {
 func TestD2PRInvalidP(t *testing.T) {
 	g := skewedGraph(20, 7)
 	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := D2PR(g, p, Options{}); err == nil {
+		if _, err := Rank(g, Params{P: p}); err == nil {
 			t.Errorf("p=%v: want error", p)
 		}
 	}
@@ -121,11 +121,11 @@ func TestD2PRBlendedWeighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// β=1 equals conventional weighted PageRank.
-	b1, err := D2PRBlended(g, 2, 1, Options{Tol: 1e-13})
+	b1, err := Rank(g, Params{P: 2, Beta: 1, Options: Options{Tol: 1e-13}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv, err := PageRank(g, Options{Tol: 1e-13})
+	conv, err := Solve(ConnectionStrength(g), Options{Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +134,10 @@ func TestD2PRBlendedWeighted(t *testing.T) {
 			t.Fatalf("β=1 must be conventional: node %d %v vs %v", i, b1.Scores[i], conv.Scores[i])
 		}
 	}
-	if _, err := D2PRBlended(g, 1, 2, Options{}); err == nil {
+	if _, err := Rank(g, Params{P: 1, Beta: 2}); err == nil {
 		t.Error("β=2 must error")
 	}
-	if _, err := D2PRBlended(g, math.NaN(), 0.5, Options{}); err == nil {
+	if _, err := Rank(g, Params{P: math.NaN(), Beta: 0.5}); err == nil {
 		t.Error("NaN p must error")
 	}
 }
@@ -145,7 +145,7 @@ func TestD2PRBlendedWeighted(t *testing.T) {
 func TestDegreeBiasedTeleport(t *testing.T) {
 	g := skewedGraph(300, 9)
 	deg := degreesOf(g)
-	plain, err := PageRank(g, Options{Tol: 1e-11})
+	plain, err := Rank(g, Params{Beta: 1, Options: Options{Tol: 1e-11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,5 +219,54 @@ func TestWeightedD2PRUsesTheta(t *testing.T) {
 	want1 := (1.0 / 11) / (1.0/11 + 0.5)
 	if math.Abs(p1-want1) > 1e-12 {
 		t.Errorf("P(0→1) = %v, want %v", p1, want1)
+	}
+}
+
+// TestRankMatchesSolve pins Rank to the solve each Params shape stands for:
+// on an unweighted and a weighted graph, it returns the scores, iteration
+// count and residual of Solve on the named transition, bit for bit.
+func TestRankMatchesSolve(t *testing.T) {
+	const p, beta = 1.5, 0.4
+	opts := Options{Tol: 1e-12}
+	for name, g := range map[string]*graph.Graph{
+		"unweighted": skewedGraph(200, 3),
+		"weighted":   withWeights(t, powerLawGraph(t, 300, 5, 3)),
+	} {
+		blend, err := Blended(g, p, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tele := make([]float64, g.NumNodes())
+		tele[1], tele[3] = 1, 1
+		for _, c := range []struct {
+			name   string
+			params Params
+			tr     *Transition
+			tele   []float64
+		}{
+			{"connection", Params{Beta: 1}, ConnectionStrength(g), nil},
+			{"decoupled", Params{P: p}, DegreeDecoupled(g, p), nil},
+			{"blend", Params{P: p, Beta: beta}, blend, nil},
+			{"seeded", Params{Beta: 1, Seeds: []int32{3, 1, 3}}, ConnectionStrength(g), tele},
+		} {
+			c.params.Options = opts
+			got, err := Rank(g, c.params)
+			if err != nil {
+				t.Fatalf("%s/%s: Rank: %v", name, c.name, err)
+			}
+			want, err := Solve(c.tr, Options{Tol: opts.Tol, Teleport: c.tele})
+			if err != nil {
+				t.Fatalf("%s/%s: Solve: %v", name, c.name, err)
+			}
+			if got.Iterations != want.Iterations || math.Float64bits(got.Residual) != math.Float64bits(want.Residual) {
+				t.Fatalf("%s/%s: %d iterations, residual %v; Solve: %d, %v",
+					name, c.name, got.Iterations, got.Residual, want.Iterations, want.Residual)
+			}
+			for i := range got.Scores {
+				if math.Float64bits(got.Scores[i]) != math.Float64bits(want.Scores[i]) {
+					t.Fatalf("%s/%s: score[%d] = %v, Solve %v", name, c.name, i, got.Scores[i], want.Scores[i])
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"d2pr/internal/graph"
 )
@@ -39,48 +40,45 @@ func computeOrder(g *graph.Graph) []int32 {
 	if n < 2 {
 		return nil
 	}
-	m := int64(g.NumArcs())
-
-	// Transient in-adjacency (counting-sort transpose in original id space);
-	// released when this function returns.
-	inOff := make([]int64, n+1)
-	for k := int64(0); k < m; k++ {
-		inOff[g.ArcTarget(k)+1]++
+	// An undirected graph stores every edge both ways, so its out-arcs are
+	// its in-arcs; only a directed graph needs the transpose, released when
+	// this function returns.
+	var in *graph.Graph
+	if g.Directed() {
+		in = graph.Transpose(g)
 	}
-	for v := 0; v < n; v++ {
-		inOff[v+1] += inOff[v]
-	}
-	inSrc := make([]int32, m)
-	cursor := make([]int64, n)
-	copy(cursor, inOff[:n])
-	deg := make([]int64, n) // total degree: out + in arc endpoints
-	for u := int32(0); int(u) < n; u++ {
-		lo, hi := g.ArcRange(u)
-		deg[u] += hi - lo
-		for k := lo; k < hi; k++ {
-			v := g.ArcTarget(k)
-			inSrc[cursor[v]] = u
-			cursor[v]++
-			deg[v]++
+	deg := make([]int, n) // total degree, up to a factor of 2 when undirected
+	for u := range deg {
+		deg[u] = g.Degree(int32(u))
+		if in != nil {
+			deg[u] += in.Degree(int32(u))
 		}
 	}
-
-	// Seed scan order: degree descending, id ascending on ties.
+	// Degree descending, id ascending on ties: a total order, so the
+	// result does not depend on the sort algorithm.
+	byDegree := func(a, b int32) int {
+		if c := cmp.Compare(deg[b], deg[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
 	seeds := make([]int32, n)
 	for i := range seeds {
 		seeds[i] = int32(i)
 	}
-	sort.Slice(seeds, func(i, j int) bool {
-		a, b := seeds[i], seeds[j]
-		if deg[a] != deg[b] {
-			return deg[a] > deg[b]
-		}
-		return a < b
-	})
+	slices.SortFunc(seeds, byDegree)
 
 	visited := make([]bool, n)
 	origOf := make([]int32, 0, n)
 	var nbuf []int32 // per-expansion scratch for the degree-sorted frontier
+	visit := func(vs []int32) {
+		for _, v := range vs {
+			if !visited[v] {
+				visited[v] = true
+				nbuf = append(nbuf, v)
+			}
+		}
+	}
 	head := 0
 	for _, s := range seeds {
 		if !visited[s] {
@@ -91,38 +89,19 @@ func computeOrder(g *graph.Graph) []int32 {
 			u := origOf[head]
 			head++
 			nbuf = nbuf[:0]
-			for _, v := range g.Neighbors(u) {
-				if !visited[v] {
-					visited[v] = true
-					nbuf = append(nbuf, v)
-				}
+			visit(g.Neighbors(u))
+			if in != nil {
+				visit(in.Neighbors(u))
 			}
-			for k := inOff[u]; k < inOff[u+1]; k++ {
-				if v := inSrc[k]; !visited[v] {
-					visited[v] = true
-					nbuf = append(nbuf, v)
-				}
-			}
-			sort.Slice(nbuf, func(i, j int) bool {
-				a, b := nbuf[i], nbuf[j]
-				if deg[a] != deg[b] {
-					return deg[a] > deg[b]
-				}
-				return a < b
-			})
+			slices.SortFunc(nbuf, byDegree)
 			origOf = append(origOf, nbuf...)
 		}
 	}
 
-	identity := true
 	for i, v := range origOf {
 		if int32(i) != v {
-			identity = false
-			break
+			return origOf
 		}
 	}
-	if identity {
-		return nil
-	}
-	return origOf
+	return nil
 }

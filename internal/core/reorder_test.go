@@ -1,10 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
 
+	"d2pr/internal/dataset"
 	"d2pr/internal/graph"
 )
 
@@ -55,6 +58,51 @@ func TestComputeOrderDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("repeat runs disagree at position %d: %d vs %d", i, a[i], b[i])
+		}
+	}
+}
+
+// TestComputeOrderPinned pins the permutation itself, as an FNV-64a digest
+// of origOf, on the scale-1 paper graphs, on directed graphs (hub-biased,
+// and one with dangling and isolated nodes) and on a Barabási–Albert graph
+// of many sweep blocks. The order is a layout choice that answers do not
+// see, but an engine's build cost and its sweeps' locality do, so a change
+// to it should be deliberate.
+func TestComputeOrderPinned(t *testing.T) {
+	digest := func(origOf []int32) uint64 {
+		h := fnv.New64a()
+		for _, v := range origOf {
+			h.Write(binary.LittleEndian.AppendUint32(nil, uint32(v)))
+		}
+		return h.Sum64()
+	}
+	want := map[string]uint64{
+		"imdb-movie-movie":             0xbc60702aebd75fe5,
+		"imdb-actor-actor":             0x945dd8d1006a5bfd,
+		"dblp-article-article":         0x260583c8e8f083d9,
+		"dblp-author-author":           0xde92eb98b9774fb5,
+		"lastfm-listener-listener":     0x0d5cd4b43534a5d9,
+		"lastfm-artist-artist":         0x9a922da6fb302a21,
+		"epinions-commenter-commenter": 0xdfa765f9f3c49e95,
+		"epinions-product-product":     0x2b660814053555a5,
+		"powerlaw-directed":            0xc94560207c7aded5,
+		"dangling-directed":            0xe243468b7c3bae05,
+		"barabasi-albert":              0xf007c0bbfb7eccb5,
+	}
+	graphs := map[string]*graph.Graph{
+		"powerlaw-directed": powerLawGraph(t, 20000, 5, 23),
+		"dangling-directed": reorderTestGraphs(t)["dangling"],
+		"barabasi-albert":   dataset.BarabasiAlbert(30000, 5, 42),
+	}
+	for _, d := range dataset.AllGraphs(dataset.Config{Scale: 1}) {
+		graphs[d.Name] = d.Weighted
+	}
+	if nb := len(NewEngine(graphs["barabasi-albert"]).blocks) - 1; nb < 8 {
+		t.Fatalf("the Barabási–Albert graph has %d sweep blocks, want several", nb)
+	}
+	for name, g := range graphs {
+		if got := digest(computeOrder(g)); got != want[name] {
+			t.Errorf("%s: order digest %#x, want %#x", name, got, want[name])
 		}
 	}
 }

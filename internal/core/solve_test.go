@@ -26,7 +26,7 @@ func TestPageRankTwoNodeAnalytic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alpha := range []float64{0.5, 0.85, 0.99} {
-		res, err := PageRank(g, Options{Alpha: alpha})
+		res, err := Solve(ConnectionStrength(g), Options{Alpha: alpha})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestPageRankDirectedCycleUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := PageRank(g, Options{})
+	res, err := Solve(ConnectionStrength(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestPageRankStarAnalytic(t *testing.T) {
 		b.AddEdge(v, 0)
 	}
 	g := b.MustBuild()
-	res, err := PageRank(g, Options{Alpha: 0.85, Tol: 1e-14})
+	res, err := Solve(ConnectionStrength(g), Options{Alpha: 0.85, Tol: 1e-14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestScoresSumToOneProperty(t *testing.T) {
 			}
 		}
 		g := b.MustBuild()
-		res, err := D2PR(g, p, Options{Tol: 1e-12})
+		res, err := Rank(g, Params{P: p, Options: Options{Tol: 1e-12}})
 		if err != nil {
 			return false
 		}
@@ -146,7 +146,7 @@ func TestScoresSumToOneProperty(t *testing.T) {
 
 func TestSolveEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(graph.Undirected).MustBuild()
-	if _, err := PageRank(g, Options{}); err != ErrEmptyGraph {
+	if _, err := Rank(g, Params{}); err != ErrEmptyGraph {
 		t.Errorf("err = %v, want ErrEmptyGraph", err)
 	}
 }
@@ -170,7 +170,7 @@ func TestOptionsValidation(t *testing.T) {
 		{Teleport: []float64{math.NaN(), 1}}, // invalid entry
 	}
 	for _, opts := range cases {
-		if _, err := PageRank(g, opts); err == nil {
+		if _, err := Rank(g, Params{Options: opts}); err == nil {
 			t.Errorf("opts %+v: want error", opts)
 		}
 	}
@@ -183,7 +183,7 @@ func TestTeleportPersonalizationMovesMass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := PersonalizedPageRank(g, []int32{0}, Options{})
+	res, err := Rank(g, Params{Beta: 1, Seeds: []int32{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTeleportPersonalizationMovesMass(t *testing.T) {
 		t.Errorf("seed %v must outrank distance-2 node %v", res.Scores[0], res.Scores[2])
 	}
 	// Against the uniform-teleport baseline, the seed side must gain mass.
-	base, err := PageRank(g, Options{})
+	base, err := Solve(ConnectionStrength(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +211,10 @@ func TestTeleportPersonalizationMovesMass(t *testing.T) {
 
 func TestPPRSeedValidation(t *testing.T) {
 	g, _ := graph.FromEdges(graph.Undirected, [][2]int32{{0, 1}})
-	if _, err := PersonalizedPageRank(g, nil, Options{}); err == nil {
-		t.Error("empty seeds must error")
-	}
-	if _, err := PersonalizedPageRank(g, []int32{7}, Options{}); err == nil {
-		t.Error("out-of-range seed must error")
+	for _, seeds := range [][]int32{{7}, {0, -1}} {
+		if _, err := Rank(g, Params{Beta: 1, Seeds: seeds}); err == nil {
+			t.Errorf("seeds %v: out-of-range seed must error", seeds)
+		}
 	}
 }
 
@@ -249,7 +248,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestConvergenceDiagnostics(t *testing.T) {
 	g, _ := graph.FromEdges(graph.Undirected, [][2]int32{{0, 1}, {1, 2}})
-	res, err := PageRank(g, Options{MaxIter: 2, Tol: 1e-15})
+	res, err := Solve(ConnectionStrength(g), Options{MaxIter: 2, Tol: 1e-15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +258,7 @@ func TestConvergenceDiagnostics(t *testing.T) {
 	if res.Iterations != 2 {
 		t.Errorf("iterations = %d, want 2", res.Iterations)
 	}
-	res2, err := PageRank(g, Options{})
+	res2, err := Solve(ConnectionStrength(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +271,7 @@ func TestAlphaZeroIsTeleportOnly(t *testing.T) {
 	// α is the zero value's sentinel, so pass an explicit tiny alpha: with
 	// α≈0 every node's score approaches its teleport probability.
 	g, _ := graph.FromEdges(graph.Undirected, [][2]int32{{0, 1}, {1, 2}})
-	res, err := PageRank(g, Options{Alpha: 1e-12})
+	res, err := Solve(ConnectionStrength(g), Options{Alpha: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +289,7 @@ func TestDanglingMassConserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := PageRank(g, Options{})
+	res, err := Solve(ConnectionStrength(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

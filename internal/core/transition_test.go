@@ -639,8 +639,36 @@ func TestOverflowingOutWeight(t *testing.T) {
 			}
 			f.release(e)
 		}
-		if _, err := Solve(tr, Options{MaxIter: 5}); err != nil {
-			t.Fatalf("β=%g: %v", beta, err)
+		if res, err := Solve(tr, Options{MaxIter: 5}); err == nil {
+			t.Fatalf("β=%g: solve returned %v without an error, want its NaN residual reported", beta, res.Scores)
+		}
+	}
+}
+
+// TestSolveNaNResidualErrors: finite weights at a finite but extreme p give
+// the same non-finite probabilities as an overflowing out-weight. On a
+// graph with two arcs of weight 1e8, p = ±1e307 makes −p·log Θ̂ overflow, and
+// every score turns NaN within a few iterations. The solve must return an
+// error then, not NaN scores after MaxIter iterations.
+func TestSolveNaNResidualErrors(t *testing.T) {
+	b := graph.NewBuilder(graph.Undirected).Weighted()
+	b.AddWeightedEdge(0, 1, 1e8)
+	b.AddWeightedEdge(0, 2, 1e8)
+	for i := int32(1); i < 12; i++ {
+		b.AddWeightedEdge(i, i+1, 1)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []float64{-1e307, 1e307} {
+		for _, beta := range []float64{0, 0.5} {
+			res, err := Rank(g, Params{P: p, Beta: beta})
+			if err == nil {
+				t.Errorf("p=%g β=%g: no error, scores %v", p, beta, res.Scores)
+			} else if !strings.Contains(err.Error(), "NaN") {
+				t.Errorf("p=%g β=%g: error %q does not name the NaN residual", p, beta, err)
+			}
 		}
 	}
 }

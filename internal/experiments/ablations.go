@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"d2pr/internal/core"
@@ -42,7 +43,7 @@ func Ablations(r *Runner) (*Result, error) {
 		return nil
 	}
 	for _, p := range []float64{0.5, 1, 1.5} {
-		dec, err := core.D2PR(g, p, opts)
+		dec, err := core.Rank(g, core.Params{P: p, Options: opts})
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +60,7 @@ func Ablations(r *Runner) (*Result, error) {
 			return nil, err
 		}
 	}
-	pr, err := core.PageRank(g, opts)
+	pr, err := core.Rank(g, core.Params{Beta: 1, Options: opts})
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +70,7 @@ func Ablations(r *Runner) (*Result, error) {
 	if err := addRow("degree centrality", core.DegreeCentrality(g)); err != nil {
 		return nil, err
 	}
-	hits, err := core.HITS(g, opts)
+	hits, err := core.HITS(context.Background(), g, opts)
 	if err != nil {
 		return nil, err
 	}

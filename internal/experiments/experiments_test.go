@@ -258,7 +258,7 @@ func TestBetaFigureEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := []float64{-2, 0, 2}
-	rhos, err := r.BlendedSweep(d.Weighted, d.Significance, DefaultAlpha, 1.0, ps)
+	rhos, err := r.Sweep(d.Weighted, d.Significance, DefaultAlpha, 1.0, ps)
 	if err != nil {
 		t.Fatal(err)
 	}

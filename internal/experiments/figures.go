@@ -72,7 +72,7 @@ func groupFigure(r *Runner, id, title string, names []string, expect string) (*R
 			return nil, err
 		}
 		g := d.Unweighted()
-		rhos, err := r.CorrelationSweep(g, d.Significance, DefaultAlpha, ps)
+		rhos, err := r.Sweep(g, d.Significance, DefaultAlpha, 0, ps)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -182,7 +182,7 @@ func alphaFigure(r *Runner, id, title string, names []string) (*Result, error) {
 		series := make([][]float64, len(alphas))
 		for ai, alpha := range alphas {
 			cols = append(cols, fmt.Sprintf("rho@alpha=%.2f", alpha))
-			series[ai], err = r.CorrelationSweep(g, d.Significance, alpha, ps)
+			series[ai], err = r.Sweep(g, d.Significance, alpha, 0, ps)
 			if err != nil {
 				return nil, fmt.Errorf("%s alpha=%v: %w", name, alpha, err)
 			}
@@ -235,7 +235,7 @@ func betaFigure(r *Runner, id, title string, names []string) (*Result, error) {
 		series := make([][]float64, len(betas))
 		for bi, beta := range betas {
 			cols = append(cols, fmt.Sprintf("rho@beta=%.2f", beta))
-			series[bi], err = r.BlendedSweep(g, d.Significance, DefaultAlpha, beta, ps)
+			series[bi], err = r.Sweep(g, d.Significance, DefaultAlpha, beta, ps)
 			if err != nil {
 				return nil, fmt.Errorf("%s beta=%v: %w", name, beta, err)
 			}

@@ -83,48 +83,18 @@ func (r *Runner) solverOpts(alpha float64) core.Options {
 	return core.Options{Alpha: alpha, Tol: r.Tol}
 }
 
-// D2PRCorrelation computes Spearman's ρ between D2PR scores (de-coupling
-// weight p, residual probability α) on g and the significance vector.
-func (r *Runner) D2PRCorrelation(g *graph.Graph, sig []float64, p, alpha float64) (float64, error) {
-	res, err := core.D2PR(g, p, r.solverOpts(alpha))
-	if err != nil {
-		return 0, err
-	}
-	return stats.Spearman(res.Scores, sig), nil
-}
-
-// BlendedCorrelation is D2PRCorrelation for the weighted β-blend of §3.2.3.
-func (r *Runner) BlendedCorrelation(g *graph.Graph, sig []float64, p, beta, alpha float64) (float64, error) {
-	res, err := core.D2PRBlended(g, p, beta, r.solverOpts(alpha))
-	if err != nil {
-		return 0, err
-	}
-	return stats.Spearman(res.Scores, sig), nil
-}
-
-// CorrelationSweep evaluates ρ(D2PR, significance) for every p in ps.
-func (r *Runner) CorrelationSweep(g *graph.Graph, sig []float64, alpha float64, ps []float64) ([]float64, error) {
+// Sweep evaluates Spearman's ρ between the significance vector and the
+// D2PR ranking of g (residual probability α, blend β) for every p in ps.
+// β = 0 is the paper's full de-coupling, on any graph; 0 < β ≤ 1 mixes in
+// connection strength on a weighted one (§3.2.3).
+func (r *Runner) Sweep(g *graph.Graph, sig []float64, alpha, beta float64, ps []float64) ([]float64, error) {
 	out := make([]float64, len(ps))
 	for i, p := range ps {
-		rho, err := r.D2PRCorrelation(g, sig, p, alpha)
-		if err != nil {
-			return nil, fmt.Errorf("p=%v: %w", p, err)
-		}
-		out[i] = rho
-	}
-	return out, nil
-}
-
-// BlendedSweep evaluates ρ(blended D2PR, significance) for every p in ps at
-// a fixed β.
-func (r *Runner) BlendedSweep(g *graph.Graph, sig []float64, alpha, beta float64, ps []float64) ([]float64, error) {
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		rho, err := r.BlendedCorrelation(g, sig, p, beta, alpha)
+		res, err := core.Rank(g, core.Params{P: p, Beta: beta, Options: r.solverOpts(alpha)})
 		if err != nil {
 			return nil, fmt.Errorf("p=%v beta=%v: %w", p, beta, err)
 		}
-		out[i] = rho
+		out[i] = stats.Spearman(res.Scores, sig)
 	}
 	return out, nil
 }

@@ -26,7 +26,7 @@ func Table1(r *Runner) (*Result, error) {
 			return nil, err
 		}
 		g := d.Unweighted()
-		res, err := core.PageRank(g, r.solverOpts(DefaultAlpha))
+		res, err := core.Rank(g, core.Params{Beta: 1, Options: r.solverOpts(DefaultAlpha)})
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +62,7 @@ func Table2(r *Runner) (*Result, error) {
 	ps := []float64{-4, -2, 0, 2, 4}
 	ranks := make([][]int, len(ps))
 	for i, p := range ps {
-		res, err := core.D2PR(g, p, r.solverOpts(DefaultAlpha))
+		res, err := core.Rank(g, core.Params{P: p, Options: r.solverOpts(DefaultAlpha)})
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"d2pr/internal/core"
+	"d2pr/internal/dataset"
 	"d2pr/internal/graph"
 	"d2pr/internal/rankcache"
 	"d2pr/internal/rankspec"
@@ -263,6 +265,54 @@ func TestCancelMidSweep(t *testing.T) {
 	}
 	if _, err := m.Cancel("job-999999"); !errors.Is(err, ErrUnknownJob) {
 		t.Errorf("unknown cancel err = %v", err)
+	}
+}
+
+// TestCancelStopsHITSRow: cancelling a job stops its running HITS row at
+// HITS's next context poll; the row's solve ends with the context error,
+// counted as a solve error, instead of finishing in the background. On the
+// test graph HITS takes 446 rounds to converge (1.6 s on a 2-vCPU Xeon); the
+// bound allows ten rounds, and at least 200 ms.
+func TestCancelStopsHITSRow(t *testing.T) {
+	g := dataset.BarabasiAlbert(100000, 2, 1)
+	start := time.Now()
+	if _, err := core.HITS(context.Background(), g, core.Options{MaxIter: 1}); err != nil {
+		t.Fatal(err)
+	}
+	bound := max(200*time.Millisecond, 10*time.Since(start))
+	reg := registry.New()
+	if err := reg.AddGraph("ba", g, nil); err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.NewRegistry()
+	m, _ := testManager(t, reg, Options{Workers: 1, Telemetry: tel})
+	started := make(chan struct{}, 1)
+	m.hookBeforeRow = func(int) { started <- struct{}{} }
+	st, err := m.Submit(SweepSpec{Graph: "ba", Algo: rankspec.AlgoHITS}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	time.Sleep(bound / 4) // let HITS run a few rounds
+	cancelled := time.Now()
+	if _, err := m.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if gs := tel.GraphSummaries(); len(gs) == 1 && gs[0].Solves+gs[0].SolveErrors > 0 {
+			if gs[0].SolveErrors != 1 || gs[0].Solves != 0 {
+				t.Fatalf("the cancelled HITS row ended with %d solves, %d errors; want 0 and 1", gs[0].Solves, gs[0].SolveErrors)
+			}
+			break
+		}
+		if time.Since(cancelled) > bound {
+			t.Fatalf("the cancelled HITS row still ran %v after the cancel", bound)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("HITS row stopped %v after the cancel (bound %v)", time.Since(cancelled), bound)
+	if final := waitTerminal(t, m, st.ID); final.State != StateCancelled {
+		t.Fatalf("state = %s, want cancelled", final.State)
 	}
 }
 

@@ -535,8 +535,8 @@ func (m *Manager) List() []Status {
 
 // Cancel requests cancellation of a running job. Queued configurations and
 // those already solving land as skipped rows at once; a solve no other
-// request waits for stops at its solver's next context poll (HITS and degree
-// centrality do not poll and finish in the background). Cancelling a
+// request waits for stops at its solver's next context poll, once per
+// iteration (degree centrality does not poll, and is O(n)). Cancelling a
 // finished job is a no-op; the returned status reflects the job at call
 // time.
 func (m *Manager) Cancel(id string) (Status, error) {

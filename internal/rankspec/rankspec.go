@@ -194,9 +194,9 @@ func isFinite(f float64) bool {
 // Compute runs the configured algorithm on the snapshot's graph. Power-
 // iteration algorithms run through the snapshot's cached engine, so a cache
 // miss re-solves but never re-transposes the graph. ctx bounds the solve:
-// power-iteration algorithms poll it once per iteration and abort with the
-// context's error (HITS and degree centrality ignore it — the former is an
-// ablation path, the latter is O(n) and cheaper than a solve iteration).
+// power iteration and HITS poll it once per iteration and abort with the
+// context's error (degree centrality ignores it: it is O(n), cheaper than
+// one solve iteration).
 func (s Spec) Compute(ctx context.Context, snap *registry.Snapshot) ([]float64, error) {
 	scores, _, err := s.ComputeStats(ctx, snap)
 	return scores, err
@@ -264,7 +264,7 @@ func (s Spec) ComputeStats(ctx context.Context, snap *registry.Snapshot) ([]floa
 		st.Solve = time.Since(solveStart)
 		return res.Scores, st, nil
 	case AlgoHITS:
-		res, err := core.HITS(g, opts)
+		res, err := core.HITS(ctx, g, opts)
 		if err != nil {
 			return nil, st, err
 		}

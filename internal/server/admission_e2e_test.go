@@ -5,13 +5,18 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"d2pr/internal/core"
+	"d2pr/internal/dataset"
+	"d2pr/internal/graph"
 	"d2pr/internal/registry"
 )
 
@@ -190,6 +195,90 @@ func TestRequestTimeout(t *testing.T) {
 	}
 	if m.DeadlineExceeded != 1 {
 		t.Errorf("deadline_exceeded = %d, want 1", m.DeadlineExceeded)
+	}
+}
+
+// TestHITSMissFreesSlotAtDeadline: a HITS miss whose deadline expires
+// answers 504 and frees the graph's one admission slot at HITS's next
+// context poll, so a pagerank miss right after it gets the slot instead of a
+// 429. On the test graph HITS takes 446 rounds to converge (1.6 s on a
+// 2-vCPU Xeon); the bound allows ten rounds, and at least 200 ms.
+func TestHITSMissFreesSlotAtDeadline(t *testing.T) {
+	g := dataset.BarabasiAlbert(100000, 2, 1)
+	start := time.Now()
+	if _, err := core.HITS(context.Background(), g, core.Options{MaxIter: 1}); err != nil {
+		t.Fatal(err)
+	}
+	bound := max(200*time.Millisecond, 10*time.Since(start))
+	reg := registry.New()
+	if err := reg.AddGraph("ba", g, nil); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewMulti(reg, Config{CacheSize: 8, MaxConcurrent: 1, MaxQueue: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeServer(t, s)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	if resp, _ := getRank(t, ts.URL+"/v1/ba/topk?algo=hits&k=3&timeout=100ms"); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("hits miss: %d, want 504", resp.StatusCode)
+	}
+	timedOut := time.Now()
+	for {
+		sent := time.Now()
+		resp, _ := getRank(t, ts.URL+"/v1/ba/topk?algo=pagerank&k=3")
+		if resp.StatusCode != http.StatusTooManyRequests {
+			if resp.StatusCode != 200 {
+				t.Fatalf("pagerank miss: %d, want 200", resp.StatusCode)
+			}
+			t.Logf("the slot was free %v after the 504 (bound %v)", sent.Sub(timedOut), bound)
+			break
+		}
+		if sent.Sub(timedOut) > bound {
+			t.Fatalf("the HITS miss still held the slot %v after its 504", bound)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestNaNSolveIsAnUncachedError: a finite p can still make the transition
+// non-finite — at p = −1e308, −p·log Θ̂ overflows on every node of degree 7
+// or more — and the solve then reports its NaN residual instead of
+// returning NaN scores. The request gets a JSON 500, and since errors are
+// not cached, its repeat is a miss again, not a hit on a NaN ranking.
+func TestNaNSolveIsAnUncachedError(t *testing.T) {
+	b := graph.NewBuilder(graph.Undirected)
+	for leaf := int32(1); leaf <= 8; leaf++ {
+		b.AddEdge(0, leaf).AddEdge(leaf, leaf%8+1)
+	}
+	reg := registry.New()
+	if err := reg.AddGraph("hub", b.MustBuild(), nil); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewMulti(reg, Config{CacheSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeServer(t, s)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for i := 0; i < 2; i++ {
+		var body errorBody
+		if code := getJSON(t, ts.URL+"/v1/hub/topk?k=3&p=-1e308", &body); code != http.StatusInternalServerError {
+			t.Fatalf("request %d: status %d, want 500", i, code)
+		}
+		if !strings.Contains(body.Error, "NaN") {
+			t.Errorf("request %d: error %q does not name the NaN residual", i, body.Error)
+		}
+	}
+	var m MetricsResponse
+	if code := getJSON(t, ts.URL+"/metrics", &m); code != 200 {
+		t.Fatalf("metrics: %d", code)
+	}
+	if m.Cache.Misses != 2 || m.Cache.Hits != 0 {
+		t.Errorf("cache %+v after two failed solves, want 2 misses and no hit", m.Cache)
 	}
 }
 
