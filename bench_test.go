@@ -83,13 +83,14 @@ func BenchmarkAblationTeleport(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := d.Unweighted()
+	e := core.NewEngine(g)
 	opts := core.Options{Tol: 1e-8}
 	b.Run("d2pr-transition", func(b *testing.B) {
 		var best float64 = -1
 		for i := 0; i < b.N; i++ {
 			best = -1
 			for _, p := range []float64{0.5, 1, 1.5, 2} {
-				res, err := core.Rank(g, core.Params{P: p, Options: opts})
+				res, err := e.Rank(context.Background(), core.Params{P: p, Options: opts})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -130,15 +131,15 @@ func BenchmarkAblationPush(b *testing.B) {
 	tr := core.DegreeDecoupled(g, 0.5)
 	tele := make([]float64, g.NumNodes())
 	tele[0] = 1
+	e := core.NewEngine(g)
 	b.Run("power-iteration", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Solve(tr, core.Options{Tol: 1e-8, Teleport: tele}); err != nil {
+			if _, err := e.Solve(tr, core.Options{Tol: 1e-8, Teleport: tele}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("forward-push", func(b *testing.B) {
-		e := core.EngineFor(g)
 		for i := 0; i < b.N; i++ {
 			if _, err := e.SolvePPR(tr, 0, core.ForwardPushOptions{Epsilon: 1e-8}); err != nil {
 				b.Fatal(err)
@@ -156,6 +157,7 @@ func BenchmarkAblationBaselines(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := d.Unweighted()
+	e := core.NewEngine(g)
 	run := func(name string, score func() ([]float64, error)) {
 		b.Run(name, func(b *testing.B) {
 			var rho float64
@@ -170,14 +172,14 @@ func BenchmarkAblationBaselines(b *testing.B) {
 		})
 	}
 	run("d2pr-p1", func() ([]float64, error) {
-		res, err := core.Rank(g, core.Params{P: 1, Options: core.Options{Tol: 1e-8}})
+		res, err := e.Rank(context.Background(), core.Params{P: 1, Options: core.Options{Tol: 1e-8}})
 		if err != nil {
 			return nil, err
 		}
 		return res.Scores, nil
 	})
 	run("pagerank", func() ([]float64, error) {
-		res, err := core.Rank(g, core.Params{Beta: 1, Options: core.Options{Tol: 1e-8}})
+		res, err := e.Rank(context.Background(), core.Params{Beta: 1, Options: core.Options{Tol: 1e-8}})
 		if err != nil {
 			return nil, err
 		}
@@ -201,6 +203,8 @@ func BenchmarkAblationBaselines(b *testing.B) {
 
 // Micro-benchmarks of the substrate hot paths.
 
+// BenchmarkSolvePageRank times a one-shot core.Rank: the engine build that
+// each call pays, then the solve.
 func BenchmarkSolvePageRank(b *testing.B) {
 	r := benchRunner(b)
 	d, err := r.Graph(dataset.EpinionsCommenter)
@@ -217,9 +221,9 @@ func BenchmarkSolvePageRank(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineBuild measures the one-time pull-topology build (transpose
-// + arc permutation + 1/outdeg table) that core.EngineFor caches per graph —
-// the work every Solve used to repeat and the serving path now pays once.
+// BenchmarkEngineBuild measures the pull-topology build (transpose + arc
+// permutation + 1/outdeg table) of core.NewEngine — the work a held engine,
+// such as a registry snapshot's, pays once for all its solves.
 func BenchmarkEngineBuild(b *testing.B) {
 	r := benchRunner(b)
 	d, err := r.Graph(dataset.EpinionsCommenter)
@@ -234,7 +238,7 @@ func BenchmarkEngineBuild(b *testing.B) {
 }
 
 // BenchmarkSolveWarmEngine is the serving steady state: repeated solves on
-// one graph through the cached engine (PageRank on an unweighted graph runs
+// one graph through one held engine (PageRank on an unweighted graph runs
 // the implicit uniform transition — no per-arc array anywhere).
 func BenchmarkSolveWarmEngine(b *testing.B) {
 	r := benchRunner(b)
@@ -242,13 +246,14 @@ func BenchmarkSolveWarmEngine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := d.Unweighted()
-	if _, err := core.Rank(g, core.Params{Beta: 1, Options: core.Options{Tol: 1e-8}}); err != nil {
+	e := core.NewEngine(d.Unweighted())
+	params := core.Params{Beta: 1, Options: core.Options{Tol: 1e-8}}
+	if _, err := e.Rank(context.Background(), params); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Rank(g, core.Params{Beta: 1, Options: core.Options{Tol: 1e-8}}); err != nil {
+		if _, err := e.Rank(context.Background(), params); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,7 +21,8 @@
 // connection-strength transitions with the degree-de-coupled ones, and a
 // seed set personalizes the teleport vector. Rank is the one entry point:
 // PageRank, D2PR, the β-blend and personalized PageRank are all Params
-// values.
+// values. A caller that ranks one graph many times, say over a p sweep,
+// holds an Engine and calls its Rank.
 //
 // # Quick start
 //
@@ -82,6 +83,9 @@ type (
 	Options = core.Options
 	// Result carries scores plus convergence diagnostics.
 	Result = core.Result
+	// Engine holds one graph's solver topology. Its Rank ranks the graph
+	// without rebuilding it; build one with NewEngine.
+	Engine = core.Engine
 	// Transition is a column-stochastic per-arc transition table.
 	Transition = core.Transition
 	// HITSResult carries hub and authority vectors.
@@ -103,9 +107,15 @@ func FromWeighted(kind Kind, edges []WeightedEdge) (*Graph, error) {
 // standard deviation of neighbors' degrees from the paper's Table 3.
 func ComputeStats(g *Graph) Stats { return graph.ComputeStats(g) }
 
-// Rank computes a D2PR-family ranking of g; see core.Rank for what each
-// Params shape selects.
+// Rank computes a D2PR-family ranking of g on an engine built for the one
+// call; see core.Engine.Rank for what each Params shape selects. To rank one
+// graph more than once, hold a NewEngine and call its Rank.
 func Rank(g *Graph, params Params) (*Result, error) { return core.Rank(g, params) }
+
+// NewEngine builds the solver topology of g: the O(m) transpose that every
+// ranking of g reads. The engine belongs to the caller and is safe for
+// concurrent use.
+func NewEngine(g *Graph) *Engine { return core.NewEngine(g) }
 
 // HITS runs Kleinberg's hubs-and-authorities fixpoint.
 func HITS(g *Graph, opts Options) (*HITSResult, error) {
@@ -146,7 +156,7 @@ func DegreeCorrelation(g *Graph, scores []float64) float64 {
 	return stats.Spearman(scores, degreeVector(g))
 }
 
-// OptimalP sweeps p over [lo, hi] with the given step and returns the p
+// OptimalP sweeps p over the grid lo + i·step in [lo, hi] and returns the p
 // whose D2PR ranking maximizes Spearman correlation with the significance
 // vector, together with that correlation. It is the model-selection helper a
 // recommender would run on held-out significance data (the paper's Figures
@@ -155,9 +165,11 @@ func OptimalP(g *Graph, significance []float64, lo, hi, step float64, opts Optio
 	if step <= 0 || hi < lo {
 		return 0, 0, errors.New("d2pr: OptimalP needs step > 0 and hi ≥ lo")
 	}
+	eng := core.NewEngine(g)
 	bestRho = math.Inf(-1)
-	for p := lo; p <= hi+1e-12; p += step {
-		res, err := core.Rank(g, core.Params{P: p, Options: opts})
+	for i, last := 0, int((hi-lo)/step+1e-9); i <= last; i++ {
+		p := lo + float64(i)*step
+		res, err := eng.Rank(context.Background(), core.Params{P: p, Options: opts})
 		if err != nil {
 			return 0, 0, err
 		}

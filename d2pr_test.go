@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"d2pr/internal/core"
+	"d2pr/internal/dataset"
 )
 
 func fig1(t *testing.T) *Graph {
@@ -24,7 +25,7 @@ func TestRankDefaultIsPageRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.Solve(core.ConnectionStrength(g), Options{})
+	b, err := core.NewEngine(g).Solve(core.ConnectionStrength(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestRankWithP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.Solve(core.DegreeDecoupled(g, 2), Options{})
+	b, err := core.NewEngine(g).Solve(core.DegreeDecoupled(g, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestRankWithBeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.Solve(blend, Options{})
+	b, err := core.NewEngine(g).Solve(blend, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestRankDefaultWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2pr0, err := core.Solve(core.DegreeDecoupled(g, 0), Options{})
+	d2pr0, err := core.NewEngine(g).Solve(core.DegreeDecoupled(g, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestRankDefaultWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := core.Solve(core.ConnectionStrength(g), Options{})
+	pr, err := core.NewEngine(g).Solve(core.ConnectionStrength(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +230,24 @@ func TestOptimalP(t *testing.T) {
 	}
 	if _, _, err := OptimalP(g, sig, -1, 1, 0, Options{}); err == nil {
 		t.Error("zero step must error")
+	}
+}
+
+// TestOptimalPGridIsExact: OptimalP evaluates p = lo + i·step, so a grid
+// point that should be 0 is 0, not the rounding error repeated addition
+// builds up. With p = 0 PageRank as the significance, the best p is 0.
+func TestOptimalPGridIsExact(t *testing.T) {
+	g := dataset.BarabasiAlbert(2000, 3, 5)
+	pr, err := Rank(g, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, rho, err := OptimalP(g, pr.Scores, -1, 1, 0.1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != 0 || rho != 1 {
+		t.Errorf("OptimalP = (%v, %v), want (0, 1)", p, rho)
 	}
 }
 

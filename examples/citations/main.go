@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,10 +35,12 @@ func main() {
 	// graph, i.e. how indiscriminately a paper's citers cite.
 	g := net.Graph
 	fmt.Printf("citation network: %v (arc u→v: u cites v)\n\n", g)
+	eng := d2pr.NewEngine(g) // every ranking below reuses its topology
+	ctx := context.Background()
 
 	fmt.Printf("%-6s %-22s %-22s\n", "p", "corr(D2PR, citations)", "corr(D2PR, quality)")
 	for _, p := range []float64{-2, -1, 0, 0.5, 1, 2} {
-		res, err := d2pr.Rank(g, d2pr.Params{P: p})
+		res, err := eng.Rank(ctx, d2pr.Params{P: p})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,11 +52,11 @@ func main() {
 	// The walk above runs along reference lists (u→v follows a citation),
 	// so PageRank mass accumulates on heavily-cited papers. Compare the
 	// top-5 under conventional PageRank and under out-degree penalization.
-	conv, err := d2pr.Rank(g, d2pr.Params{})
+	conv, err := eng.Rank(ctx, d2pr.Params{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	pen, err := d2pr.Rank(g, d2pr.Params{P: 1})
+	pen, err := eng.Rank(ctx, d2pr.Params{P: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,6 +26,7 @@ func main() {
 			log.Fatal(err)
 		}
 		g := data.Unweighted()
+		eng := d2pr.NewEngine(g) // built once for both sweeps below
 		st := d2pr.ComputeStats(g)
 		fmt.Printf("=== %s (group %s) ===\n", data.Name, data.Group)
 		fmt.Printf("%d nodes, %d edges, avg degree %.1f, median neighbor-degree stddev %.1f\n",
@@ -34,7 +36,7 @@ func main() {
 		// Sweep p at the default α.
 		fmt.Printf("%-6s %s\n", "p", "corr(D2PR, significance)")
 		for _, p := range []float64{-2, -1, 0, 1, 2} {
-			res, err := d2pr.Rank(g, d2pr.Params{P: p})
+			res, err := eng.Rank(context.Background(), d2pr.Params{P: p})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -53,7 +55,7 @@ func main() {
 		for _, alpha := range []float64{0.5, 0.7, 0.85, 0.9} {
 			fmt.Printf("%-8.2f", alpha)
 			for _, p := range ps {
-				res, err := d2pr.Rank(g, d2pr.Params{P: p, Options: d2pr.Options{Alpha: alpha}})
+				res, err := eng.Rank(context.Background(), d2pr.Params{P: p, Options: d2pr.Options{Alpha: alpha}})
 				if err != nil {
 					log.Fatal(err)
 				}

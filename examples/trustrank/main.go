@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,6 +24,8 @@ func main() {
 		log.Fatal(err)
 	}
 	g := data.Weighted
+	eng := d2pr.NewEngine(g) // every ranking below reuses its topology
+	ctx := context.Background()
 	fmt.Printf("%v (edge weight: %s)\n", g, data.EdgeMeaning)
 	fmt.Printf("significance: %s\n\n", data.SignificanceMeaning)
 
@@ -38,7 +41,7 @@ func main() {
 	for _, beta := range []float64{0, 0.25, 0.5, 0.75, 1} {
 		fmt.Printf("%-8.2f", beta)
 		for _, p := range ps {
-			res, err := d2pr.Rank(g, d2pr.Params{P: p, Beta: beta})
+			res, err := eng.Rank(ctx, d2pr.Params{P: p, Beta: beta})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -57,7 +60,7 @@ func main() {
 	// view of one node, with degree penalization so prolific low-effort
 	// commenters don't dominate.
 	seed := int32(stats.TopK(data.Significance, 1)[0]) // most-trusted commenter
-	res, err := d2pr.Rank(g, d2pr.Params{P: bst.p, Seeds: []int32{seed}})
+	res, err := eng.Rank(ctx, d2pr.Params{P: bst.p, Seeds: []int32{seed}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,7 +54,8 @@ func requireCancelErr(t *testing.T, err error, wantProgress string) {
 // leaked mid-solve.
 func TestSolveContextCancelsWithinOneIteration(t *testing.T) {
 	g := powerLawGraph(t, 4000, 5, 7)
-	requireHelpers(t, EngineFor(g))
+	e := NewEngine(g)
+	requireHelpers(t, e)
 	blended, err := Blended(g, 1.2, 0.3)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +69,7 @@ func TestSolveContextCancelsWithinOneIteration(t *testing.T) {
 			for _, flipAt := range []int64{1, 4} {
 				t.Run(fmt.Sprintf("%sworkers=%d flip=%d", c.name, workers, flipAt), func(t *testing.T) {
 					ctx := errAfter(flipAt)
-					res, err := EngineFor(g).solve(ctx, tr, Options{MaxIter: 50, Tol: 1e-300}, workers)
+					res, err := e.solve(ctx, tr, Options{MaxIter: 50, Tol: 1e-300}, workers)
 					requireCancelErr(t, err, fmt.Sprintf("after %d/50 iterations", flipAt-1))
 					if res != nil {
 						t.Fatalf("cancelled solve returned a result: %+v", res)
@@ -76,7 +77,7 @@ func TestSolveContextCancelsWithinOneIteration(t *testing.T) {
 				})
 			}
 		}
-		if _, err := Solve(tr, Options{MaxIter: 50}); err != nil {
+		if _, err := e.Solve(tr, Options{MaxIter: 50}); err != nil {
 			t.Fatalf("%ssolve after cancellation: %v", c.name, err)
 		}
 	}
@@ -88,7 +89,7 @@ func TestSolveContextCancelsWithinOneIteration(t *testing.T) {
 // completed solve here would mean the poll never fired.
 func TestSolvePPRContextCancel(t *testing.T) {
 	g := powerLawGraph(t, 3000, 6, 10)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	tr := Uniform(g)
 	// Node 0 in powerLawGraph is dangling (only nodes ≥ 1 emit arcs); a
 	// high-id seed spreads mass into the hub and forces a long push run.
@@ -130,7 +131,7 @@ func TestSolveContextDeadline(t *testing.T) {
 	tr := DegreeDecoupled(g, 1)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := SolveContext(ctx, tr, Options{MaxIter: 1 << 20, Tol: 0})
+	_, err := NewEngine(g).SolveContext(ctx, tr, Options{MaxIter: 1 << 20, Tol: 0})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}

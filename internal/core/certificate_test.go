@@ -166,8 +166,8 @@ func certifyGraph(t *testing.T, g *graph.Graph, ps []float64, worst *float64) bo
 				}
 			}
 			opts := Options{Teleport: tele}
-			res, err := Solve(tr.tr, opts)
-			check(fmt.Sprintf("%s/%s/core.Solve", tr.name, teleName), tr.tr, opts, res, err)
+			res, err := solveFresh(tr.tr, opts)
+			check(fmt.Sprintf("%s/%s/Engine.Solve", tr.name, teleName), tr.tr, opts, res, err)
 		}
 	}
 	return ok
@@ -191,7 +191,7 @@ func TestFixpointCertificateCorpus(t *testing.T) {
 	}
 	cycle.AddEdge(0, 6)
 	blocks := powerLawGraph(t, 3000, 5, 19)
-	if nb := len(EngineFor(blocks).blocks) - 1; nb < 2 {
+	if nb := len(NewEngine(blocks).blocks) - 1; nb < 2 {
 		t.Fatalf("the multi-block graph has %d sweep block(s), want ≥ 2", nb)
 	}
 	var worst float64

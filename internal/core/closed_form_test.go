@@ -111,7 +111,7 @@ func TestClosedFormStationary(t *testing.T) {
 	var worst float64
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			engines := []namedEngine{{"reordered", EngineFor(c.g)}, {"identity", newEngineIdentity(c.g)}}
+			engines := []namedEngine{{"reordered", NewEngine(c.g)}, {"identity", newEngineIdentity(c.g)}}
 			// β = 1 ignores p, so it runs once.
 			configs := [][2]float64{{0, 1}}
 			for _, p := range c.ps {

@@ -117,8 +117,9 @@ type Engine struct {
 const sweepBlockArcs = 8192
 
 // NewEngine builds the pull topology for g, including the locality
-// relabeling. Prefer EngineFor, which caches engines per graph; NewEngine
-// exists for callers that manage the lifetime themselves.
+// relabeling. The engine belongs to its caller: one that ranks g more than
+// once holds it, so the O(m) build is paid once, and it dies with its last
+// reference.
 func NewEngine(g *graph.Graph) *Engine {
 	return buildEngine(g, true)
 }
@@ -318,57 +319,6 @@ func (e *Engine) Connection() *Transition {
 		e.conn.Store(t)
 	})
 	return e.conn.Load()
-}
-
-// engineCacheCap bounds the process-wide engine cache. Serving deployments
-// own their engines through registry snapshots (built with NewEngine, so an
-// engine dies with its snapshot); the global cache covers library callers
-// (Solve) without pinning every graph a test run ever builds.
-const engineCacheCap = 16
-
-var (
-	engineMu    sync.Mutex
-	engineCache []*Engine // most-recently-used first
-)
-
-// EngineFor returns the cached engine for g, building one on first use.
-// Identity is pointer identity on the graph — graphs are immutable, so one
-// *graph.Graph has one topology. The cache keeps the engineCacheCap
-// most-recently-used engines, and with them their graphs; long-lived callers
-// that must never rebuild, or whose graphs must be freed with them, own an
-// engine from NewEngine instead (the registry's snapshots do).
-func EngineFor(g *graph.Graph) *Engine {
-	engineMu.Lock()
-	for i, e := range engineCache {
-		if e.g == g {
-			copy(engineCache[1:i+1], engineCache[:i])
-			engineCache[0] = e
-			engineMu.Unlock()
-			return e
-		}
-	}
-	engineMu.Unlock()
-	// Build outside the lock: the transpose is O(m) and must not serialize
-	// unrelated solves. Two racing builders may both build; one wins the
-	// cache slot and the loser's engine still works.
-	e := NewEngine(g)
-	engineMu.Lock()
-	defer engineMu.Unlock()
-	for i, cached := range engineCache {
-		if cached.g == g {
-			copy(engineCache[1:i+1], engineCache[:i])
-			engineCache[0] = cached
-			return cached
-		}
-	}
-	engineCache = append(engineCache, nil)
-	copy(engineCache[1:], engineCache)
-	engineCache[0] = e
-	if len(engineCache) > engineCacheCap {
-		engineCache[engineCacheCap] = nil // release the evicted engine
-		engineCache = engineCache[:engineCacheCap]
-	}
-	return e
 }
 
 // Solve runs power iteration for t over the cached topology. t must be a

@@ -13,7 +13,7 @@ import (
 // paper's citation/affiliation shape) where the engine's wins are largest:
 //
 //   - CoreSolveCold vs CoreSolveWarm: the cost of re-transposing the graph
-//     on every solve (the seed behavior) vs reusing the cached engine.
+//     on every solve (the seed behavior) vs reusing one engine.
 //   - CoreSolveWarmUniform: the implicit 1/outdeg path — no per-arc
 //     probability array is built or read.
 //   - CoreSolveWarmBlended: a β = 0.5 blend, the per-arc path, whose solve
@@ -73,12 +73,12 @@ func BenchmarkCoreSolveCold(b *testing.B) {
 	b.ReportMetric(float64(g.NumArcs()), "arcs")
 }
 
-// BenchmarkCoreSolveWarm measures the cached-engine path: the transpose is
+// BenchmarkCoreSolveWarm measures the warm-engine path: the transpose is
 // reused and the pools are primed, so each solve is iteration plus at most
 // one O(n) permuted copy of the factored transition.
 func BenchmarkCoreSolveWarm(b *testing.B) {
 	g := benchGraph(b)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	tr := DegreeDecoupled(g, 1)
 	if _, err := e.solve(context.Background(), tr, benchOpts, 1); err != nil { // prime the pools
 		b.Fatal(err)
@@ -102,7 +102,7 @@ func BenchmarkCoreSolveWarm(b *testing.B) {
 // otherwise dwarf the overhead being measured.
 func BenchmarkCoreSolveCancelOverhead(b *testing.B) {
 	g := benchGraph(b)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	tr := DegreeDecoupled(g, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -124,7 +124,7 @@ func BenchmarkCoreSolveCancelOverhead(b *testing.B) {
 // transition: no per-arc probabilities exist anywhere on the path.
 func BenchmarkCoreSolveWarmUniform(b *testing.B) {
 	g := benchGraph(b)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	tr := Uniform(g)
 	if _, err := e.solve(context.Background(), tr, benchOpts, 1); err != nil {
 		b.Fatal(err)
@@ -143,7 +143,7 @@ func BenchmarkCoreSolveWarmUniform(b *testing.B) {
 // build included, so ns_per_arc carries the build's share of the solve.
 func BenchmarkCoreSolveWarmBlended(b *testing.B) {
 	g := benchGraph(b)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	solve := func() {
 		tr, err := Blended(g, 1, 0.5)
 		if err != nil {
@@ -189,7 +189,7 @@ func BenchmarkCoreSolveWarmNoReorder(b *testing.B) {
 // hosts), it reports the block count, which is deterministic.
 func benchSweep(b *testing.B, workers int) {
 	g := benchGraph(b)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	probs := pullOrder(e, DegreeDecoupled(g, 1).arcProbs())
 	opts, err := benchOpts.withDefaults(e.n)
 	if err != nil {
@@ -221,7 +221,7 @@ func BenchmarkCoreSweepSequential(b *testing.B) { benchSweep(b, 1) }
 // The iteration count is reported alongside ns/op.
 func BenchmarkCoreConvergePower(b *testing.B) {
 	g := benchGraph(b)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	tr := DegreeDecoupled(g, 1)
 	opts := Options{Alpha: DefaultAlpha, Tol: 1e-14}
 	var iters int

@@ -68,10 +68,15 @@ func requireHelpers(t testing.TB, e *Engine) {
 	}
 }
 
-// solveWorkers solves t on its graph's cached engine with the given number
+// solveFresh solves t on a new engine for its graph.
+func solveFresh(t *Transition, opts Options) (*Result, error) {
+	return NewEngine(t.g).Solve(t, opts)
+}
+
+// solveWorkers solves t on a new engine for its graph with the given number
 // of sweep workers.
 func solveWorkers(t *Transition, opts Options, workers int) (*Result, error) {
-	return EngineFor(t.g).solve(context.Background(), t, opts, workers)
+	return NewEngine(t.g).solve(context.Background(), t, opts, workers)
 }
 
 // pullOrder places fwd, one value per forward CSR arc of e's graph, at the
@@ -203,7 +208,7 @@ func TestUniformImplicitMatchesExplicit(t *testing.T) {
 	explicit := uniformProbs(g) // forced explicit path
 	implicit := Uniform(g)
 	for _, workers := range []int{1, 4} {
-		want, err := solveArcs(EngineFor(g), explicit, Options{}, workers)
+		want, err := solveArcs(NewEngine(g), explicit, Options{}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,27 +224,6 @@ func TestUniformImplicitMatchesExplicit(t *testing.T) {
 				t.Fatalf("workers=%d: score[%d] = %v, explicit %v", workers, i, got.Scores[i], want.Scores[i])
 			}
 		}
-	}
-}
-
-// TestEngineForCaches: same graph → same engine; the MRU cache survives
-// unrelated churn and a full wrap evicts cleanly.
-func TestEngineForCaches(t *testing.T) {
-	g := powerLawGraph(t, 50, 3, 5)
-	e1 := EngineFor(g)
-	if e2 := EngineFor(g); e2 != e1 {
-		t.Error("EngineFor rebuilt the engine for a cached graph")
-	}
-	// Churn more graphs than the cache holds; EngineFor must keep working
-	// (returning fresh engines) and the original graph simply rebuilds.
-	for i := 0; i < engineCacheCap+4; i++ {
-		h := powerLawGraph(t, 20, 2, int64(100+i))
-		if EngineFor(h).Graph() != h {
-			t.Fatal("engine bound to wrong graph")
-		}
-	}
-	if EngineFor(g).Graph() != g {
-		t.Error("rebuilt engine bound to wrong graph")
 	}
 }
 
@@ -265,7 +249,7 @@ func TestWarmUniformSolveAllocationFree(t *testing.T) {
 	}
 	const n, avgDeg = 2000, 10
 	g := powerLawGraph(t, n, avgDeg, 8)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	tr := Uniform(g)
 	opts := Options{MaxIter: 8, Tol: 1e-300} // fixed work per solve
 	solve := func() {
@@ -307,7 +291,7 @@ func TestWarmUniformSolveAllocationFree(t *testing.T) {
 // token channel and helper goroutines — O(workers), never O(n) or O(m).
 func TestWarmParallelSolveAllocations(t *testing.T) {
 	g := powerLawGraph(t, 2000, 10, 9)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	tr := Uniform(g)
 	opts := Options{MaxIter: 8, Tol: 1e-300}
 	solve := func() {
@@ -328,7 +312,7 @@ func TestWarmParallelSolveAllocations(t *testing.T) {
 func TestConcurrentEngineSolves(t *testing.T) {
 	g1 := powerLawGraph(t, 3000, 6, 10)
 	g2 := powerLawGraph(t, 2500, 6, 11)
-	e1, e2 := EngineFor(g1), EngineFor(g2)
+	e1, e2 := NewEngine(g1), NewEngine(g2)
 	requireHelpers(t, e1)
 	requireHelpers(t, e2)
 	want1, err := e1.solve(context.Background(), Uniform(g1), Options{}, 1)
@@ -371,7 +355,7 @@ func TestConcurrentEngineSolves(t *testing.T) {
 // so no goroutine outlives the solve that started it.
 func TestSolveLeavesNoGoroutine(t *testing.T) {
 	g := powerLawGraph(t, 20000, 5, 12)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	if nb := len(e.blocks) - 1; nb < 4 {
 		t.Fatalf("the graph has %d sweep block(s), want ≥ 4", nb)
 	}

@@ -80,11 +80,11 @@ func TestTeleportBoostMonotonicity(t *testing.T) {
 		tele := make([]float64, n)
 		copy(tele, base)
 		tele[7] = boost
-		resBase, err := Solve(tr, Options{Tol: 1e-12, Teleport: base})
+		resBase, err := solveFresh(tr, Options{Tol: 1e-12, Teleport: base})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resBoost, err := Solve(tr, Options{Tol: 1e-12, Teleport: tele})
+		resBoost, err := solveFresh(tr, Options{Tol: 1e-12, Teleport: tele})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestIsolatedNodeGetsTeleportShare(t *testing.T) {
 		b.AddEdge(i, (i+1)%8)
 	}
 	g := b.MustBuild() // nodes 8, 9 isolated
-	res, err := Solve(ConnectionStrength(g), Options{})
+	res, err := solveFresh(ConnectionStrength(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestRankCorrelationSanityAcrossSolvers(t *testing.T) {
 	g := skewedGraph(200, 57)
 	tr := DegreeDecoupled(g, 1.5)
 	opts := Options{Tol: 1e-12}
-	res, err := Solve(tr, opts)
+	res, err := solveFresh(tr, opts)
 	if _, ok := certify(t, "solve", tr, opts, res, err); !ok {
 		return
 	}

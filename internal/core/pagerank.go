@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -25,11 +26,11 @@ type Params struct {
 	Options Options
 }
 
-// Rank computes a D2PR-family ranking of g: power iteration on
-// Blended(g, params.P, params.Beta), with the teleport personalized when
-// Seeds is set. The paper's transition is T = β·T_conn + (1-β)·T_D at
-// de-coupling weight p (§3.2.3), so every ranker of the family is one Params
-// value:
+// Rank computes a D2PR-family ranking of the engine's graph: power
+// iteration on Blended(g, params.P, params.Beta), with the teleport
+// personalized when Seeds is set. The paper's transition is
+// T = β·T_conn + (1-β)·T_D at de-coupling weight p (§3.2.3), so every ranker
+// of the family is one Params value:
 //
 //   - Params{} is conventional PageRank on an unweighted graph. On a weighted
 //     graph it is D2PR at p = 0, which ignores the weights; Params{Beta: 1}
@@ -41,24 +42,32 @@ type Params struct {
 //   - Params{P: p, Beta: b} is the weighted blend of §3.2.3.
 //   - Params{Beta: 1, Seeds: s} is personalized PageRank; Seeds personalizes
 //     any of the above.
-func Rank(g *graph.Graph, params Params) (*Result, error) {
+//
+// ctx cancels the solve as in SolveContext.
+func (e *Engine) Rank(ctx context.Context, params Params) (*Result, error) {
 	opts := params.Options
 	if len(params.Seeds) > 0 {
-		n := g.NumNodes()
-		tele := make([]float64, n)
+		tele := make([]float64, e.n)
 		for _, s := range params.Seeds {
-			if s < 0 || int(s) >= n {
-				return nil, fmt.Errorf("core: seed %d out of range [0, %d)", s, n)
+			if s < 0 || int(s) >= e.n {
+				return nil, fmt.Errorf("core: seed %d out of range [0, %d)", s, e.n)
 			}
 			tele[s] = 1
 		}
 		opts.Teleport = tele
 	}
-	t, err := Blended(g, params.P, params.Beta)
+	t, err := Blended(e.g, params.P, params.Beta)
 	if err != nil {
 		return nil, err
 	}
-	return Solve(t, opts)
+	return e.SolveContext(ctx, t, opts)
+}
+
+// Rank ranks g once, on an engine built for the call; see Engine.Rank for
+// what each Params shape selects. A caller that ranks one graph more than
+// once holds a NewEngine instead, so the O(m) build is paid once.
+func Rank(g *graph.Graph, params Params) (*Result, error) {
+	return NewEngine(g).Rank(context.Background(), params)
 }
 
 // DegreeBiasedTeleport computes PageRank with an unchanged (conventional)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"weak"
 
 	"d2pr/internal/dataset/rng"
 	"d2pr/internal/graph"
@@ -93,7 +95,7 @@ func TestD2PRZeroMatchesPageRankUnweighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(ConnectionStrength(g), Options{Tol: 1e-13})
+	b, err := solveFresh(ConnectionStrength(g), Options{Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +127,7 @@ func TestD2PRBlendedWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv, err := Solve(ConnectionStrength(g), Options{Tol: 1e-13})
+	conv, err := solveFresh(ConnectionStrength(g), Options{Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +256,7 @@ func TestRankMatchesSolve(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: Rank: %v", name, c.name, err)
 			}
-			want, err := Solve(c.tr, Options{Tol: opts.Tol, Teleport: c.tele})
+			want, err := solveFresh(c.tr, Options{Tol: opts.Tol, Teleport: c.tele})
 			if err != nil {
 				t.Fatalf("%s/%s: Solve: %v", name, c.name, err)
 			}
@@ -268,5 +270,25 @@ func TestRankMatchesSolve(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRankReleasesGraph: Rank's engine belongs to the call, so nothing in the
+// package keeps the ranked graph alive once the caller drops it.
+func TestRankReleasesGraph(t *testing.T) {
+	graphRef := func() weak.Pointer[graph.Graph] {
+		g := withWeights(t, powerLawGraph(t, 3000, 5, 21))
+		if _, err := Rank(g, Params{P: 1, Beta: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(g)
+	}()
+	// An engine's used sync.Pools stay on the runtime's pool list until two
+	// collections have passed.
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	if graphRef.Value() != nil {
+		t.Fatal("graph still reachable after Rank returned")
 	}
 }

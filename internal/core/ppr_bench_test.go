@@ -12,7 +12,7 @@ import (
 // (BenchmarkPPRWarmSeed, internal/rankcache) must be ≥100× faster.
 func BenchmarkPPRColdSeed(b *testing.B) {
 	g := benchGraph(b)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	tr := Uniform(g)
 	if _, err := e.SolvePPR(tr, 0, ForwardPushOptions{}); err != nil {
 		b.Fatal(err)

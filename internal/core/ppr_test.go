@@ -18,7 +18,7 @@ func TestSolvePPRMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 5; trial++ {
 		g := skewedGraph(80+trial*40, uint64(100+trial))
-		e := EngineFor(g)
+		e := NewEngine(g)
 		var tr *Transition
 		if trial%2 == 0 {
 			tr = Uniform(g)
@@ -63,7 +63,7 @@ func TestSolvePPRMatchesDense(t *testing.T) {
 // small residuals thousands of times per node.
 func TestSolvePPRPushesPerNode(t *testing.T) {
 	g := skewedGraph(400, 62)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	tr := Uniform(g)
 	n := g.NumNodes()
 	for _, seed := range []int32{3, 11, 200} {
@@ -84,7 +84,7 @@ func TestSolvePPRPushesPerNode(t *testing.T) {
 // budget stops the solve.
 func TestSolvePPRMassConservation(t *testing.T) {
 	g := skewedGraph(400, 62)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	tr := Uniform(g)
 	for _, eps := range []float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8} {
 		res, err := e.SolvePPR(tr, 11, ForwardPushOptions{Epsilon: eps})
@@ -111,7 +111,7 @@ func TestSolvePPRMassConservation(t *testing.T) {
 // residual — the ε-residual budget is a real accuracy dial.
 func TestSolvePPREpsilonMonotone(t *testing.T) {
 	g := skewedGraph(300, 63)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	tr := Uniform(g)
 	prev := math.Inf(1)
 	for _, eps := range []float64{1e-2, 1e-4, 1e-6, 1e-8} {
@@ -133,7 +133,7 @@ func TestSolvePPREpsilonMonotone(t *testing.T) {
 // iteration with a seed teleport vector approximate the same fixpoint.
 func TestSolvePPRMatchesSeededSolve(t *testing.T) {
 	g := skewedGraph(250, 64)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	tr := DegreeDecoupled(g, 1.2)
 	const seed = int32(9)
 	exact, err := e.Solve(tr, Options{Tol: 1e-13, Teleport: seedVector(g.NumNodes(), seed)})
@@ -156,7 +156,7 @@ func TestSolvePPRMatchesSeededSolve(t *testing.T) {
 // and membership bits come from the engine pool.
 func TestSolvePPRWarmAllocs(t *testing.T) {
 	g := skewedGraph(800, 65)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	tr := Uniform(g)
 	seeds := []int32{0, 17, 256, 755}
 	// Warm the pool (and grow the queue to its high-water mark).
@@ -182,7 +182,7 @@ func TestSolvePPRWarmAllocs(t *testing.T) {
 
 func TestSolvePPRValidation(t *testing.T) {
 	g := skewedGraph(10, 66)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	tr := Uniform(g)
 	if _, err := e.SolvePPR(tr, -1, ForwardPushOptions{}); err == nil {
 		t.Error("negative seed must error")
@@ -217,7 +217,7 @@ func TestEngineConnectionCached(t *testing.T) {
 	g := graph.NewBuilder(graph.Undirected).Weighted().
 		AddWeightedEdge(0, 1, 2).AddWeightedEdge(1, 2, 1).AddWeightedEdge(2, 0, 3).
 		MustBuild()
-	e := EngineFor(g)
+	e := NewEngine(g)
 	c1, c2 := e.Connection(), e.Connection()
 	if c1 != c2 {
 		t.Error("Connection must return the cached transition")

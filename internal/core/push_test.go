@@ -12,11 +12,11 @@ func TestForwardPushMatchesPowerIteration(t *testing.T) {
 	g := skewedGraph(300, 21)
 	tr := Uniform(g)
 	const seed = int32(7)
-	exact, err := Solve(tr, Options{Alpha: 0.85, Tol: 1e-13, Teleport: seedVector(g.NumNodes(), seed)})
+	exact, err := solveFresh(tr, Options{Alpha: 0.85, Tol: 1e-13, Teleport: seedVector(g.NumNodes(), seed)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := EngineFor(g).SolvePPR(tr, seed, ForwardPushOptions{Alpha: 0.85, Epsilon: 1e-9})
+	approx, err := NewEngine(g).SolvePPR(tr, seed, ForwardPushOptions{Alpha: 0.85, Epsilon: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,11 @@ func TestForwardPushD2PRTransition(t *testing.T) {
 	g := skewedGraph(200, 22)
 	tr := DegreeDecoupled(g, 1.5)
 	const seed = int32(3)
-	exact, err := Solve(tr, Options{Alpha: 0.85, Tol: 1e-13, Teleport: seedVector(g.NumNodes(), seed)})
+	exact, err := solveFresh(tr, Options{Alpha: 0.85, Tol: 1e-13, Teleport: seedVector(g.NumNodes(), seed)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := EngineFor(g).SolvePPR(tr, seed, ForwardPushOptions{Epsilon: 1e-9})
+	approx, err := NewEngine(g).SolvePPR(tr, seed, ForwardPushOptions{Epsilon: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestForwardPushD2PRTransition(t *testing.T) {
 func TestForwardPushMassBound(t *testing.T) {
 	g := skewedGraph(100, 23)
 	tr := Uniform(g)
-	approx, err := EngineFor(g).SolvePPR(tr, 0, ForwardPushOptions{Epsilon: 1e-4})
+	approx, err := NewEngine(g).SolvePPR(tr, 0, ForwardPushOptions{Epsilon: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestForwardPushDanglingSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := EngineFor(g).SolvePPR(Uniform(g), 0, ForwardPushOptions{Epsilon: 1e-10})
+	approx, err := NewEngine(g).SolvePPR(Uniform(g), 0, ForwardPushOptions{Epsilon: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestForwardPushDanglingSeed(t *testing.T) {
 func TestForwardPushValidation(t *testing.T) {
 	g := skewedGraph(10, 24)
 	tr := Uniform(g)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	if _, err := e.SolvePPR(tr, -1, ForwardPushOptions{}); err == nil {
 		t.Error("negative seed must error")
 	}

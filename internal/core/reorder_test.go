@@ -263,11 +263,11 @@ func TestFactoredMatchesArcProbsSolve(t *testing.T) {
 				t.Fatalf("%s: p=%v not factored", name, p)
 			}
 			opts := Options{Tol: 1e-14}
-			a, err := Solve(tr, opts)
+			a, err := solveFresh(tr, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := solveArcs(EngineFor(g), tr.arcProbs(), opts, 1)
+			b, err := solveArcs(NewEngine(g), tr.arcProbs(), opts, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,7 +292,7 @@ func TestFactoredFallbackExtremeP(t *testing.T) {
 		if err := tr.validate(1e-9); err != nil {
 			t.Fatalf("p=%v: fallback transition invalid: %v", p, err)
 		}
-		if _, err := Solve(tr, Options{Tol: 1e-10}); err != nil {
+		if _, err := solveFresh(tr, Options{Tol: 1e-10}); err != nil {
 			t.Fatalf("p=%v: solve: %v", p, err)
 		}
 	}

@@ -26,7 +26,7 @@ func TestPageRankTwoNodeAnalytic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alpha := range []float64{0.5, 0.85, 0.99} {
-		res, err := Solve(ConnectionStrength(g), Options{Alpha: alpha})
+		res, err := solveFresh(ConnectionStrength(g), Options{Alpha: alpha})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestPageRankDirectedCycleUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(ConnectionStrength(g), Options{})
+	res, err := solveFresh(ConnectionStrength(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestPageRankStarAnalytic(t *testing.T) {
 		b.AddEdge(v, 0)
 	}
 	g := b.MustBuild()
-	res, err := Solve(ConnectionStrength(g), Options{Alpha: 0.85, Tol: 1e-14})
+	res, err := solveFresh(ConnectionStrength(g), Options{Alpha: 0.85, Tol: 1e-14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTeleportPersonalizationMovesMass(t *testing.T) {
 		t.Errorf("seed %v must outrank distance-2 node %v", res.Scores[0], res.Scores[2])
 	}
 	// Against the uniform-teleport baseline, the seed side must gain mass.
-	base, err := Solve(ConnectionStrength(g), Options{})
+	base, err := solveFresh(ConnectionStrength(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	g := b.MustBuild()
-	requireHelpers(t, EngineFor(g))
+	requireHelpers(t, NewEngine(g))
 	tr := DegreeDecoupled(g, 1.5)
 	seq, err := solveWorkers(tr, Options{Tol: 1e-13}, 1)
 	if err != nil {
@@ -248,7 +248,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestConvergenceDiagnostics(t *testing.T) {
 	g, _ := graph.FromEdges(graph.Undirected, [][2]int32{{0, 1}, {1, 2}})
-	res, err := Solve(ConnectionStrength(g), Options{MaxIter: 2, Tol: 1e-15})
+	res, err := solveFresh(ConnectionStrength(g), Options{MaxIter: 2, Tol: 1e-15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestConvergenceDiagnostics(t *testing.T) {
 	if res.Iterations != 2 {
 		t.Errorf("iterations = %d, want 2", res.Iterations)
 	}
-	res2, err := Solve(ConnectionStrength(g), Options{})
+	res2, err := solveFresh(ConnectionStrength(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestAlphaZeroIsTeleportOnly(t *testing.T) {
 	// α is the zero value's sentinel, so pass an explicit tiny alpha: with
 	// α≈0 every node's score approaches its teleport probability.
 	g, _ := graph.FromEdges(graph.Undirected, [][2]int32{{0, 1}, {1, 2}})
-	res, err := Solve(ConnectionStrength(g), Options{Alpha: 1e-12})
+	res, err := solveFresh(ConnectionStrength(g), Options{Alpha: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestDanglingMassConserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(ConnectionStrength(g), Options{})
+	res, err := solveFresh(ConnectionStrength(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestMonteCarloAgreesWithPowerIteration(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := Uniform(g)
-	exact, err := Solve(tr, Options{Alpha: 0.85, Tol: 1e-12})
+	exact, err := solveFresh(tr, Options{Alpha: 0.85, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}

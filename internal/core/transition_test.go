@@ -312,7 +312,7 @@ func blendTestGraph(t testing.TB) *graph.Graph {
 // transition that blends with D2PR's shifted per-arc view at every source.
 func TestBlendedExtremeP(t *testing.T) {
 	g := blendTestGraph(t)
-	e := EngineFor(g)
+	e := NewEngine(g)
 	conn := ConnectionStrength(g)
 	for _, beta := range []float64{0, 0.5} {
 		for _, p := range []float64{-300, -50, -8, 8, 50, 300} {
@@ -320,7 +320,7 @@ func TestBlendedExtremeP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Solve(tr, Options{})
+			res, err := e.Solve(tr, Options{})
 			if err != nil {
 				t.Fatalf("p=%g β=%g: %v", p, beta, err)
 			}
@@ -639,7 +639,7 @@ func TestOverflowingOutWeight(t *testing.T) {
 			}
 			f.release(e)
 		}
-		if res, err := Solve(tr, Options{MaxIter: 5}); err == nil {
+		if res, err := solveFresh(tr, Options{MaxIter: 5}); err == nil {
 			t.Fatalf("β=%g: solve returned %v without an error, want its NaN residual reported", beta, res.Scores)
 		}
 	}

@@ -25,6 +25,7 @@ func Ablations(r *Runner) (*Result, error) {
 		return nil, err
 	}
 	g := d.Unweighted()
+	eng := core.NewEngine(g)
 	opts := r.solverOpts(DefaultAlpha)
 
 	res := &Result{ID: "ablations", Title: "Design-choice ablations (Group-A actor graph)"}
@@ -43,7 +44,7 @@ func Ablations(r *Runner) (*Result, error) {
 		return nil
 	}
 	for _, p := range []float64{0.5, 1, 1.5} {
-		dec, err := core.Rank(g, core.Params{P: p, Options: opts})
+		dec, err := eng.Rank(context.Background(), core.Params{P: p, Options: opts})
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +61,7 @@ func Ablations(r *Runner) (*Result, error) {
 			return nil, err
 		}
 	}
-	pr, err := core.Rank(g, core.Params{Beta: 1, Options: opts})
+	pr, err := eng.Rank(context.Background(), core.Params{Beta: 1, Options: opts})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -88,9 +89,10 @@ func (r *Runner) solverOpts(alpha float64) core.Options {
 // β = 0 is the paper's full de-coupling, on any graph; 0 < β ≤ 1 mixes in
 // connection strength on a weighted one (§3.2.3).
 func (r *Runner) Sweep(g *graph.Graph, sig []float64, alpha, beta float64, ps []float64) ([]float64, error) {
+	eng := core.NewEngine(g)
 	out := make([]float64, len(ps))
 	for i, p := range ps {
-		res, err := core.Rank(g, core.Params{P: p, Beta: beta, Options: r.solverOpts(alpha)})
+		res, err := eng.Rank(context.Background(), core.Params{P: p, Beta: beta, Options: r.solverOpts(alpha)})
 		if err != nil {
 			return nil, fmt.Errorf("p=%v beta=%v: %w", p, beta, err)
 		}

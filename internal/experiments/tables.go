@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"d2pr/internal/core"
@@ -60,9 +61,10 @@ func Table2(r *Runner) (*Result, error) {
 	}
 	g := d.Unweighted()
 	ps := []float64{-4, -2, 0, 2, 4}
+	eng := core.NewEngine(g)
 	ranks := make([][]int, len(ps))
 	for i, p := range ps {
-		res, err := core.Rank(g, core.Params{P: p, Options: r.solverOpts(DefaultAlpha)})
+		res, err := eng.Rank(context.Background(), core.Params{P: p, Options: r.solverOpts(DefaultAlpha)})
 		if err != nil {
 			return nil, err
 		}

@@ -18,7 +18,8 @@ import (
 )
 
 // coldSolve is the computation the cache fronts in the serving layer: a full
-// blended-transition build plus power-iteration solve.
+// blended-transition build plus power-iteration solve, on an engine built
+// beforehand as a snapshot's is.
 func coldSolve(b *testing.B) ([]float64, rankcache.ComputeFunc[[]float64]) {
 	b.Helper()
 	d, err := dataset.GraphByName(dataset.Config{Scale: 0.5, Seed: 7}, dataset.IMDBActorActor)
@@ -26,12 +27,13 @@ func coldSolve(b *testing.B) ([]float64, rankcache.ComputeFunc[[]float64]) {
 		b.Fatal(err)
 	}
 	g := d.Weighted
+	e := core.NewEngine(g)
 	compute := func(context.Context) ([]float64, error) {
 		t, err := core.Blended(g, 0.5, 0)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Solve(t, core.Options{})
+		res, err := e.Solve(t, core.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -85,7 +85,7 @@ func TestPPRComputeMatchesSolver(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
-	e := core.EngineFor(snap.Graph)
+	e := snap.Engine()
 	res, err := e.SolvePPR(e.Connection(), 0, core.ForwardPushOptions{
 		Alpha: spec.Alpha, Epsilon: spec.Epsilon,
 	})

@@ -202,13 +202,6 @@ func (s Spec) Compute(ctx context.Context, snap *registry.Snapshot) ([]float64, 
 	return scores, err
 }
 
-// fillIterative copies an iterative solve's diagnostics into st.
-func fillIterative(st *telemetry.SolveStats, res *core.Result) {
-	st.Iterations = res.Iterations
-	st.Residual = res.Residual
-	st.Converged = res.Converged
-}
-
 // compute is what Solve caches for a spec: ComputeStats plus the ranking's
 // best-ranked prefix, selected once after the solve. The selection counts
 // in the solve stage.
@@ -226,7 +219,7 @@ func (s Spec) compute(ctx context.Context, snap *registry.Snapshot) (Ranking, te
 // ComputeStats is Compute plus per-solve telemetry: which solver ran, how
 // hard it worked (iterations, final residual), and where the wall-clock went
 // (engine build vs. solve). The engine-build stage is ~0 whenever the
-// snapshot's engine is already cached; the solve stage covers transition
+// snapshot's engine is already built; the solve stage covers transition
 // build, the iteration/push loop, and any selection work. AdmissionWait is
 // left zero — queueing happens above this layer and is filled in by the
 // caller that did the queueing.
@@ -234,34 +227,22 @@ func (s Spec) ComputeStats(ctx context.Context, snap *registry.Snapshot) ([]floa
 	g := snap.Graph
 	opts := s.Options(g.NumNodes())
 	st := telemetry.SolveStats{Algo: s.Algo}
-	buildStart := time.Now()
-	var eng *core.Engine
+	start := time.Now()
 	switch s.Algo {
 	case AlgoD2PR, AlgoPageRank:
-		eng = snap.Engine()
-	}
-	st.EngineBuild = time.Since(buildStart)
-	solveStart := time.Now()
-	switch s.Algo {
-	case AlgoD2PR:
-		t, err := core.Blended(g, s.P, s.Beta)
+		params := core.Params{P: s.P, Beta: s.Beta, Options: opts}
+		if s.Algo == AlgoPageRank { // connection strength, whatever p and β say
+			params.P, params.Beta = 0, 1
+		}
+		eng := snap.Engine()
+		st.EngineBuild = time.Since(start)
+		start = time.Now()
+		res, err := eng.Rank(ctx, params)
 		if err != nil {
 			return nil, st, err
 		}
-		res, err := eng.SolveContext(ctx, t, opts)
-		if err != nil {
-			return nil, st, err
-		}
-		fillIterative(&st, res)
-		st.Solve = time.Since(solveStart)
-		return res.Scores, st, nil
-	case AlgoPageRank:
-		res, err := eng.SolveContext(ctx, core.ConnectionStrength(g), opts)
-		if err != nil {
-			return nil, st, err
-		}
-		fillIterative(&st, res)
-		st.Solve = time.Since(solveStart)
+		st.Iterations, st.Residual, st.Converged = res.Iterations, res.Residual, res.Converged
+		st.Solve = time.Since(start)
 		return res.Scores, st, nil
 	case AlgoHITS:
 		res, err := core.HITS(ctx, g, opts)
@@ -270,12 +251,12 @@ func (s Spec) ComputeStats(ctx context.Context, snap *registry.Snapshot) ([]floa
 		}
 		st.Iterations = res.Iterations
 		st.Converged = res.Converged
-		st.Solve = time.Since(solveStart)
+		st.Solve = time.Since(start)
 		return res.Authorities, st, nil
 	case AlgoDegree:
 		scores := core.DegreeCentrality(g)
 		st.Converged = true // O(n) direct computation; nothing to converge
-		st.Solve = time.Since(solveStart)
+		st.Solve = time.Since(start)
 		return scores, st, nil
 	}
 	return nil, st, fmt.Errorf("unknown algo %q", s.Algo)

@@ -149,14 +149,20 @@ func TestCacheKeyD2PRBetaOneIgnoresP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []float64{-4, 4} {
-		got, err := spec(p, 1).Compute(context.Background(), snap)
+	// pagerank's key drops p and β too, so its scores must not read them.
+	pagerank := func(p, beta float64) Spec {
+		s := spec(p, beta)
+		s.Algo = AlgoPageRank
+		return s
+	}
+	for _, s := range []Spec{spec(-4, 1), spec(4, 1), pagerank(-4, 0), pagerank(4, 0.5)} {
+		got, err := s.Compute(context.Background(), snap)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("p=%g β=1: score[%d] = %v, p=0 gives %v", p, i, got[i], want[i])
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s p=%g β=%g: score[%d] = %v, d2pr at p=0 β=1 gives %v", s.Algo, s.P, s.Beta, i, got[i], want[i])
 			}
 		}
 	}

@@ -75,10 +75,9 @@ type Snapshot struct {
 	engine   *core.Engine
 }
 
-// Engine returns the solver engine for the snapshot's graph (cached pull
-// topology, worker pool, scratch buffers — see core.Engine), built lazily on
-// first use. The snapshot owns the engine (core.NewEngine, not the process-
-// wide core.EngineFor cache), so every serving path over this graph —
+// Engine returns the solver engine for the snapshot's graph (pull topology
+// and scratch buffers — see core.Engine), built lazily on first use. The
+// snapshot owns the engine, so every serving path over this graph —
 // synchronous ranks, batch sweeps, background jobs, cache warming — shares
 // one topology and never re-transposes, while a reload's new snapshot builds
 // its own engine and the old one dies with the old epoch.
